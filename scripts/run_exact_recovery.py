@@ -7,7 +7,7 @@ import argparse
 import numpy as np
 
 from sparsetomo import PhantomSpec
-from sparsetomo.experiments import (_AtlasCache, calibrate_recovery_constant,
+from sparsetomo.experiments import (build_model, calibrate_recovery_constant,
                                     recovery_rule_m, run_recovery_cell)
 from sparsetomo.phantoms import make_phantom
 from sparsetomo.solve import SolveConfig
@@ -27,8 +27,8 @@ def main():
     m = recovery_rule_m(c0, args.s, args.j0, gamma=args.gamma)
     print(f"calibrated C0 = {c0:.4f}; rule gives m = {m} at j0 = {args.j0}")
 
-    cache = _AtlasCache()
-    atlas, model = cache.get(1, args.j0 + 1, "radon", 1.0 / 32, 3.0)
+    model = build_model("radon", order=1, j_max=args.j0 + 1)
+    atlas = model.atlas
     good = 0
     for seed in range(args.seeds):
         _, x_full, meta = make_phantom(atlas, PhantomSpec("sparse", s=args.s,

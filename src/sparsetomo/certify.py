@@ -103,7 +103,7 @@ def scale_decay_fit(model, positions=None, n_angles: int = 64, offset: float = 0
         nr = model.atom_norms(positions, t)
         avg += w * nr * nr
     return _decay_fit(scales[positions], np.log2(np.maximum(avg, 1e-300)),
-                      getattr(model, "smoothing_exponent", 0.0))
+                      model.smoothing_exponent)
 
 
 def _coherence_report(model, positions, nodes, scales, b, omega):
@@ -159,7 +159,7 @@ def compute_gram(model, positions, n_quad: int | None = None,
             raise NumericalConsistencyError(
                 f"sigma_min moved by {shift:.1%} when doubling the quadrature")
     scales = model.scales()
-    b = getattr(model, "smoothing_exponent", 0.0)
+    b = model.smoothing_exponent
     omega_v = np.ones(len(positions)) if omega is None else omega.values
     nodes, _ = model.population_nodes(min(n_quad, 64))
     per_scale, d_exp, B, rel = _coherence_report(model, positions, nodes, scales, b, omega_v)
@@ -226,6 +226,16 @@ def _support_delta(M: np.ndarray, normal: np.ndarray, support) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(sym))))
 
 
+def _greedy_support(order, wsq, budget: float) -> list:
+    """Indices taken in `order` while their squared weights fit the budget."""
+    S = []
+    for i in order:
+        if wsq[i] <= budget:
+            S.append(int(i))
+            budget -= wsq[i]
+    return S
+
+
 def _difference_matrix(system: SampledSystem, cert: GramCertificate) -> np.ndarray:
     M = system.q_normal_matrix() - cert.normal
     return 0.5 * (M + M.T)
@@ -278,13 +288,7 @@ def delta_star_montecarlo(system: SampledSystem, cert: GramCertificate,
     seen = set()
     best = 0.0
     for _ in range(trials):
-        order = rng.permutation(n)
-        S = []
-        budget = lam
-        for i in order:
-            if wsq[i] <= budget:
-                S.append(int(i))
-                budget -= wsq[i]
+        S = _greedy_support(rng.permutation(n), wsq, lam)
         if not S:
             continue
         key = frozenset(S)
@@ -412,18 +416,8 @@ def rnsp_witness_search(system: SampledSystem, cert: GramCertificate,
         if rng.random() < 0.5:
             k = rng.integers(1, n + 1)
             x[rng.choice(n, size=n - k, replace=False)] = 0.0
-        order = rng.permutation(n)
-        S = []
-        budget = s
-        for i in order:
-            if wsq[i] <= budget:
-                S.append(int(i))
-                budget -= wsq[i]
-            if budget <= 0:
-                break
         mask = np.zeros(n, dtype=bool)
-        if S:
-            mask[S] = True
+        mask[_greedy_support(rng.permutation(n), wsq, s)] = True
         lhs = float(np.linalg.norm(x[mask]))
         tail1 = float(np.sum(np.abs(x[~mask]) * omega.values[~mask]))
         rhs = rho / np.sqrt(s) * tail1 + kappa * float(np.linalg.norm(qa @ x))

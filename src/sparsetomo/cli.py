@@ -14,9 +14,10 @@ import click
 import numpy as np
 
 from . import io as stio
-from .experiments import (ExperimentConfig, fit_scaling, fit_scaling_windowed,
-                          run_certification_report, run_recovery_sweep)
-from .models import FanBeamModel, RadonModel, assemble_system, draw_samples
+from .experiments import (ExperimentConfig, build_model, fit_scaling,
+                          fit_scaling_windowed, run_certification_report,
+                          run_recovery_sweep)
+from .models import assemble_system, draw_samples
 from .phantoms import PhantomSpec, make_phantom
 from .solve import SolveConfig, solve_constrained_l1, reconstruct_image
 from .wavelets import build_atlas, build_filter, truncation_positions
@@ -123,7 +124,8 @@ def certify(config_path, **flags):
 def reconstruct(config_path, **flags):
     """One reconstruction: phantom, sampled angles, solve, image outputs."""
     cfg = _merged(config_path, **flags)
-    if cfg.get("model", "radon") not in ("radon", "fanbeam"):
+    kind = cfg.get("model", "radon")
+    if kind not in ("radon", "fanbeam"):
         raise click.UsageError("reconstruct drives the tomographic models")
     out = cfg.get("out_dir") or "."
     os.makedirs(out, exist_ok=True)
@@ -133,11 +135,8 @@ def reconstruct(config_path, **flags):
     seed = int(cfg.get("seed", 0))
     beta = float(cfg.get("beta", 0.0))
     m = int(cfg.get("m", 64))
-    a = build_atlas(build_filter(order), j_max)
-    if cfg.get("model", "radon") == "radon":
-        model = RadonModel(a, s_step=1.0 / 32)
-    else:
-        model = FanBeamModel(a, alpha_step=1.0 / 96)
+    model = build_model(kind, order=order, j_max=j_max)
+    a = model.atlas
     window = truncation_positions(a, j0)
     _, x_full, _ = make_phantom(a, _phantom_from(cfg), j0)
     samples = draw_samples(model, m, seed=seed)

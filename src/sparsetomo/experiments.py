@@ -3,8 +3,9 @@ sample-rule calibration, and certification reports."""
 
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -94,27 +95,12 @@ def noise_matched_m_rule(beta: float, a: float, p: float, c0: float,
     return int(np.clip(int(np.floor(m)), m_min, m_cap))
 
 
-class _AtlasCache:
-    def __init__(self):
-        self._store = {}
-
-    def get(self, order: int, j_max: int, model_kind: str, s_step: float, rho: float):
-        key = (order, j_max, model_kind, s_step, rho)
-        if key not in self._store:
-            atlas = build_atlas(build_filter(order), j_max)
-            if model_kind == "radon":
-                model = RadonModel(atlas, s_step=s_step)
-            elif model_kind == "fanbeam":
-                model = FanBeamModel(atlas, rho=rho, alpha_step=s_step / rho)
-            else:
-                raise ValueError(f"sweeps support radon/fanbeam, got {model_kind!r}")
-            self._store[key] = (atlas, model)
-        return self._store[key]
-
-
+@functools.cache
 def build_model(kind: str, order: int = 1, j_max: int = 3, s_step: float = 1.0 / 32,
                 rho: float = 3.0, n_freq: int | None = None, max_degree: int = 30):
-    """Model factory covering all four measurement families."""
+    """Model factory covering all four measurement families, memoised: the
+    same arguments return the same (shared, read-only) model.  The
+    tomographic models carry their atlas as `model.atlas`."""
     if kind in ("radon", "fanbeam"):
         atlas = build_atlas(build_filter(order), j_max)
         if kind == "radon":
@@ -149,11 +135,7 @@ def run_recovery_cell(atlas, model, j0: int, x_full: np.ndarray, beta: float,
     system = assemble_system(model, window, samples, x_full=x_full, beta=beta,
                              noise_seed=seed * 104729 + 7)
     eta = beta + system.tail_residual
-    cfg_solver = SolveConfig(zeta=zeta, eta=eta, max_iters=solver.max_iters,
-                             tol_gap=solver.tol_gap, tol_feas=solver.tol_feas,
-                             step_ratio=solver.step_ratio,
-                             check_every=solver.check_every,
-                             scale_base=solver.scale_base)
+    cfg_solver = replace(solver, zeta=zeta, eta=eta, trace_path=None)
     omega = WeightVector.ones(len(window))
     res = solve_constrained_l1(system, omega, cfg_solver)
     diff_full = x_full.copy()
@@ -167,19 +149,22 @@ def run_recovery_cell(atlas, model, j0: int, x_full: np.ndarray, beta: float,
                        seed=int(seed), status=res.status)
 
 
-def run_recovery_sweep(cfg: ExperimentConfig, cache: _AtlasCache | None = None):
+def run_recovery_sweep(cfg: ExperimentConfig):
     """All (beta, m, seed) cells of a configuration, deterministic per seed.
 
     Infeasible solves are recorded with their status and the sweep continues.
     """
-    cache = cache or _AtlasCache()
+    if cfg.model not in ("radon", "fanbeam"):
+        raise ValueError(f"sweeps support radon/fanbeam, got {cfg.model!r}")
     records = []
     for bi, beta in enumerate(cfg.betas):
         a = cfg.phantom.a if cfg.phantom.kind == "tail" else 0.5
         j0 = (j0_for_beta(beta, a, cap=cfg.j0_cap, offset=cfg.j0_offset)
               if cfg.j0_rule else cfg.j0)
         j_max = j0 + 1 if cfg.j0_rule else cfg.j_max
-        atlas, model = cache.get(cfg.wavelet_order, j_max, cfg.model, cfg.s_step, cfg.rho)
+        model = build_model(cfg.model, order=cfg.wavelet_order, j_max=j_max,
+                            s_step=cfg.s_step, rho=cfg.rho)
+        atlas = model.atlas
         _, x_full, meta = make_phantom(atlas, cfg.phantom, j0)
         m = _cell_m(cfg, beta, bi)
         for seed in cfg.seeds:
@@ -256,8 +241,8 @@ def calibrate_recovery_constant(order: int = 1, s: int = 5, j0: int = 2,
     pilot: bisect to the smallest sample count where noiseless exactly sparse
     signals are recovered across the seed battery, and freeze the ratio."""
     target = n_seeds if target_successes is None else target_successes
-    cache = _AtlasCache()
-    atlas, model = cache.get(order, j0 + 1, "radon", s_step, 3.0)
+    model = build_model("radon", order=order, j_max=j0 + 1, s_step=s_step)
+    atlas = model.atlas
 
     def success_count(m):
         good = 0
@@ -295,20 +280,12 @@ def run_certification_report(cfg: ExperimentConfig, out_dir: str,
                              mc_trials: int = 64, seed: int = 0):
     """Write the certificate report, the per-scale coherence table, restricted
     constant estimates over a (lambda, m) grid, and the sample-rule table."""
-    if cfg.model in ("radon", "fanbeam"):
-        cache = _AtlasCache()
-        atlas, model = cache.get(cfg.wavelet_order, cfg.j_max, cfg.model,
-                                 cfg.s_step, cfg.rho)
-        window = truncation_positions(atlas, cfg.j0)
-    else:
-        model = build_model(cfg.model, order=cfg.wavelet_order, j_max=cfg.j_max)
-        scales = model.scales()
-        window = (np.arange(model.dictionary_size()) if scales is None
-                  else np.flatnonzero(scales <= cfg.j0))
-    if hasattr(model, "natural_weights"):
-        omega = WeightVector(model.natural_weights()[window])
-    else:
-        omega = WeightVector.ones(len(window))
+    model = build_model(cfg.model, order=cfg.wavelet_order, j_max=cfg.j_max,
+                        s_step=cfg.s_step, rho=cfg.rho)
+    scales = model.scales()
+    window = (np.arange(model.dictionary_size()) if scales is None
+              else np.flatnonzero(scales <= cfg.j0))
+    omega = WeightVector(model.natural_weights()[window])
     cert = compute_gram(model, window, omega=omega, check_convergence=True, seed=seed)
     rows = []
     for lam in lam_grid:

@@ -1,14 +1,14 @@
 """Measurement models and sampled systems.
 
-Four concrete models share one interface: parallel-beam line integrals at an
-angle, fan-beam line integrals from a source on a circle, Fourier
-coefficients of periodized 1D wavelets, and pointwise evaluation of
-orthonormal Legendre polynomials.  Each model knows its dictionary, its
-sampling density, and how to produce the measurement block of a batch of
-dictionary elements at one parameter value; systems of random samples are
-assembled into a stacked matrix with quadrature weights folded in, so plain
-Euclidean norms of stacked vectors equal the (1/m)-averaged measurement-space
-norms.
+Four concrete models share one interface, the MeasurementModel base:
+parallel-beam line integrals at an angle, fan-beam line integrals from a
+source on a circle, Fourier coefficients of periodized 1D wavelets, and
+pointwise evaluation of orthonormal Legendre polynomials.  Each model knows
+its dictionary, its sampling density, and how to produce the measurement
+block of a batch of dictionary elements at one parameter value; systems of
+random samples are assembled into a stacked matrix with quadrature weights
+folded in, so plain Euclidean norms of stacked vectors equal the
+(1/m)-averaged measurement-space norms.
 """
 
 from __future__ import annotations
@@ -17,12 +17,76 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .wavelets import (AtomIndex, DictionaryAtlas, WaveletFilter, dilation,
-                       truncation_positions, _cascade)
+from .wavelets import AtomIndex, DictionaryAtlas, WaveletFilter, dilation, _cascade
 
 
 class GeometryError(ValueError):
     """Measurement geometry cannot accommodate the dictionary."""
+
+
+# ---------------------------------------------------------------------------
+# the shared interface
+
+
+class MeasurementModel:
+    """Defaults shared by the measurement models.
+
+    The parameter distribution is uniform on [0, 2pi) (density identically 1
+    against the uniform probability measure), each measurement is one scalar
+    with quadrature weight 1, and the natural weights are all 1.  Subclasses
+    supply `labels()` and `rows(positions, t)`, the (len(positions),
+    block_dim) measurement blocks at parameter t, and override whatever else
+    differs.
+    """
+
+    c_nu = 1.0
+    smoothing_exponent = 0.0
+    block_dim = 1
+    quad_weight = 1.0
+
+    def dictionary_size(self) -> int:
+        return len(self.labels())
+
+    def scales(self) -> np.ndarray | None:
+        return None
+
+    def natural_weights(self) -> np.ndarray:
+        return np.ones(self.dictionary_size())
+
+    # -- density / sampling -------------------------------------------------
+    def density(self, t):
+        return np.ones_like(np.asarray(t, float))
+
+    def density_integral(self) -> float:
+        return 1.0
+
+    def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.uniform(0.0, 2.0 * np.pi, m)
+
+    def population_nodes(self, n: int):
+        """Quadrature nodes and weights for integrals against the uniform
+        probability measure on [0, 2pi)."""
+        return 2.0 * np.pi * np.arange(n) / n, np.full(n, 1.0 / n)
+
+    def atom_norms(self, positions, t) -> np.ndarray:
+        """Per-atom measurement norms at one parameter value."""
+        R = self.rows(positions, t)
+        return np.sqrt((R * R).sum(axis=1) * self.quad_weight)
+
+
+class AtlasModel(MeasurementModel):
+    """A measurement model over the atoms of a 2D wavelet atlas."""
+
+    atlas: DictionaryAtlas
+
+    def labels(self):
+        return self.atlas.gamma
+
+    def scales(self) -> np.ndarray:
+        return self.atlas.scales
+
+    def atom_row(self, idx: AtomIndex, theta: float) -> np.ndarray:
+        return self.rows([self.atlas.index_position(idx)], theta)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -52,11 +116,10 @@ def _convolved_base_row(fx, fy, c, s, h, out_grid):
     return (V * masses[None, :]).sum(axis=1) / abs(aw)
 
 
-class RadonModel:
+class RadonModel(AtlasModel):
     """Line-integral measurements of atlas atoms at angles in [0, 2pi).
 
-    The angle distribution is uniform (density identically 1 against the
-    uniform probability measure), the per-angle measurement space is the
+    The angle distribution is uniform, the per-angle measurement space is the
     s-offset grid with trapezoid weight s_step.
     """
 
@@ -69,42 +132,17 @@ class RadonModel:
         smax = atlas.support_radius + s_pad
         n = int(np.ceil(smax / self.s_step))
         self.s_grid = self.s_step * np.arange(-n, n + 1)
-        self.c_nu = 1.0
+        self.block_dim = len(self.s_grid)
+        self.quad_weight = self.s_step
 
-    # -- density / sampling -------------------------------------------------
-    def density(self, t):
-        return np.ones_like(np.asarray(t, float))
+    def _groups(self, positions):
+        """(scale, orientation, rows) of each atom group among positions."""
+        a = self.atlas
+        keys = 4 * a.scales[positions] + a.orientations[positions]
+        for key in np.unique(keys):
+            scale, orientation = divmod(int(key), 4)
+            yield scale, orientation, np.flatnonzero(keys == key)
 
-    def density_integral(self) -> float:
-        return 1.0
-
-    def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(0.0, 2.0 * np.pi, m)
-
-    def population_nodes(self, n: int):
-        """Quadrature nodes and weights for integrals against the uniform
-        probability measure on [0, 2pi)."""
-        return 2.0 * np.pi * np.arange(n) / n, np.full(n, 1.0 / n)
-
-    # -- measurement geometry ------------------------------------------------
-    @property
-    def block_dim(self) -> int:
-        return len(self.s_grid)
-
-    @property
-    def quad_weight(self) -> float:
-        return self.s_step
-
-    def dictionary_size(self) -> int:
-        return len(self.atlas)
-
-    def labels(self):
-        return self.atlas.gamma
-
-    def scales(self) -> np.ndarray:
-        return self.atlas.scales
-
-    # -- rows ---------------------------------------------------------------
     def _group_base(self, scale: int, orientation: int, theta: float, fine_step: float):
         c, s = np.cos(theta), np.sin(theta)
         kx, ky = self.atlas.profile_kinds(orientation)
@@ -126,37 +164,24 @@ class RadonModel:
         positions = np.asarray(positions, dtype=int)
         out = np.zeros((len(positions), self.block_dim))
         c, s = np.cos(theta), np.sin(theta)
-        groups: dict = {}
-        for row_i, pos in enumerate(positions):
-            a = self.atlas.gamma[pos]
-            groups.setdefault((a.scale, a.orientation), []).append((row_i, a.n1, a.n2))
         fine = self.s_step / 2.0
-        for (scale, orient), members in groups.items():
+        n1, n2 = self.atlas.n1[positions], self.atlas.n2[positions]
+        for scale, orient, sel in self._groups(positions):
             grid, base = self._group_base(scale, orient, theta, fine)
-            d = dilation(scale)
-            mem = np.asarray(members)
-            shifts = (mem[:, 1] * c + mem[:, 2] * s) / d
+            shifts = (n1[sel] * c + n2[sel] * s) / dilation(scale)
             P = self.s_grid[None, :] - shifts[:, None]
-            out[mem[:, 0]] = np.interp(P, grid, base, left=0.0, right=0.0)
+            out[sel] = np.interp(P, grid, base, left=0.0, right=0.0)
         return out
-
-    def atom_row(self, idx: AtomIndex, theta: float) -> np.ndarray:
-        return self.rows([self.atlas.index_position(idx)], theta)[0]
 
     def atom_norms(self, positions, theta: float) -> np.ndarray:
         """Per-atom measurement norms at one angle, from the group profiles
         directly (rows of one group are offset copies of the same profile)."""
         positions = np.asarray(positions, dtype=int)
         out = np.empty(len(positions))
-        cache: dict = {}
         fine = self.s_step / 2.0
-        for row_i, pos in enumerate(positions):
-            a = self.atlas.gamma[pos]
-            key = (a.scale, a.orientation)
-            if key not in cache:
-                grid, base = self._group_base(a.scale, a.orientation, theta, fine)
-                cache[key] = float(np.sqrt(np.sum(base * base) * fine))
-            out[row_i] = cache[key]
+        for scale, orient, sel in self._groups(positions):
+            _, base = self._group_base(scale, orient, theta, fine)
+            out[sel] = float(np.sqrt(np.sum(base * base) * fine))
         return out
 
 
@@ -194,7 +219,7 @@ def radon_image(image: np.ndarray, grid, theta: float, s_grid: np.ndarray,
 # fan beam
 
 
-class FanBeamModel:
+class FanBeamModel(AtlasModel):
     """Line integrals along rays from a source at distance rho, one source
     angle per sample, measured over the ray-angle grid on (-pi/2, pi/2).
 
@@ -219,36 +244,8 @@ class FanBeamModel:
         self.alpha_step = (atlas.grid.h / self.rho) if alpha_step is None else float(alpha_step)
         n = int(np.ceil((np.pi / 2.0) / self.alpha_step))
         self.alpha_grid = self.alpha_step * np.arange(-n, n + 1)
-        self.c_nu = 1.0
-
-    def density(self, t):
-        return np.ones_like(np.asarray(t, float))
-
-    def density_integral(self) -> float:
-        return 1.0
-
-    def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(0.0, 2.0 * np.pi, m)
-
-    def population_nodes(self, n: int):
-        return 2.0 * np.pi * np.arange(n) / n, np.full(n, 1.0 / n)
-
-    @property
-    def block_dim(self) -> int:
-        return len(self.alpha_grid)
-
-    @property
-    def quad_weight(self) -> float:
-        return self.alpha_step
-
-    def dictionary_size(self) -> int:
-        return len(self.atlas)
-
-    def labels(self):
-        return self.atlas.gamma
-
-    def scales(self) -> np.ndarray:
-        return self.atlas.scales
+        self.block_dim = len(self.alpha_grid)
+        self.quad_weight = self.alpha_step
 
     def rows(self, positions, theta: float) -> np.ndarray:
         """Ray integrals per atom: for each ray angle hitting the atom's
@@ -268,7 +265,7 @@ class FanBeamModel:
             phi_abs = np.arctan2(to_c[1], to_c[0])
             # the atom sits at negative ray parameter, so the ray angles that
             # meet it cluster around the direction opposite to source->atom
-            alpha_c = (phi_abs - theta - np.pi + np.pi) % (2.0 * np.pi) - np.pi
+            alpha_c = (phi_abs - theta) % (2.0 * np.pi) - np.pi
             half = np.arcsin(min(1.0, rad / dist)) + self.alpha_step
             sel = np.flatnonzero(np.abs(self.alpha_grid - alpha_c) <= half)
             if len(sel) == 0:
@@ -285,13 +282,6 @@ class FanBeamModel:
             out[row_i, sel] = (vx * vy).sum(axis=1) * step
         return out
 
-    def atom_row(self, idx: AtomIndex, theta: float) -> np.ndarray:
-        return self.rows([self.atlas.index_position(idx)], theta)[0]
-
-    def atom_norms(self, positions, theta: float) -> np.ndarray:
-        R = self.rows(positions, theta)
-        return np.sqrt((R * R).sum(axis=1) * self.quad_weight)
-
 
 # ---------------------------------------------------------------------------
 # periodic Fourier sampling of 1D wavelets
@@ -307,7 +297,7 @@ class PeriodicAtomIndex:
     kind: int
 
 
-class FourierWaveletModel:
+class FourierWaveletModel(MeasurementModel):
     """Fourier coefficients of periodized compactly supported 1D wavelets.
 
     The dictionary lives on the unit circle; measurements are the integer
@@ -317,7 +307,7 @@ class FourierWaveletModel:
     """
 
     kind = "fourier_wavelet"
-    smoothing_exponent = 0.0
+    block_dim = 2
 
     def __init__(self, filt: WaveletFilter, j_max: int, n_freq: int | None = None,
                  grid_level: int | None = None):
@@ -358,9 +348,6 @@ class FourierWaveletModel:
     def labels(self):
         return self._labels
 
-    def dictionary_size(self) -> int:
-        return len(self._labels)
-
     def scales(self) -> np.ndarray:
         return np.array([a.scale for a in self._labels])
 
@@ -398,48 +385,28 @@ class FourierWaveletModel:
         # counting measure over the bandwidth; n is ignored
         return self.freqs.astype(float), np.ones(len(self.freqs))
 
-    @property
-    def block_dim(self) -> int:
-        return 2
-
-    @property
-    def quad_weight(self) -> float:
-        return 1.0
-
     def rows(self, positions, t) -> np.ndarray:
         tab = self._coefficient_table()
         vals = tab[np.asarray(positions, int), int(round(float(t))) % self.n_grid]
         return np.stack([vals.real, vals.imag], axis=1)
-
-    def atom_norms(self, positions, t) -> np.ndarray:
-        R = self.rows(positions, t)
-        return np.sqrt((R * R).sum(axis=1))
 
 
 # ---------------------------------------------------------------------------
 # pointwise sampling of orthonormal Legendre polynomials
 
 
-class LegendrePointModel:
+class LegendrePointModel(MeasurementModel):
     """Pointwise evaluation of polynomials orthonormal under the uniform
     probability measure on [-1, 1]; degree index i = 1.. has sup-norm
     sqrt(2i - 1), which is also the natural weight vector."""
 
     kind = "legendre_point"
-    smoothing_exponent = 0.0
 
     def __init__(self, max_degree: int):
         self.max_degree = int(max_degree)
-        self.c_nu = 1.0
 
     def labels(self):
         return list(range(1, self.max_degree + 2))
-
-    def dictionary_size(self) -> int:
-        return self.max_degree + 1
-
-    def scales(self) -> None:
-        return None
 
     def natural_weights(self) -> np.ndarray:
         i = np.arange(1, self.max_degree + 2)
@@ -461,12 +428,6 @@ class LegendrePointModel:
         norm = np.sqrt(2.0 * np.arange(1, m + 1) - 1.0)
         return P * norm[:, None]
 
-    def density(self, t):
-        return np.ones_like(np.asarray(t, float))
-
-    def density_integral(self) -> float:
-        return 1.0
-
     def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(-1.0, 1.0, m)
 
@@ -474,27 +435,16 @@ class LegendrePointModel:
         x, w = np.polynomial.legendre.leggauss(max(n, self.max_degree + 2))
         return x, w / 2.0
 
-    @property
-    def block_dim(self) -> int:
-        return 1
-
-    @property
-    def quad_weight(self) -> float:
-        return 1.0
-
     def rows(self, positions, t) -> np.ndarray:
         vals = self.evaluate(float(t))[:, 0]
         return vals[np.asarray(positions, int)][:, None]
-
-    def atom_norms(self, positions, t) -> np.ndarray:
-        return np.abs(self.rows(positions, t))[:, 0]
 
 
 # ---------------------------------------------------------------------------
 # synthetic model with an exactly diagonal normal operator
 
 
-class SyntheticDiagonalModel:
+class SyntheticDiagonalModel(MeasurementModel):
     """Abstract dictionary whose forward map acts diagonally: the i-th element
     measures as 2^(-b j_i) sqrt(2) cos((i+1) t), a bounded orthonormal family
     under the uniform angle distribution.  The population normal matrix is
@@ -506,45 +456,21 @@ class SyntheticDiagonalModel:
     def __init__(self, scale_list, b: float = 0.5):
         self._scales = np.asarray(scale_list, dtype=int)
         self.smoothing_exponent = float(b)
-        self.c_nu = 1.0
 
     def labels(self):
         return list(range(len(self._scales)))
 
-    def dictionary_size(self) -> int:
-        return len(self._scales)
-
     def scales(self) -> np.ndarray:
         return self._scales
 
-    def density(self, t):
-        return np.ones_like(np.asarray(t, float))
-
-    def density_integral(self) -> float:
-        return 1.0
-
-    def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(0.0, 2.0 * np.pi, m)
-
     def population_nodes(self, n: int):
-        n = max(n, 2 * (len(self._scales) + 2))  # exact for these harmonics
-        return 2.0 * np.pi * np.arange(n) / n, np.full(n, 1.0 / n)
-
-    @property
-    def block_dim(self) -> int:
-        return 1
-
-    @property
-    def quad_weight(self) -> float:
-        return 1.0
+        # exact for these harmonics
+        return super().population_nodes(max(n, 2 * (len(self._scales) + 2)))
 
     def rows(self, positions, t) -> np.ndarray:
         positions = np.asarray(positions, int)
         amp = 2.0 ** (-self.smoothing_exponent * self._scales[positions])
         return (amp * np.sqrt(2.0) * np.cos((positions + 1) * float(t)))[:, None]
-
-    def atom_norms(self, positions, t) -> np.ndarray:
-        return np.abs(self.rows(positions, t))[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -581,9 +507,6 @@ class SampledSystem:
     @property
     def m(self) -> int:
         return len(self.samples)
-
-    def normal_matrix(self) -> np.ndarray:
-        return self.matrix.T @ self.matrix
 
     def q_normal_matrix(self) -> np.ndarray:
         """Normal matrix of the density-normalized sampling operator."""

@@ -209,6 +209,9 @@ class DictionaryAtlas:
         self._profiles = profiles
         self._pos = {idx: i for i, idx in enumerate(self.gamma)}
         self.scales = np.array([a.scale for a in self.gamma])
+        self.orientations = np.array([a.orientation for a in self.gamma])
+        self.n1 = np.array([a.n1 for a in self.gamma])
+        self.n2 = np.array([a.n2 for a in self.gamma])
 
     def __len__(self):
         return len(self.gamma)

@@ -12,7 +12,7 @@ import pytest
 
 import sparsetomo as st
 from sparsetomo.certify import _support_delta, scale_decay_fit
-from sparsetomo.experiments import (ExperimentConfig, _AtlasCache,
+from sparsetomo.experiments import (ExperimentConfig, build_model,
                                     calibrate_recovery_constant,
                                     recovery_rule_m, run_recovery_cell)
 from sparsetomo.phantoms import make_phantom
@@ -24,11 +24,6 @@ def report(num, name, ok, detail):
     line = f"ACCEPTANCE {num:>2} {name}: {'PASS' if ok else 'FAIL'} ({detail})"
     print("\n" + line)
     assert ok, line
-
-
-@pytest.fixture(scope="module")
-def cache():
-    return _AtlasCache()
 
 
 @pytest.fixture(scope="module")
@@ -184,11 +179,12 @@ def test_criterion_05_restricted_constant_oracles(synthetic_model, synthetic_cer
            f"diagonal invariance exact; {dt:.0f}s")
 
 
-def test_criterion_06_exact_recovery(cache):
+def test_criterion_06_exact_recovery():
     t0 = time.time()
     c0 = calibrate_recovery_constant(order=1, s=5, j0=2, n_seeds=20)
     m = recovery_rule_m(c0, 5, 3, gamma=0.1)
-    atlas, model = cache.get(1, 4, "radon", 1.0 / 32, 3.0)
+    model = build_model("radon", order=1, j_max=4, s_step=1.0 / 32, rho=3.0)
+    atlas = model.atlas
     good = 0
     worst = 0.0
     for seed in range(20):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import sparsetomo as st
-from sparsetomo.experiments import (ExperimentConfig, SweepRecord, _AtlasCache,
+from sparsetomo.experiments import (ExperimentConfig, SweepRecord, build_model,
                                     noise_matched_m_rule, run_recovery_cell)
 from sparsetomo import io as stio
 
@@ -149,11 +149,17 @@ def test_certification_report_contents(tmp_path):
     assert set(table) == {"s", "conditioning", "relative_coherence", "window", "sparsity"}
 
 
+def test_build_model_is_memoised():
+    model = build_model("radon", order=1, j_max=2, s_step=1.0 / 16)
+    assert build_model("radon", order=1, j_max=2, s_step=1.0 / 16) is model
+    assert build_model("fanbeam", order=1, j_max=2, s_step=1.0 / 16) is not model
+
+
 def test_measurement_error_in_quasi_diag_band():
     # with the reweighted solver, the measurement-domain error tracks the
     # scale-weighted coefficient error inside the dyadic-equivalence band
-    cache = _AtlasCache()
-    atlas, model = cache.get(1, 2, "radon", 1.0 / 16, 3.0)
+    model = build_model("radon", order=1, j_max=2, s_step=1.0 / 16, rho=3.0)
+    atlas = model.atlas
     window = st.truncation_positions(atlas, 1)
     _, x_full, _ = st.make_phantom(atlas, st.PhantomSpec("sparse", s=4, seed=2), 1)
     samples = st.draw_samples(model, 24, seed=5)
@@ -171,8 +177,8 @@ def test_measurement_error_in_quasi_diag_band():
 
 
 def test_doubling_samples_improves_median_error():
-    cache = _AtlasCache()
-    atlas, model = cache.get(1, 2, "radon", 1.0 / 16, 3.0)
+    model = build_model("radon", order=1, j_max=2, s_step=1.0 / 16, rho=3.0)
+    atlas = model.atlas
     _, x_full, _ = st.make_phantom(atlas, st.PhantomSpec("tail", a=0.5, seed=0), 1)
     from sparsetomo.solve import SolveConfig
     medians = []

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import sparsetomo as st
+from sparsetomo.experiments import build_model
 from sparsetomo.models import GeometryError, radon_image
 from sparsetomo.wavelets import GridSpec, dilation
 
@@ -92,6 +93,19 @@ def test_radon_coherence_per_scale_bound():
     B = mx[0] * np.sqrt(dilation(0))
     for j in range(6):
         assert mx[j] <= 1.05 * B / np.sqrt(dilation(j))
+
+
+def test_radon_rows_shuffled_positions_with_repeats(haar_atlas_j3, radon_j3):
+    # rows are grouped by (scale, orientation) internally; the grouping must
+    # not depend on the order of the positions or on repeats among them
+    rng = np.random.default_rng(1)
+    base = rng.choice(len(haar_atlas_j3), 120, replace=False)
+    positions = rng.permutation(np.concatenate([base, base[:30]]))
+    uniq, inv = np.unique(positions, return_inverse=True)
+    for th in (0.0, 0.9, 2.6, 4.4):
+        assert np.array_equal(radon_j3.rows(positions, th), radon_j3.rows(uniq, th)[inv])
+        assert np.array_equal(radon_j3.atom_norms(positions, th),
+                              radon_j3.atom_norms(uniq, th)[inv])
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +371,15 @@ def test_density_integral_quadrature(radon_j2):
     nodes, wts = radon_j2.population_nodes(64)
     total = float(np.sum(wts * radon_j2.density(nodes)))
     assert abs(total - 1.0) <= 1e-8
+
+
+@pytest.mark.parametrize("kind", ["radon", "fanbeam", "fourier", "legendre", "synthetic"])
+def test_density_integral_all_models(kind, synthetic_model):
+    model = synthetic_model if kind == "synthetic" else build_model(kind, j_max=2)
+    nodes, wts = model.population_nodes(64)
+    total = float(np.sum(wts * model.density(nodes)))
+    assert abs(total - 1.0) <= 1e-8
+    assert abs(model.density_integral() - 1.0) <= 1e-8
 
 
 def test_atom_index_validation():
