@@ -88,7 +88,7 @@ def _decay_fit(scales, log2_sq_norms, fallback: float) -> float:
     return float(-0.5 * (xc @ (y - y.mean())) / (xc @ xc))
 
 
-def scale_decay_fit(model, positions=None, n_angles: int = 64, offset: float = 0.0) -> float:
+def scale_decay_fit(model, positions=None, n_angles: int = 64) -> float:
     """Decay exponent of angle-averaged squared measurement norms per atom,
     computed from per-atom norms only (no Gram matrix needed)."""
     if positions is None:

@@ -143,9 +143,9 @@ def reconstruct(config_path, **flags):
     system = assemble_system(model, window, samples, x_full=x_full, beta=beta,
                              noise_seed=seed + 1)
     sc = SolveConfig(zeta=float(cfg.get("zeta", 1.0)),
-                     eta=beta + system.tail_residual,
-                     trace_path=os.path.join(out, "trace.csv"))
+                     eta=beta + system.tail_residual)
     res = solve_constrained_l1(system, WeightVector.ones(len(window)), sc)
+    stio.write_trace_csv(os.path.join(out, "trace.csv"), res.trace)
     img = reconstruct_image(res, a, [a.gamma[i] for i in window])
     stio.write_image_binary(os.path.join(out, "reconstruction.bin"), img, a.grid)
     stio.write_pgm(os.path.join(out, "reconstruction.pgm"), img)

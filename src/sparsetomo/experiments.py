@@ -135,7 +135,7 @@ def run_recovery_cell(atlas, model, j0: int, x_full: np.ndarray, beta: float,
     system = assemble_system(model, window, samples, x_full=x_full, beta=beta,
                              noise_seed=seed * 104729 + 7)
     eta = beta + system.tail_residual
-    cfg_solver = replace(solver, zeta=zeta, eta=eta, trace_path=None)
+    cfg_solver = replace(solver, zeta=zeta, eta=eta)
     omega = WeightVector.ones(len(window))
     res = solve_constrained_l1(system, omega, cfg_solver)
     diff_full = x_full.copy()
@@ -287,14 +287,15 @@ def run_certification_report(cfg: ExperimentConfig, out_dir: str,
               else np.flatnonzero(scales <= cfg.j0))
     omega = WeightVector(model.natural_weights()[window])
     cert = compute_gram(model, window, omega=omega, check_convergence=True, seed=seed)
-    rows = []
-    for lam in lam_grid:
-        for m in m_grid:
-            samples = draw_samples(model, int(m), seed=seed + 17 * int(m))
-            system = assemble_system(model, window, samples)
-            est = delta_star_montecarlo(system, cert, omega, lam,
-                                        trials=mc_trials, seed=seed)
-            rows.append((lam, m, est.delta_star))
+    # the samples depend on m only, so one system serves every lambda
+    delta = {}
+    for m in m_grid:
+        samples = draw_samples(model, int(m), seed=seed + 17 * int(m))
+        system = assemble_system(model, window, samples)
+        for lam in lam_grid:
+            delta[lam, m] = delta_star_montecarlo(system, cert, omega, lam,
+                                                  trials=mc_trials, seed=seed).delta_star
+    rows = [(lam, m, delta[lam, m]) for lam in lam_grid for m in m_grid]
     M = len(window)
     s_ref = max(2, min(8, M))
     table = {"s": s_ref}

@@ -1,6 +1,6 @@
 """On-disk formats: flat little-endian float64 binaries with plain-text
-headers, 8-bit PGM previews, RFC-4180 records CSV, sinogram CSV, sampled
-system directories, and certificate reports.
+headers, 8-bit PGM previews, RFC-4180 records CSV, solver trace CSV,
+sinogram CSV, sampled system directories, and certificate reports.
 
 Every writer formats floats with repr (shortest round-trip), so reruns under
 the same seed produce byte-identical files.
@@ -194,6 +194,15 @@ def read_system_matrices(path: str):
 
 # ---------------------------------------------------------------------------
 # records and reports
+
+
+def write_trace_csv(path: str, trace):
+    """Solver trace: one (iteration, residual, objective, gap) row per check
+    of the best feasible iterate; header only when none was feasible."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["iteration", "residual", "objective", "gap"])
+        w.writerows(trace)
 
 
 def write_records_csv(path: str, records):

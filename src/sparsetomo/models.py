@@ -522,23 +522,24 @@ class SampledSystem:
 
 
 def assemble_system(model, positions, samples, x_full=None, beta: float = 0.0,
-                    noise_seed: int = 0, y_extra: np.ndarray | None = None) -> SampledSystem:
-    """Stack per-sample measurement blocks into a SampledSystem.
+                    noise_seed: int = 0) -> SampledSystem:
+    """Write per-sample measurement blocks into one SampledSystem.
 
     x_full holds coefficients over the model's whole dictionary (any part
     outside `positions` contributes to the data but not to the matrix).
     Noise draws one Gaussian block per sample, rescaled so each block has
-    measurement-space norm exactly beta.  y_extra, when given, is a stacked
-    contribution added to the data (already in measurement-space units, one
-    block per sample), used to inject measurements of signals that live
-    outside the dictionary window.
+    measurement-space norm exactly beta.  Each sample's rows go straight into
+    a preallocated matrix, so A is held once.
     """
     positions = np.asarray(positions, dtype=int)
     samples = np.asarray(samples, dtype=float)
     m = len(samples)
+    if m < 1:
+        raise ValueError("m must be >= 1")
     if beta < 0:
         raise ValueError("noise bound must be >= 0")
     scale = np.sqrt(model.quad_weight / m)
+    bd = model.block_dim
     full = None
     if x_full is not None:
         full = np.asarray(x_full, float)
@@ -554,29 +555,25 @@ def assemble_system(model, positions, samples, x_full=None, beta: float = 0.0,
         union = positions
         w_idx = np.arange(len(positions))
         s_idx = np.array([], dtype=int)
-    blocks = []
-    clean = []
-    noise = []
+    # column-major, as stacking the transposed row blocks lays A out (row-major
+    # for single-row blocks): BLAS rounds products with A by layout, so the
+    # layout is part of what tail_residual and the solves return
+    A = np.empty((m * bd, len(positions)), order="F" if bd > 1 else "C")
+    y = np.zeros(m * bd)
+    noise = np.empty(m * bd) if beta > 0 else None
     for k, t in enumerate(samples):
+        blk = slice(k * bd, (k + 1) * bd)
         R = model.rows(union, t)                      # (n_union, block_dim)
-        blocks.append(R[w_idx].T * scale)
-        yk = np.zeros(model.block_dim)
+        A[blk] = R[w_idx].T * scale
         if len(s_idx):
-            yk = R[s_idx].T @ full[supp]
-        clean.append(yk * scale)
-        if beta > 0:
-            g = rng.standard_normal(model.block_dim)
+            y[blk] = (R[s_idx].T @ full[supp]) * scale
+        if noise is not None:
+            g = rng.standard_normal(bd)
             g *= beta / (np.linalg.norm(g) * np.sqrt(model.quad_weight))
-            noise.append(g * scale)
-    A = np.vstack(blocks)
-    y = np.concatenate(clean)
-    tail_res = 0.0
-    if full is not None:
-        tail_res = float(np.linalg.norm(y - A @ full[positions]))
-    if noise:
-        y = y + np.concatenate(noise)
-    if y_extra is not None:
-        y = y + y_extra
+            noise[blk] = g * scale
+    tail_res = 0.0 if full is None else float(np.linalg.norm(y - A @ full[positions]))
+    if noise is not None:
+        y += noise
     q = 1.0 / np.sqrt(model.density(samples))
     return SampledSystem(model=model, positions=positions, samples=samples,
                          matrix=A, q_weights=np.asarray(q, float), y=y,

@@ -2,11 +2,10 @@
 
 The constrained problem  min ||W^-zeta x||_{1,omega}  s.t.  ||A x - y|| <= eta
 is solved by a first-order primal-dual splitting after the change of
-variables z = W^-zeta x, which turns the objective into a plain weighted l1
-norm and rescales the columns of A.  The system is first compressed through
-the eigendecomposition of A^T A, which preserves the feasible set exactly
-(up to a constant residual offset) and caps the per-iteration cost at the
-window size regardless of how many samples were drawn.
+variables x = W^zeta z, which turns the objective into a plain weighted l1
+norm and rescales the columns of A.  One compression of the column-scaled
+system gives an equivalent system no larger than the window, the
+least-squares residual that decides feasibility, and the step size.
 
 A Lagrangian sweep (iterative soft thresholding over a penalty grid) serves
 as an algorithm-independent cross-check of the constrained path.
@@ -14,7 +13,6 @@ as an algorithm-independent cross-check of the constrained path.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,16 +28,15 @@ class SolveConfig:
     max_iters: int = 50000
     tol_gap: float = 1e-8
     tol_feas: float = 1e-6
-    step_ratio: float = 1.0
     check_every: int = 50
-    trace_path: str | None = None
-    scale_base: float = 0.5   # W = diag(2^(scale_base * j))
 
     def __post_init__(self):
         if self.tol_gap <= 0 or self.tol_feas <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if self.check_every < 1:
+            raise ValueError("check_every must be >= 1")
         if not (0.0 <= self.zeta <= 1.0):
             raise ValueError("zeta must lie in [0, 1]")
         if self.eta < 0:
@@ -57,36 +54,44 @@ class SolveResult:
     trace: list = field(default_factory=list, repr=False)
 
 
-def _compress(A: np.ndarray, y: np.ndarray):
-    """Equivalent square system: ||A x - y||^2 = ||K x - yt||^2 + off.
-
-    The residual offset (the distance from the data to the operator range) is
-    evaluated in the original geometry at the least-squares point; forming it
-    as a norm difference would cancel catastrophically on consistent data.
+def _compress(A: np.ndarray, y: np.ndarray, col: np.ndarray):
+    """(K, yt, off, L) in the solver's variables (x = col * z), such that
+    ||A (col z) - y||^2 = ||K z - yt||^2 + off for every z, off is the squared
+    least-squares residual and L = ||K||_2.  Tall systems use the eigenpairs
+    of col A^T A col (no copy of A); short ones keep their rows, so the
+    condition number is not squared, and project y onto range(K) by least
+    squares, which covers rank loss.  The tall offset is evaluated in the
+    original geometry; a norm difference would cancel on consistent data.
     """
     m, n = A.shape
     if m <= n:
-        return A, y, 0.0
+        K = A * col[None, :]
+        z_ls, _, _, sv = np.linalg.lstsq(K, y, rcond=None)
+        yt = K @ z_ls
+        return K, yt, float(np.linalg.norm(y - yt) ** 2), float(sv.max(initial=0.0))
     H = A.T @ A
+    H *= col[:, None]
+    H *= col[None, :]
     evals, V = np.linalg.eigh(H)
     evals = np.clip(evals, 0.0, None)
-    keep = evals > max(evals.max(), 1e-300) * 1e-15
+    keep = evals > max(evals[-1], 1e-300) * 1e-15
     root = np.sqrt(evals[keep])
-    K = root[:, None] * V[:, keep].T
-    b = A.T @ y
-    yt = (V[:, keep].T @ b) / root
-    x_ls = V[:, keep] @ (yt / root)
-    off = float(max(np.linalg.norm(A @ x_ls - y) ** 2
-                    - np.linalg.norm(K @ x_ls - yt) ** 2, 0.0))
-    return K, yt, off
+    Vk = V[:, keep]
+    K = root[:, None] * Vk.T
+    yt = (Vk.T @ (col * (A.T @ y))) / root
+    z_ls = Vk @ (yt / root)
+    off = float(max(np.linalg.norm(A @ (col * z_ls) - y) ** 2
+                    - np.linalg.norm(K @ z_ls - yt) ** 2, 0.0))
+    return K, yt, off, float(np.sqrt(evals[-1]))
 
 
-def _scale_weights(scales, zeta: float, base: float) -> np.ndarray:
+def _column_scaling(scales, zeta: float, n: int) -> np.ndarray:
+    """col = W^zeta, W = diag(2^(j/2)) over the window's scales j."""
     if scales is None:
         if zeta != 0.0:
             raise ValueError("zeta-weighted solve needs a multiscale dictionary")
-        return None
-    return 2.0 ** (base * np.asarray(scales, float))
+        return np.ones(n)
+    return (2.0 ** (0.5 * np.asarray(scales, float))) ** zeta
 
 
 def solve_constrained_l1(system, omega: WeightVector, cfg: SolveConfig) -> SolveResult:
@@ -100,7 +105,8 @@ def solve_constrained_l1_matrix(A: np.ndarray, y: np.ndarray, omega: WeightVecto
                                 cfg: SolveConfig, scales=None) -> SolveResult:
     """Primal-dual solve of min ||W^-zeta x||_{1,omega} s.t. ||Ax-y|| <= eta.
 
-    Reports the lowest-gap iterate among those feasible within the configured
+    `infeasible` when the least-squares residual exceeds eta.  Otherwise
+    reports the lowest-gap iterate among those feasible within the configured
     slack, so the recorded gap sequence is non-increasing; status is `optimal`
     once that iterate's duality gap clears tol_gap.
     """
@@ -110,47 +116,39 @@ def solve_constrained_l1_matrix(A: np.ndarray, y: np.ndarray, omega: WeightVecto
     w = omega.values
     if len(w) != n:
         raise ValueError(f"weight length {len(w)} != {n} columns")
-    wz = _scale_weights(scales, cfg.zeta, cfg.scale_base)
-    col = np.ones(n) if wz is None else wz ** cfg.zeta   # x = col * z
+    col = _column_scaling(scales, cfg.zeta, n)   # x = col * z
 
-    # feasibility probe: least-squares residual against the constraint radius
-    K, yt, off = _compress(A, y)
-    zls, *_ = np.linalg.lstsq(K, yt, rcond=None)
-    best_res = float(np.sqrt(np.linalg.norm(K @ zls - yt) ** 2 + off))
-    if best_res > cfg.eta * (1.0 + cfg.tol_feas) + 1e-12:
-        return SolveResult(x_hat=np.zeros(n), objective=0.0, residual=best_res,
+    K, yt, off, L = _compress(A, y, col)
+    ls_res = float(np.sqrt(off))
+    if ls_res > cfg.eta * (1.0 + cfg.tol_feas) + 1e-12:
+        return SolveResult(x_hat=np.zeros(n), objective=0.0, residual=ls_res,
                            iterations=0, gap=float("inf"), status="infeasible")
-
-    Kc = K * col[None, :]
-    eta_sq = max(cfg.eta ** 2 - off, 0.0)
-    eta_c = float(np.sqrt(eta_sq))
-    L = float(np.linalg.norm(Kc, 2))
     if L == 0.0:
         x0 = np.zeros(n)
         return SolveResult(x_hat=x0, objective=0.0, residual=float(np.linalg.norm(y)),
                            iterations=0, gap=0.0, status="optimal")
-    tau = 0.95 * cfg.step_ratio / L
-    sig = 0.95 / (cfg.step_ratio * L)
+    eta_c = float(np.sqrt(max(cfg.eta ** 2 - off, 0.0)))
+    tau = sig = 0.95 / L        # tau * sig * L^2 < 1
 
     z = np.zeros(n)
     zb = z.copy()
-    p = np.zeros(Kc.shape[0])
+    p = np.zeros(K.shape[0])
     best = None
     trace = []
     status = "max_iters"
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        q = p + sig * (Kc @ zb - yt)
+        q = p + sig * (K @ zb - yt)
         nq = float(np.linalg.norm(q))
         p = q * max(0.0, 1.0 - sig * eta_c / nq) if nq > 0 else q * 0.0
-        zn = z - tau * (Kc.T @ p)
+        zn = z - tau * (K.T @ p)
         zn = np.sign(zn) * np.maximum(np.abs(zn) - tau * w, 0.0)
         zb = 2.0 * zn - z
         z = zn
         if it % cfg.check_every == 0 or it == cfg.max_iters:
             obj = float(np.sum(np.abs(z) * w))
-            res = float(np.sqrt(np.linalg.norm(Kc @ z - yt) ** 2 + off))
-            u = Kc.T @ p
+            res = float(np.sqrt(np.linalg.norm(K @ z - yt) ** 2 + off))
+            u = K.T @ p
             dscale = max(1.0, float(np.max(np.abs(u) / w)))
             pd = p / dscale
             dual = -float(pd @ yt) - eta_c * float(np.linalg.norm(pd))
@@ -164,24 +162,16 @@ def solve_constrained_l1_matrix(A: np.ndarray, y: np.ndarray, omega: WeightVecto
                 if best[0] <= cfg.tol_gap * max(1.0, best[2]):
                     status = "optimal"
                     break
-    if best is None:
-        obj = float(np.sum(np.abs(z) * w))
-        res = float(np.sqrt(np.linalg.norm(Kc @ z - yt) ** 2 + off))
-        best = (float("inf"), z.copy(), obj, res)
+    if best is None:   # no feasible iterate: report the last one
+        best = (float("inf"), z, float(np.sum(np.abs(z) * w)),
+                float(np.sqrt(np.linalg.norm(K @ z - yt) ** 2 + off)))
     gap, z_best, obj, res = best
-    x_hat = col * z_best
-    if cfg.trace_path:
-        with open(cfg.trace_path, "w", newline="") as fh:
-            wcsv = csv.writer(fh)
-            wcsv.writerow(["iteration", "residual", "objective", "gap"])
-            wcsv.writerows(trace)
-    return SolveResult(x_hat=x_hat, objective=obj, residual=res,
+    return SolveResult(x_hat=col * z_best, objective=obj, residual=res,
                        iterations=it, gap=gap, status=status, trace=trace)
 
 
 def solve_penalized_path(system, omega: WeightVector, penalties,
-                         zeta: float = 0.0, scale_base: float = 0.5,
-                         max_iters: int = 20000, tol: float = 1e-10):
+                         zeta: float = 0.0, max_iters: int = 20000, tol: float = 1e-10):
     """Lagrangian sweep min pen * ||W^-zeta x||_{1,omega} + 0.5 ||Ax-y||^2 by
     accelerated iterative soft thresholding, one result per penalty.
 
@@ -197,8 +187,7 @@ def solve_penalized_path(system, omega: WeightVector, penalties,
     y = system.y
     scales = system.model.scales()
     sc = None if scales is None else scales[system.positions]
-    wz = _scale_weights(sc, zeta, scale_base)
-    col = np.ones(A.shape[1]) if wz is None else wz ** zeta
+    col = _column_scaling(sc, zeta, A.shape[1])
     Ac = A * col[None, :]
     w = omega.values
     H = Ac.T @ Ac

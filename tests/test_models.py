@@ -342,6 +342,29 @@ def test_assemble_norm_identity(haar_atlas_j2, radon_j2):
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
+def test_assemble_guards(haar_atlas_j2, radon_j2):
+    window = st.truncation_positions(haar_atlas_j2, 1)
+    with pytest.raises(ValueError):
+        st.assemble_system(radon_j2, window, [])
+    with pytest.raises(ValueError):
+        st.assemble_system(radon_j2, window, st.draw_samples(radon_j2, 3, seed=0),
+                           beta=-0.1)
+
+
+def test_assemble_peak_memory(haar_atlas_j2, radon_j2):
+    # the rows are written into one preallocated matrix: no second copy of A
+    import tracemalloc
+    window = st.truncation_positions(haar_atlas_j2, 1)
+    samples = st.draw_samples(radon_j2, 200, seed=4)
+    tracemalloc.start()
+    try:
+        sys = st.assemble_system(radon_j2, window, samples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * sys.matrix.nbytes
+
+
 def test_q_weights_bounded(fourier_model):
     samples = st.draw_samples(fourier_model, 50, seed=0)
     sys = st.assemble_system(fourier_model, np.arange(6), samples)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import sparsetomo as st
+from sparsetomo.io import write_trace_csv
 from sparsetomo.solve import solve_constrained_l1_matrix
 
 
@@ -62,14 +63,17 @@ def test_large_eta_gives_zero(synthetic_model):
 
 
 def test_infeasible_detected():
-    A = np.array([[1.0, 0.0, 0.0]])
-    y = np.array([5.0])
-    # one equation, solvable; make it unsolvable by contradictory rows
-    A = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    y = np.array([1.0, -1.0])
-    res = solve_constrained_l1_matrix(A, y, st.WeightVector.ones(3),
-                                      st.SolveConfig(eta=0.1))
-    assert res.status == "infeasible"
+    # contradictory rows, short (rows <= columns: least-squares branch) and
+    # tall (rows > columns: eigendecomposition branch, verdict from the offset)
+    cases = {
+        "short": (np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), np.array([1.0, -1.0])),
+        "tall": (np.array([[1.0, 0.0, 0.0]] * 4), np.array([1.0, -1.0, 1.0, -1.0])),
+    }
+    for name, (A, y) in cases.items():
+        res = solve_constrained_l1_matrix(A, y, st.WeightVector.ones(3),
+                                          st.SolveConfig(eta=0.1))
+        assert res.status == "infeasible", name
+        assert res.residual == pytest.approx(np.sqrt(len(y)), rel=1e-12), name
 
 
 def test_feasibility_at_optimum(synthetic_model):
@@ -104,8 +108,9 @@ def test_monotone_gap_trace():
 def test_trace_csv_written(tmp_path):
     A, y, eta = random_3var_instance(5)
     path = tmp_path / "trace.csv"
-    solve_constrained_l1_matrix(A, y, st.WeightVector.ones(3),
-                                st.SolveConfig(eta=eta, trace_path=str(path)))
+    res = solve_constrained_l1_matrix(A, y, st.WeightVector.ones(3),
+                                      st.SolveConfig(eta=eta))
+    write_trace_csv(str(path), res.trace)
     lines = path.read_text().splitlines()
     assert lines[0] == "iteration,residual,objective,gap"
     assert len(lines) > 1
@@ -232,3 +237,5 @@ def test_solve_config_validation():
         st.SolveConfig(tol_gap=0.0)
     with pytest.raises(ValueError):
         st.SolveConfig(max_iters=0)
+    with pytest.raises(ValueError):
+        st.SolveConfig(check_every=0)
