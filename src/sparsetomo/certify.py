@@ -365,32 +365,24 @@ def truncation_residual(system: SampledSystem, model, x_full,
     finest built scale, which is flagged in the report.
     """
     x_full = np.asarray(x_full, float)
-    window = set(int(i) for i in system.positions)
-    tail = np.array([i for i in range(len(x_full)) if i not in window], dtype=int)
+    tail = np.setdiff1d(np.arange(len(x_full)), system.positions)
     x_tail = x_full[tail]
     r = float(np.linalg.norm(x_tail))
     scale = np.sqrt(model.quad_weight / system.m)
-    blocks = []
     supp = tail[np.flatnonzero(x_tail)]
-    for t, q in zip(system.samples, system.q_weights):
-        if len(supp):
-            yk = model.rows(supp, t).T @ x_full[supp]
-        else:
-            yk = np.zeros(model.block_dim)
-        blocks.append(q * scale * yk)
-    residual = float(np.linalg.norm(np.concatenate(blocks))) if blocks else 0.0
-    if cert is None:
-        bound = float("nan")
-        g2inv = float("nan")
-    else:
-        g2inv = cert.inv_norm
+    stacked = np.zeros((system.m, model.block_dim))
+    for k, (t, q) in enumerate(zip(system.samples, system.q_weights)):
+        stacked[k] = q * scale * (model.rows(supp, t).T @ x_full[supp])
+    residual = float(np.linalg.norm(stacked))
     tail_opnorm = 0.0
     if len(tail):
         tail_normal = population_gram_matrix(model, tail, default_quadrature(model, tail))
         tail_opnorm = float(np.sqrt(max(np.linalg.eigvalsh(tail_normal).max(), 0.0)))
-    if cert is not None:
+    if cert is None:
+        bound = float("nan")
+    else:
         cF = c_uniform if c_uniform is not None else uniform_bound_probe(model, system.positions)
-        bound = cF * model.c_nu ** -0.5 * (tail_opnorm * g2inv + 1.0) * r
+        bound = cF * model.c_nu ** -0.5 * (tail_opnorm * cert.inv_norm + 1.0) * r
     return TruncationReport(residual=residual, bound=bound, tail_norm=r,
                             tail_opnorm=tail_opnorm, tail_truncated=True)
 

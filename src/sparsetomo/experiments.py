@@ -129,7 +129,7 @@ def run_recovery_cell(atlas, model, j0: int, x_full: np.ndarray, beta: float,
                       m: int, seed: int, zeta: float, solver: SolveConfig,
                       record_meta=None) -> SweepRecord:
     """One (beta, m, seed) cell: draw angles, assemble, solve, record."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     window = truncation_positions(atlas, j0)
     samples = draw_samples(model, m, seed=seed * 7919 + 13)
     system = assemble_system(model, window, samples, x_full=x_full, beta=beta,
@@ -145,7 +145,7 @@ def run_recovery_cell(atlas, model, j0: int, x_full: np.ndarray, beta: float,
     meta = record_meta or {}
     return SweepRecord(beta=float(beta), m=int(m), j0=int(j0),
                        s=int(meta.get("s", 0)), err_l2=err_l2, err_img=err_img,
-                       residual=res.residual, wall_time=time.time() - t0,
+                       residual=res.residual, wall_time=time.perf_counter() - t0,
                        seed=int(seed), status=res.status)
 
 

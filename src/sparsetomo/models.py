@@ -88,6 +88,14 @@ class AtlasModel(MeasurementModel):
     def atom_row(self, idx: AtomIndex, theta: float) -> np.ndarray:
         return self.rows([self.atlas.index_position(idx)], theta)[0]
 
+    def _groups(self, positions):
+        """(scale, orientation, rows) of each atom group among positions."""
+        a = self.atlas
+        keys = 4 * a.scales[positions] + a.orientations[positions]
+        for key in np.unique(keys):
+            scale, orientation = divmod(int(key), 4)
+            yield scale, orientation, np.flatnonzero(keys == key)
+
 
 # ---------------------------------------------------------------------------
 # parallel beam
@@ -134,14 +142,6 @@ class RadonModel(AtlasModel):
         self.s_grid = self.s_step * np.arange(-n, n + 1)
         self.block_dim = len(self.s_grid)
         self.quad_weight = self.s_step
-
-    def _groups(self, positions):
-        """(scale, orientation, rows) of each atom group among positions."""
-        a = self.atlas
-        keys = 4 * a.scales[positions] + a.orientations[positions]
-        for key in np.unique(keys):
-            scale, orientation = divmod(int(key), 4)
-            yield scale, orientation, np.flatnonzero(keys == key)
 
     def _group_base(self, scale: int, orientation: int, theta: float, fine_step: float):
         c, s = np.cos(theta), np.sin(theta)
@@ -225,7 +225,8 @@ class FanBeamModel(AtlasModel):
 
     The support of every dictionary atom must fit inside the ball of radius
     d < rho.  Defaults put the source at rho = 3 and take d just large enough
-    to contain the dictionary.
+    to contain the dictionary.  Rows are computed for one (scale,
+    orientation) group of atoms at a time, as arrays over the group.
     """
 
     kind = "fanbeam"
@@ -248,38 +249,47 @@ class FanBeamModel(AtlasModel):
         self.quad_weight = self.alpha_step
 
     def rows(self, positions, theta: float) -> np.ndarray:
-        """Ray integrals per atom: for each ray angle hitting the atom's
-        bounding box, sample the separable atom along the ray at step h/2."""
+        """Ray integrals of atlas atoms, one (scale, orientation) group at a
+        time: the rays that hit an atom's box sample it at step h/2, and all
+        (atom, ray) pairs of a group take one interp call per 1D profile."""
         positions = np.asarray(positions, dtype=int)
         out = np.zeros((len(positions), self.block_dim))
+        a, grid = self.atlas, self.alpha_grid
         src = self.rho * np.array([np.cos(theta), np.sin(theta)])
-        h = self.atlas.grid.h
+        h = a.grid.h
         step = h / 2.0
-        for row_i, pos in enumerate(positions):
-            a = self.atlas.gamma[pos]
-            (x_lo, x_hi), (y_lo, y_hi) = self.atlas.support_box(a)
-            cx, cy = 0.5 * (x_lo + x_hi), 0.5 * (y_lo + y_hi)
-            rad = 0.5 * np.hypot(x_hi - x_lo, y_hi - y_lo)
-            to_c = np.array([cx, cy]) - src
-            dist = np.linalg.norm(to_c)
-            phi_abs = np.arctan2(to_c[1], to_c[0])
+        for scale, orient, sel in self._groups(positions):
+            d, w = dilation(scale), a.filter.support_length
+            n = np.stack([a.n1[positions[sel]], a.n2[positions[sel]]], axis=1)
+            lo = n / d                                # box corners; every side is w/d
+            to_c = 0.5 * (lo + (n + w) / d) - src     # source -> box center
+            # the batched dot product rounds as np.linalg.norm of a 2-vector
+            dist = np.sqrt((to_c[:, None, :] @ to_c[:, :, None])[:, 0, 0])
+            phi_abs = np.arctan2(to_c[:, 1], to_c[:, 0])
             # the atom sits at negative ray parameter, so the ray angles that
             # meet it cluster around the direction opposite to source->atom
             alpha_c = (phi_abs - theta) % (2.0 * np.pi) - np.pi
-            half = np.arcsin(min(1.0, rad / dist)) + self.alpha_step
-            sel = np.flatnonzero(np.abs(self.alpha_grid - alpha_c) <= half)
-            if len(sel) == 0:
-                continue
-            alphas = self.alpha_grid[sel]
+            rad = 0.5 * np.hypot(w / d, w / d)
+            half = np.arcsin(np.minimum(1.0, rad / dist)) + self.alpha_step
+            # an atom's hit rays are a run of the grid: take the run with one
+            # index of margin, then apply the exact test
+            first = np.maximum(np.searchsorted(grid, alpha_c - half) - 1, 0)
+            cnt = np.minimum(np.searchsorted(grid, alpha_c + half, "right") + 1, len(grid)) - first
+            atom = np.repeat(np.arange(len(sel)), cnt)
+            ray = np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt - first, cnt)
+            hit = np.abs(grid[ray] - alpha_c[atom]) <= half[atom]
+            atom, ray = atom[hit], ray[hit]
+            alphas = grid[ray]
+            t_mid = dist[atom] * np.cos(phi_abs[atom] - theta - alphas)
+            t = t_mid[:, None] + np.arange(-rad - step, rad + 2 * step, step)[None, :]
             dirs = np.stack([np.cos(theta + alphas), np.sin(theta + alphas)], axis=1)
-            t_mid = dist * np.cos(phi_abs - theta - alphas)
-            ts = np.arange(-rad - step, rad + 2 * step, step)
-            Px = src[0] + dirs[:, 0:1] * (t_mid[:, None] + ts[None, :])
-            Py = src[1] + dirs[:, 1:2] * (t_mid[:, None] + ts[None, :])
-            fx, fy, _, _ = self.atlas.atom_profiles(a)
-            vx = np.interp(Px - x_lo, np.arange(len(fx)) * h, fx, left=0.0, right=0.0)
-            vy = np.interp(Py - y_lo, np.arange(len(fy)) * h, fy, left=0.0, right=0.0)
-            out[row_i, sel] = (vx * vy).sum(axis=1) * step
+            v = np.ones_like(t)
+            for k, kind in enumerate(a.profile_kinds(orient)):   # x, then y
+                f = a.profile(scale, kind)
+                P = dirs[:, k, None] * t + src[k]
+                P -= lo[atom, k, None]
+                v *= np.interp(P, np.arange(len(f)) * h, f, left=0.0, right=0.0)
+            out[sel[atom], ray] = v.sum(axis=1) * step
         return out
 
 
@@ -596,9 +606,5 @@ def population_gram_matrix(model, positions, n_quad: int) -> np.ndarray:
 def uniform_bound_probe(model, positions, n_angles: int = 64, seed: int = 0) -> float:
     """Measured uniform bound: max over random parameters and window atoms of
     the per-atom measurement norm (atom norms are 1)."""
-    rng = np.random.default_rng(seed)
-    ts = model.sample(n_angles, rng)
-    best = 0.0
-    for t in ts:
-        best = max(best, float(model.atom_norms(positions, t).max()))
-    return best
+    ts = model.sample(n_angles, np.random.default_rng(seed))
+    return max((float(model.atom_norms(positions, t).max()) for t in ts), default=0.0)
