@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import SampledSystem, population_gram_matrix, uniform_bound_probe
+from .models import (AtlasModel, MeasurementModel, SampledSystem, population_gram_matrix,
+                     uniform_bound_probe)
 from .weights import WeightVector
 
 BRUTEFORCE_MAX_WINDOW = 16
@@ -106,17 +107,13 @@ def scale_decay_fit(model, positions=None, n_angles: int = 64) -> float:
                       model.smoothing_exponent)
 
 
-def _coherence_report(model, positions, nodes, scales, b, omega):
-    """Per-scale coherence maxima and the measured bound constants."""
-    positions = np.asarray(positions, int)
-    if scales is None:
-        sc = np.zeros(len(positions), dtype=int)
-    else:
-        sc = scales[positions]
+def _coherence_report(norms, density, sc, b, omega):
+    """Per-scale coherence maxima and the measured bound constants, from
+    (node, per-atom norms) pairs; a maximum, so the node order is free."""
     n_scales = int(sc.max()) + 1
     per_scale = np.zeros(n_scales)
-    for t in nodes:
-        nr = model.atom_norms(positions, t) / np.sqrt(model.density(t))
+    for t, nr in norms:
+        nr = nr / np.sqrt(density(t))
         for j in range(n_scales):
             sel = sc == j
             if sel.any():
@@ -128,6 +125,58 @@ def _coherence_report(model, positions, nodes, scales, b, omega):
     B = float(max(1.0, (per_scale * d).max()))
     rel = float((B / d * 2.0 ** (b * np.arange(n_scales))).max())
     return per_scale, d, B, rel
+
+
+def _norms_from_rows(model) -> bool:
+    """Whether the model's atom_norms are the norms of its rows (and not a
+    shortcut of its own, such as the Radon group profiles)."""
+    return type(model).atom_norms in (MeasurementModel.atom_norms, AtlasModel.atom_norms)
+
+
+def _population_pass(model, positions, rules, norm_nodes=()):
+    """Gram matrices of several quadrature rules, and the row norms at
+    norm_nodes, from one rows call per distinct node.
+
+    Nodes are visited in the order of the first (finest) rule.  A later rule
+    whose nodes all appear in the visit, in the rule's own order, joins it;
+    otherwise its nodes are visited on their own after.  Either way each
+    Gram adds its own nodes' w * quad_weight * R R^T terms in its own order,
+    so it is bit for bit population_gram_matrix under that rule.  Returns
+    the Grams and the (node, row norms) pairs.
+    """
+    order, users, index = [], [], {}
+
+    def visit(t):
+        index[float(t)] = len(order)
+        order.append(t)
+        users.append([])
+        return len(order) - 1
+
+    for g, (nodes, wts) in enumerate(rules):
+        at = [index.get(float(t)) for t in nodes]
+        if None in at or any(b <= a for a, b in zip(at, at[1:])):
+            at = [visit(t) for t in nodes]
+        for i, w in zip(at, wts):
+            users[i].append((g, w))
+    wanted = set()
+    for t in norm_nodes:
+        i = index.get(float(t))
+        wanted.add(visit(t) if i is None else i)
+
+    n = len(positions)
+    grams = [np.zeros((n, n)) for _ in rules]
+    term = np.empty((n, n))
+    norms = []
+    for i, (t, use) in enumerate(zip(order, users)):
+        R = model.rows(positions, t)
+        if use:
+            RRt = R @ R.T
+            for g, w in use:
+                grams[g] += np.multiply(w * model.quad_weight, RRt, out=term)
+        if i in wanted:
+            # the base MeasurementModel.atom_norms of these rows
+            norms.append((t, np.sqrt((R * R).sum(axis=1) * model.quad_weight)))
+    return grams, norms
 
 
 def compute_gram(model, positions, n_quad: int | None = None,
@@ -142,18 +191,36 @@ def compute_gram(model, positions, n_quad: int | None = None,
     with eigenvalues in [-1e-10, 0] clamped to zero (flagging a restricted
     injectivity failure) and anything more negative treated as a quadrature
     inconsistency.
+
+    One pass over the quadrature nodes serves every consumer: the n_quad
+    Gram, the 2 n_quad Gram of check_convergence, and the coherence norms at
+    min(n_quad, 64) nodes.  The uniform rules of the tomographic models are
+    nested (the n-node rule is every other node of the 2n-node rule, bit for
+    bit), so the rows at each distinct angle are computed once and each
+    Gram equals population_gram_matrix under its own rule.  Row norms stand
+    in for atom_norms only when those are the norms of the rows; the Radon
+    model keeps its profile norms.  FourierWaveletModel.population_nodes
+    ignores n, so its doubling check compares the same exact quadrature and
+    its shift is 0 by construction.
     """
     positions = np.asarray(positions, dtype=int)
     if n_quad is None:
         n_quad = default_quadrature(model, positions)
-    normal = population_gram_matrix(model, positions, n_quad)
+    rules = [model.population_nodes(n_quad)]
+    if check_convergence:
+        rules.insert(0, model.population_nodes(2 * n_quad))
+    coh_nodes, _ = model.population_nodes(min(n_quad, 64))
+    from_rows = _norms_from_rows(model)
+    grams, norms = _population_pass(model, positions, rules, coh_nodes if from_rows else ())
+    if not from_rows:
+        norms = [(t, model.atom_norms(positions, t)) for t in coh_nodes]
+    normal = grams[-1]
     G, evals, fbi_flag = _matrix_sqrt(normal)
     sigma_min = float(np.sqrt(evals.min()))
     sigma_max = float(np.sqrt(evals.max()))
     shift = None
     if check_convergence:
-        normal2 = population_gram_matrix(model, positions, 2 * n_quad)
-        s2 = float(np.sqrt(max(np.linalg.eigvalsh(normal2).min(), 0.0)))
+        s2 = float(np.sqrt(max(np.linalg.eigvalsh(grams[0]).min(), 0.0)))
         shift = abs(sigma_min - s2) / max(s2, 1e-300)
         if shift > 0.01:
             raise NumericalConsistencyError(
@@ -161,11 +228,10 @@ def compute_gram(model, positions, n_quad: int | None = None,
     scales = model.scales()
     b = model.smoothing_exponent
     omega_v = np.ones(len(positions)) if omega is None else omega.values
-    nodes, _ = model.population_nodes(min(n_quad, 64))
-    per_scale, d_exp, B, rel = _coherence_report(model, positions, nodes, scales, b, omega_v)
+    sc = np.zeros(len(positions), dtype=int) if scales is None else scales[positions]
+    per_scale, d_exp, B, rel = _coherence_report(norms, model.density, sc, b, omega_v)
 
     # quasi-diagonalization constants: ratios x^T normal x / sum 2^(-2bj) x^2
-    sc = np.zeros(len(positions), dtype=int) if scales is None else scales[positions]
     wgt = 2.0 ** (-2.0 * b * sc)
     diag = np.diag(normal)
     ratios = list(diag / wgt)

@@ -88,6 +88,16 @@ class AtlasModel(MeasurementModel):
     def atom_row(self, idx: AtomIndex, theta: float) -> np.ndarray:
         return self.rows([self.atlas.index_position(idx)], theta)[0]
 
+    def atom_norms(self, positions, t) -> np.ndarray:
+        """Per-atom measurement norms at one parameter value, from one
+        (scale, orientation) group's rows at a time, so only that group's
+        rows are held."""
+        positions = np.asarray(positions, dtype=int)
+        out = np.empty(len(positions))
+        for _, _, sel in self._groups(positions):
+            out[sel] = super().atom_norms(positions[sel], t)
+        return out
+
     def _groups(self, positions):
         """(scale, orientation, rows) of each atom group among positions."""
         a = self.atlas
@@ -592,7 +602,9 @@ def assemble_system(model, positions, samples, x_full=None, beta: float = 0.0,
 
 def population_gram_matrix(model, positions, n_quad: int) -> np.ndarray:
     """The normal operator <F phi_i, F phi_j> over the measurement family,
-    by quadrature over the parameter space."""
+    by quadrature over the parameter space.  The single-rule reference:
+    certify.compute_gram's one pass over several rules equals it bit for bit
+    under each rule."""
     positions = np.asarray(positions, dtype=int)
     nodes, wts = model.population_nodes(n_quad)
     n = len(positions)

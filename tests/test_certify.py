@@ -57,6 +57,52 @@ def test_gram_convergence_check_passes(radon_j2, haar_atlas_j2):
     assert cert.sigma_min_shift <= 0.01
 
 
+PASS_MODELS = {
+    "radon": st.RadonModel,
+    "fanbeam": st.FanBeamModel,
+    "fourier": lambda _: st.FourierWaveletModel(st.build_filter(1), j_max=2),
+    "legendre": lambda _: st.LegendrePointModel(12),
+}
+
+
+@pytest.mark.parametrize("kind", list(PASS_MODELS))
+def test_gram_pass_matches_single_rule_oracles(kind, haar_atlas_j2):
+    # one pass over the nodes gives every consumer what its own quadrature
+    # gave, bit for bit, and calls rows once per distinct node
+    model = PASS_MODELS[kind](haar_atlas_j2)
+    w = np.arange(model.dictionary_size())
+    calls = []
+    rows = model.rows
+
+    def counting_rows(positions, t):
+        calls.append(float(t))
+        return rows(positions, t)
+
+    model.rows = counting_rows
+    cert = st.compute_gram(model, w, check_convergence=True)
+    del model.rows
+    n = cert.n_quad
+
+    assert np.array_equal(cert.normal, population_gram_matrix(model, w, n))
+    normal2 = population_gram_matrix(model, w, 2 * n)
+    s2 = float(np.sqrt(max(np.linalg.eigvalsh(normal2).min(), 0.0)))
+    assert cert.sigma_min_shift == abs(cert.sigma_min - s2) / max(s2, 1e-300)
+
+    nodes, _ = model.population_nodes(min(n, 64))
+    sc = np.zeros(len(w), int) if model.scales() is None else model.scales()[w]
+    nr = np.array([model.atom_norms(w, t) / np.sqrt(model.density(t)) for t in nodes])
+    expect = [nr[:, sc == j].max() for j in range(sc.max() + 1)]
+    assert np.array_equal(cert.scale_coherence_max, expect)
+
+    distinct = {float(t) for k in (n, 2 * n, min(n, 64))
+                for t in model.population_nodes(k)[0]}
+    assert len(calls) == len(set(calls)) == len(distinct)
+    if kind in ("radon", "fanbeam"):
+        assert len(calls) == 2 * n
+    if kind == "fourier":   # population_nodes ignores n: the same quadrature
+        assert cert.sigma_min_shift == 0.0
+
+
 def test_quasi_diag_synthetic_exact(synthetic_model):
     c_hat, C_hat, b_fit = st.estimate_quasi_diag(synthetic_model)
     assert c_hat == pytest.approx(1.0, abs=1e-10)

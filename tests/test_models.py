@@ -187,6 +187,34 @@ def test_fanbeam_rows_shuffled_positions_with_repeats(haar_atlas_j3):
     assert fan.rows(np.array([], dtype=int), 0.9).shape == (0, fan.block_dim)
 
 
+def test_fanbeam_atom_norms_match_full_rows(haar_atlas_j3):
+    # norms from one group's rows at a time equal the norms of the full rows
+    fan = st.FanBeamModel(haar_atlas_j3)
+    rng = np.random.default_rng(2)
+    whole = np.arange(len(haar_atlas_j3))
+    shuffled = rng.permutation(np.concatenate([whole[::3], whole[:40]]))
+    for positions in (whole, shuffled):
+        for th in (0.0, 0.0131, 1.7, 4.4):
+            R = fan.rows(positions, th)
+            expect = np.sqrt((R * R).sum(axis=1) * fan.quad_weight)
+            assert np.array_equal(fan.atom_norms(positions, th), expect)
+
+
+def test_fanbeam_atom_norms_peak_memory(haar_atlas_j3):
+    # the norms never hold every row at once (and the rows squared beside it)
+    import tracemalloc
+    fan = st.FanBeamModel(haar_atlas_j3)
+    positions = np.arange(len(haar_atlas_j3))
+    full_rows = len(positions) * fan.block_dim * 8
+    tracemalloc.start()
+    try:
+        fan.atom_norms(positions, 0.0131)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * full_rows
+
+
 def test_fanbeam_reparametrization_identity(haar_atlas_j3):
     # pointwise identity on the scales the default steps fully resolve
     a = haar_atlas_j3
