@@ -67,6 +67,8 @@ class SweepRecord:
     wall_time: float
     seed: int
     status: str
+    iterations: int = 0           # solver iterations; 0 when none ran
+    gap: float = float("inf")     # the reported iterate's duality gap
 
 
 def j0_for_beta(beta: float, a: float, b: float = 0.5, cap: int = 4,
@@ -146,7 +148,8 @@ def run_recovery_cell(atlas, model, j0: int, x_full: np.ndarray, beta: float,
     return SweepRecord(beta=float(beta), m=int(m), j0=int(j0),
                        s=int(meta.get("s", 0)), err_l2=err_l2, err_img=err_img,
                        residual=res.residual, wall_time=time.perf_counter() - t0,
-                       seed=int(seed), status=res.status)
+                       seed=int(seed), status=res.status,
+                       iterations=int(res.iterations), gap=float(res.gap))
 
 
 def run_recovery_sweep(cfg: ExperimentConfig):

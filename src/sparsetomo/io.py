@@ -208,7 +208,7 @@ def write_trace_csv(path: str, trace):
 def write_records_csv(path: str, records):
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     fields = ["beta", "m", "j0", "s", "err_l2", "err_img", "residual",
-              "wall_time", "seed", "status"]
+              "wall_time", "seed", "status", "iterations", "gap"]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
         w.writerow(fields)
@@ -218,16 +218,20 @@ def write_records_csv(path: str, records):
 
 
 def read_records_csv(path: str):
+    """Records of a records.csv; files written before the iterations and gap
+    columns existed read with those fields at their defaults."""
     from .experiments import SweepRecord
     out = []
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
+            extra = {k: conv(row[k]) for k, conv in (("iterations", int), ("gap", float))
+                     if row.get(k) is not None}
             out.append(SweepRecord(
                 beta=float(row["beta"]), m=int(row["m"]), j0=int(row["j0"]),
                 s=int(row["s"]), err_l2=float(row["err_l2"]),
                 err_img=float(row["err_img"]), residual=float(row["residual"]),
                 wall_time=float(row["wall_time"]), seed=int(row["seed"]),
-                status=row["status"]))
+                status=row["status"], **extra))
     return out
 
 

@@ -73,9 +73,20 @@ class MeasurementModel:
         R = self.rows(positions, t)
         return np.sqrt((R * R).sum(axis=1) * self.quad_weight)
 
+    def measure(self, positions, x, t) -> np.ndarray:
+        """The measurement block sum_i x_i rows_i of coefficients x over
+        positions at parameter t."""
+        return self.rows(positions, t).T @ np.asarray(x, float)
+
 
 class AtlasModel(MeasurementModel):
-    """A measurement model over the atoms of a 2D wavelet atlas."""
+    """A measurement model over the atoms of a 2D wavelet atlas.
+
+    Subclasses supply `_runs(positions, t)`, which yields, per (scale,
+    orientation) group, the nonzero entries of the group's rows as
+    (row, column, value) arrays; an atom's nonzeros form one run of the
+    block.  `rows` scatters them into a dense block and `measure` sums them.
+    """
 
     atlas: DictionaryAtlas
 
@@ -87,6 +98,25 @@ class AtlasModel(MeasurementModel):
 
     def atom_row(self, idx: AtomIndex, theta: float) -> np.ndarray:
         return self.rows([self.atlas.index_position(idx)], theta)[0]
+
+    def rows(self, positions, t) -> np.ndarray:
+        """Measurement rows (len(positions), block_dim), dense, from the
+        atoms' support runs."""
+        positions = np.asarray(positions, dtype=int)
+        out = np.zeros((len(positions), self.block_dim))
+        for atom, col, val in self._runs(positions, t):
+            out[atom, col] = val
+        return out
+
+    def measure(self, positions, x, t) -> np.ndarray:
+        """sum_i x_i rows_i from the support runs, one bincount per group;
+        equals rows(positions, t).T @ x up to summation order."""
+        positions = np.asarray(positions, dtype=int)
+        x = np.asarray(x, float)
+        out = np.zeros(self.block_dim)
+        for atom, col, val in self._runs(positions, t):
+            out += np.bincount(col, weights=val * x[atom], minlength=self.block_dim)
+        return out
 
     def atom_norms(self, positions, t) -> np.ndarray:
         """Per-atom measurement norms at one parameter value, from one
@@ -105,6 +135,13 @@ class AtlasModel(MeasurementModel):
         for key in np.unique(keys):
             scale, orientation = divmod(int(key), 4)
             yield scale, orientation, np.flatnonzero(keys == key)
+
+
+def _run_cells(first, cnt):
+    """(owner, index) of every cell of the runs [first_i, first_i + cnt_i)."""
+    owner = np.repeat(np.arange(len(cnt)), cnt)
+    index = np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt - first, cnt)
+    return owner, index
 
 
 # ---------------------------------------------------------------------------
@@ -165,23 +202,26 @@ class RadonModel(AtlasModel):
         grid = np.arange(lo - fine_step, hi + 2.0 * fine_step, fine_step)
         return grid, _convolved_base_row(fx, fy, c, s, h, grid)
 
-    def rows(self, positions, theta: float) -> np.ndarray:
-        """Measurement rows (len(positions), block_dim) of atlas atoms.
+    def _runs(self, positions, theta: float):
+        """(atom, offset, value) arrays of each (scale, orientation) group.
 
-        Atoms of one (scale, orientation) group share a single base profile;
-        each atom's row is that profile resampled at its own offset shift.
+        Atoms of one group share a single base profile; each atom's row is
+        that profile resampled at its own offset shift, which is nonzero on
+        one run of the offset grid only.  The run is found by searchsorted
+        with one offset of margin on each side and resampled alone.
         """
-        positions = np.asarray(positions, dtype=int)
-        out = np.zeros((len(positions), self.block_dim))
         c, s = np.cos(theta), np.sin(theta)
         fine = self.s_step / 2.0
+        sg = self.s_grid
         n1, n2 = self.atlas.n1[positions], self.atlas.n2[positions]
         for scale, orient, sel in self._groups(positions):
             grid, base = self._group_base(scale, orient, theta, fine)
             shifts = (n1[sel] * c + n2[sel] * s) / dilation(scale)
-            P = self.s_grid[None, :] - shifts[:, None]
-            out[sel] = np.interp(P, grid, base, left=0.0, right=0.0)
-        return out
+            first = np.maximum(np.searchsorted(sg, shifts + grid[0]) - 1, 0)
+            stop = np.minimum(np.searchsorted(sg, shifts + grid[-1], "right") + 1, len(sg))
+            atom, col = _run_cells(first, stop - first)
+            P = sg[col] - shifts[atom]
+            yield sel[atom], col, np.interp(P, grid, base, left=0.0, right=0.0)
 
     def atom_norms(self, positions, theta: float) -> np.ndarray:
         """Per-atom measurement norms at one angle, from the group profiles
@@ -258,12 +298,11 @@ class FanBeamModel(AtlasModel):
         self.block_dim = len(self.alpha_grid)
         self.quad_weight = self.alpha_step
 
-    def rows(self, positions, theta: float) -> np.ndarray:
-        """Ray integrals of atlas atoms, one (scale, orientation) group at a
-        time: the rays that hit an atom's box sample it at step h/2, and all
-        (atom, ray) pairs of a group take one interp call per 1D profile."""
-        positions = np.asarray(positions, dtype=int)
-        out = np.zeros((len(positions), self.block_dim))
+    def _runs(self, positions, theta: float):
+        """(atom, ray, value) arrays of ray integrals, one (scale,
+        orientation) group at a time: the rays that hit an atom's box sample
+        it at step h/2, and all (atom, ray) pairs of a group take one interp
+        call per 1D profile."""
         a, grid = self.atlas, self.alpha_grid
         src = self.rho * np.array([np.cos(theta), np.sin(theta)])
         h = a.grid.h
@@ -285,8 +324,7 @@ class FanBeamModel(AtlasModel):
             # index of margin, then apply the exact test
             first = np.maximum(np.searchsorted(grid, alpha_c - half) - 1, 0)
             cnt = np.minimum(np.searchsorted(grid, alpha_c + half, "right") + 1, len(grid)) - first
-            atom = np.repeat(np.arange(len(sel)), cnt)
-            ray = np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt - first, cnt)
+            atom, ray = _run_cells(first, cnt)
             hit = np.abs(grid[ray] - alpha_c[atom]) <= half[atom]
             atom, ray = atom[hit], ray[hit]
             alphas = grid[ray]
@@ -299,8 +337,7 @@ class FanBeamModel(AtlasModel):
                 P = dirs[:, k, None] * t + src[k]
                 P -= lo[atom, k, None]
                 v *= np.interp(P, np.arange(len(f)) * h, f, left=0.0, right=0.0)
-            out[sel[atom], ray] = v.sum(axis=1) * step
-        return out
+            yield sel[atom], ray, v.sum(axis=1) * step
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +585,10 @@ def assemble_system(model, positions, samples, x_full=None, beta: float = 0.0,
     x_full holds coefficients over the model's whole dictionary (any part
     outside `positions` contributes to the data but not to the matrix).
     Noise draws one Gaussian block per sample, rescaled so each block has
-    measurement-space norm exactly beta.  Each sample's rows go straight into
-    a preallocated matrix, so A is held once.
+    measurement-space norm exactly beta.  Each sample's rows over the window
+    go straight into a preallocated matrix, so A is held once; its data
+    block is `model.measure` over the signal's support, which for the
+    tomographic models touches the support runs of the signal's atoms only.
     """
     positions = np.asarray(positions, dtype=int)
     samples = np.asarray(samples, dtype=float)
@@ -560,21 +599,9 @@ def assemble_system(model, positions, samples, x_full=None, beta: float = 0.0,
         raise ValueError("noise bound must be >= 0")
     scale = np.sqrt(model.quad_weight / m)
     bd = model.block_dim
-    full = None
-    if x_full is not None:
-        full = np.asarray(x_full, float)
-        supp = np.flatnonzero(full)
+    full = None if x_full is None else np.asarray(x_full, float)
+    supp = np.array([], dtype=int) if full is None else np.flatnonzero(full)
     rng = np.random.default_rng(noise_seed)
-    # one row computation per sample covers both the window matrix and the
-    # data contribution of the (possibly larger) signal support
-    if full is not None and len(supp):
-        union = np.union1d(positions, supp)
-        w_idx = np.searchsorted(union, positions)
-        s_idx = np.searchsorted(union, supp)
-    else:
-        union = positions
-        w_idx = np.arange(len(positions))
-        s_idx = np.array([], dtype=int)
     # column-major, as stacking the transposed row blocks lays A out (row-major
     # for single-row blocks): BLAS rounds products with A by layout, so the
     # layout is part of what tail_residual and the solves return
@@ -583,10 +610,9 @@ def assemble_system(model, positions, samples, x_full=None, beta: float = 0.0,
     noise = np.empty(m * bd) if beta > 0 else None
     for k, t in enumerate(samples):
         blk = slice(k * bd, (k + 1) * bd)
-        R = model.rows(union, t)                      # (n_union, block_dim)
-        A[blk] = R[w_idx].T * scale
-        if len(s_idx):
-            y[blk] = (R[s_idx].T @ full[supp]) * scale
+        A[blk] = model.rows(positions, t).T * scale
+        if len(supp):
+            y[blk] = model.measure(supp, full[supp], t) * scale
         if noise is not None:
             g = rng.standard_normal(bd)
             g *= beta / (np.linalg.norm(g) * np.sqrt(model.quad_weight))

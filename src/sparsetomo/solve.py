@@ -5,7 +5,10 @@ is solved by a first-order primal-dual splitting after the change of
 variables x = W^zeta z, which turns the objective into a plain weighted l1
 norm and rescales the columns of A.  One compression of the column-scaled
 system gives an equivalent system no larger than the window, the
-least-squares residual that decides feasibility, and the step size.
+least-squares residual that decides feasibility, and the operator norm L.
+The step sizes are tau = 0.95 / (L omega) and sigma = 0.95 omega / L with
+the primal weight omega = ||w|| / ||yt|| of the weights and the compressed
+data (PDLP's initial primal weight; Applegate et al., NeurIPS 2021).
 
 A Lagrangian sweep (iterative soft thresholding over a penalty grid) serves
 as an algorithm-independent cross-check of the constrained path.
@@ -108,7 +111,9 @@ def solve_constrained_l1_matrix(A: np.ndarray, y: np.ndarray, omega: WeightVecto
     `infeasible` when the least-squares residual exceeds eta.  Otherwise
     reports the lowest-gap iterate among those feasible within the configured
     slack, so the recorded gap sequence is non-increasing; status is `optimal`
-    once that iterate's duality gap clears tol_gap.
+    once that iterate's duality gap clears tol_gap.  The gap bounds the
+    iterate's objective against the problem at its own residual radius (at
+    least eta), so it is never negative.
     """
     A = np.asarray(A, float)
     y = np.asarray(y, float)
@@ -128,7 +133,10 @@ def solve_constrained_l1_matrix(A: np.ndarray, y: np.ndarray, omega: WeightVecto
         return SolveResult(x_hat=x0, objective=0.0, residual=float(np.linalg.norm(y)),
                            iterations=0, gap=0.0, status="optimal")
     eta_c = float(np.sqrt(max(cfg.eta ** 2 - off, 0.0)))
-    tau = sig = 0.95 / L        # tau * sig * L^2 < 1
+    # primal weight ||w|| / ||yt|| (PDLP's initial one); tau * sig * L^2 < 1
+    ny = float(np.linalg.norm(yt))
+    pw = float(np.linalg.norm(w)) / ny if ny > 0 else 1.0
+    tau, sig = 0.95 / (L * pw), 0.95 * pw / L
 
     z = np.zeros(n)
     zb = z.copy()
@@ -147,11 +155,14 @@ def solve_constrained_l1_matrix(A: np.ndarray, y: np.ndarray, omega: WeightVecto
         z = zn
         if it % cfg.check_every == 0 or it == cfg.max_iters:
             obj = float(np.sum(np.abs(z) * w))
-            res = float(np.sqrt(np.linalg.norm(K @ z - yt) ** 2 + off))
+            rc = float(np.linalg.norm(K @ z - yt))
+            res = float(np.sqrt(rc ** 2 + off))
             u = K.T @ p
             dscale = max(1.0, float(np.max(np.abs(u) / w)))
             pd = p / dscale
-            dual = -float(pd @ yt) - eta_c * float(np.linalg.norm(pd))
+            # the dual at z's own radius: z is feasible there, so weak
+            # duality keeps the gap >= 0, and the radius tends to eta_c
+            dual = -float(pd @ yt) - max(eta_c, rc) * float(np.linalg.norm(pd))
             gap = obj - dual
             # only feasible iterates can claim the certificate
             feasible = res <= cfg.eta * (1.0 + cfg.tol_feas) + 1e-12

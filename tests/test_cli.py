@@ -43,6 +43,16 @@ def test_reconstruct_outputs(tmp_path, runner):
     assert "status optimal" in res.output
 
 
+def test_readme_reconstruct_example_certifies(tmp_path, runner):
+    res = runner.invoke(main, ["reconstruct", "--j0", "2", "--jmax", "3", "--s", "5",
+                               "--m", "64", "--beta", "0.05", "--seed", "1",
+                               "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert res.output.startswith("status optimal")
+    trace = (tmp_path / "trace.csv").read_text().splitlines()
+    assert len(trace) > 1 and float(trace[-1].split(",")[3]) >= 0.0
+
+
 def test_sweep_and_fit(tmp_path, runner):
     out = tmp_path / "sweep"
     res = runner.invoke(main, ["sweep", "--j0", "1", "--jmax", "2", "--s", "2",

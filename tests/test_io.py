@@ -93,6 +93,33 @@ def test_records_csv_round_trip(tmp_path):
     assert back == recs
 
 
+def test_records_csv_telemetry_round_trip(tmp_path):
+    recs = [SweepRecord(beta=0.25, m=16, j0=2, s=5, err_l2=0.125, err_img=0.1251,
+                        residual=0.3, wall_time=1.5, seed=7, status="optimal",
+                        iterations=850, gap=2.75e-9),
+            SweepRecord(beta=0.5, m=16, j0=2, s=5, err_l2=0.25, err_img=0.2501,
+                        residual=0.6, wall_time=1.5, seed=8, status="max_iters",
+                        iterations=6000, gap=float("inf"))]
+    path = str(tmp_path / "records.csv")
+    stio.write_records_csv(path, recs)
+    header = open(path).read().splitlines()[0].split(",")
+    # the new columns come after status, so the old column indices hold
+    assert header[:10] == ["beta", "m", "j0", "s", "err_l2", "err_img", "residual",
+                           "wall_time", "seed", "status"]
+    assert header[10:] == ["iterations", "gap"]
+    assert stio.read_records_csv(path) == recs
+
+
+def test_records_csv_reads_old_header(tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_text("beta,m,j0,s,err_l2,err_img,residual,wall_time,seed,status\r\n"
+                    "0.25,16,2,5,0.125,0.1251,0.3,1.5,7,optimal\r\n")
+    (rec,) = stio.read_records_csv(str(path))
+    assert rec == SweepRecord(beta=0.25, m=16, j0=2, s=5, err_l2=0.125, err_img=0.1251,
+                              residual=0.3, wall_time=1.5, seed=7, status="optimal")
+    assert rec.iterations == 0 and rec.gap == float("inf")
+
+
 def test_fit_report(tmp_path):
     path = str(tmp_path / "fit.txt")
     stio.write_fit_report(path, 0.5, -1.0, 0.95, window=(0.25, 0.125),

@@ -28,6 +28,23 @@ def brute_radon_atom(atlas, idx, theta, s_grid, step):
     return out
 
 
+def brute_radon_rows(model, positions, theta):
+    """Reference oracle: dense Radon rows, every offset of every atom
+    interpolated, with the arithmetic the run kernel must reproduce bit for
+    bit."""
+    positions = np.asarray(positions, dtype=int)
+    out = np.zeros((len(positions), model.block_dim))
+    c, s = np.cos(theta), np.sin(theta)
+    fine = model.s_step / 2.0
+    n1, n2 = model.atlas.n1[positions], model.atlas.n2[positions]
+    for scale, orient, sel in model._groups(positions):
+        grid, base = model._group_base(scale, orient, theta, fine)
+        shifts = (n1[sel] * c + n2[sel] * s) / dilation(scale)
+        P = model.s_grid[None, :] - shifts[:, None]
+        out[sel] = np.interp(P, grid, base, left=0.0, right=0.0)
+    return out
+
+
 def brute_fan_rows(model, positions, theta):
     """Reference oracle: fan-beam rows one atom at a time, with the arithmetic
     the grouped kernel must reproduce bit for bit."""
@@ -142,6 +159,43 @@ def test_radon_rows_shuffled_positions_with_repeats(haar_atlas_j3, radon_j3):
         assert np.array_equal(radon_j3.rows(positions, th), radon_j3.rows(uniq, th)[inv])
         assert np.array_equal(radon_j3.atom_norms(positions, th),
                               radon_j3.atom_norms(uniq, th)[inv])
+
+
+def test_radon_rows_match_dense_oracle():
+    # the run kernel interpolates only inside each atom's run of offsets and
+    # must agree bit for bit with interpolating every offset
+    model = build_model("radon", order=1, j_max=3)
+    n = len(model.atlas)
+    rng = np.random.default_rng(3)
+    base = rng.choice(n, 200, replace=False)
+    cases = [np.arange(n), st.truncation_positions(model.atlas, 2),
+             rng.permutation(np.concatenate([base, base[:50]])), np.array([int(base[0])])]
+    angles = [0.0, np.pi / 4, np.pi / 2, np.pi, 3 * np.pi / 2]
+    angles += list(np.random.default_rng(11).uniform(0.0, 2 * np.pi, 8))
+    for positions in cases:
+        for th in angles:
+            brute = brute_radon_rows(model, positions, th)
+            assert model.rows(positions, th).tobytes() == brute.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["radon", "fanbeam"])
+def test_measure_matches_rows(kind):
+    # measure sums the support runs directly: rows(p, t).T @ x up to the order
+    # of summation
+    model = build_model(kind, order=1, j_max=3)
+    n = len(model.atlas)
+    rng = np.random.default_rng(4)
+    base = rng.choice(n, 150, replace=False)
+    cases = [np.arange(n), st.truncation_positions(model.atlas, 2),
+             rng.permutation(np.concatenate([base, base[:40]])), np.array([int(base[0])])]
+    for positions in cases:
+        x = rng.standard_normal(len(positions))
+        for th in (0.0, np.pi / 2, 2.6, 4.4):
+            expect = model.rows(positions, th).T @ x
+            got = model.measure(positions, x, th)
+            assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+    assert np.array_equal(model.measure(np.array([], dtype=int), [], 0.9),
+                          np.zeros(model.block_dim))
 
 
 # ---------------------------------------------------------------------------

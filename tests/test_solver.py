@@ -105,6 +105,19 @@ def test_monotone_gap_trace():
     assert all(gaps[i + 1] <= gaps[i] + 1e-12 for i in range(len(gaps) - 1))
 
 
+def test_trace_gaps_nonnegative():
+    # the dual is evaluated at the iterate's own residual radius, where the
+    # iterate is feasible, so weak duality bounds every reported gap below
+    for seed in range(8):
+        for rows in (2, 4, 8):
+            A, y, eta = random_3var_instance(seed, rows=rows)
+            res = solve_constrained_l1_matrix(A, y, st.WeightVector.ones(3),
+                                              st.SolveConfig(eta=eta, check_every=10))
+            assert res.status == "optimal", (seed, rows)
+            assert res.trace and all(g >= 0.0 for _, _, _, g in res.trace), (seed, rows)
+            assert res.gap >= 0.0
+
+
 def test_trace_csv_written(tmp_path):
     A, y, eta = random_3var_instance(5)
     path = tmp_path / "trace.csv"
