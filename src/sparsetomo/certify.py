@@ -438,7 +438,7 @@ def truncation_residual(system: SampledSystem, model, x_full,
     supp = tail[np.flatnonzero(x_tail)]
     stacked = np.zeros((system.m, model.block_dim))
     for k, (t, q) in enumerate(zip(system.samples, system.q_weights)):
-        stacked[k] = q * scale * (model.rows(supp, t).T @ x_full[supp])
+        stacked[k] = q * scale * model.measure(supp, x_full[supp], t)
     residual = float(np.linalg.norm(stacked))
     tail_opnorm = 0.0
     if len(tail):

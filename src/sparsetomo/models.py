@@ -555,7 +555,7 @@ class SampledSystem:
     q_weights: np.ndarray          # f_nu(t_k)^(-1/2), one per sample
     y: np.ndarray                  # stacked measurements, same scaling as matrix rows
     noise_bound: float
-    tail_residual: float = 0.0     # ||A applied to the out-of-window part of the signal||
+    tail_residual: float = 0.0     # norm of the out-of-window atoms' stacked data
     block_dim: int = field(init=False)
 
     def __post_init__(self):
@@ -586,9 +586,9 @@ def assemble_system(model, positions, samples, x_full=None, beta: float = 0.0,
     outside `positions` contributes to the data but not to the matrix).
     Noise draws one Gaussian block per sample, rescaled so each block has
     measurement-space norm exactly beta.  Each sample's rows over the window
-    go straight into a preallocated matrix, so A is held once; its data
-    block is `model.measure` over the signal's support, which for the
-    tomographic models touches the support runs of the signal's atoms only.
+    go straight into a preallocated matrix, so A is held once.  The data is
+    A applied to the in-window coefficients plus `model.measure` over the
+    out-of-window atoms only; tail_residual is the latter's norm.
     """
     positions = np.asarray(positions, dtype=int)
     samples = np.asarray(samples, dtype=float)
@@ -597,27 +597,31 @@ def assemble_system(model, positions, samples, x_full=None, beta: float = 0.0,
         raise ValueError("m must be >= 1")
     if beta < 0:
         raise ValueError("noise bound must be >= 0")
+    if len(np.unique(positions)) != len(positions):
+        raise ValueError("positions must not repeat")
     scale = np.sqrt(model.quad_weight / m)
     bd = model.block_dim
-    full = None if x_full is None else np.asarray(x_full, float)
-    supp = np.array([], dtype=int) if full is None else np.flatnonzero(full)
+    full = np.zeros(0) if x_full is None else np.asarray(x_full, float)
+    out = np.setdiff1d(np.flatnonzero(full), positions)
     rng = np.random.default_rng(noise_seed)
     # column-major, as stacking the transposed row blocks lays A out (row-major
     # for single-row blocks): BLAS rounds products with A by layout, so the
-    # layout is part of what tail_residual and the solves return
+    # layout is part of what y and the solves return
     A = np.empty((m * bd, len(positions)), order="F" if bd > 1 else "C")
     y = np.zeros(m * bd)
     noise = np.empty(m * bd) if beta > 0 else None
     for k, t in enumerate(samples):
         blk = slice(k * bd, (k + 1) * bd)
         A[blk] = model.rows(positions, t).T * scale
-        if len(supp):
-            y[blk] = model.measure(supp, full[supp], t) * scale
+        if len(out):
+            y[blk] = model.measure(out, full[out], t) * scale
         if noise is not None:
             g = rng.standard_normal(bd)
             g *= beta / (np.linalg.norm(g) * np.sqrt(model.quad_weight))
             noise[blk] = g * scale
-    tail_res = 0.0 if full is None else float(np.linalg.norm(y - A @ full[positions]))
+    tail_res = float(np.linalg.norm(y))
+    if x_full is not None:
+        y += A @ full[positions]
     if noise is not None:
         y += noise
     q = 1.0 / np.sqrt(model.density(samples))

@@ -320,6 +320,22 @@ def test_truncation_residual_linear_in_tail(haar_atlas_j2, radon_j2):
     assert np.ptp(vals) < 1e-10
 
 
+def test_truncation_residual_matches_dense_rows(haar_atlas_j3, radon_j3):
+    a = haar_atlas_j3
+    w = st.truncation_positions(a, 2)
+    _, x_full, _ = st.make_phantom(a, st.PhantomSpec("tail", a=0.5, seed=1), 2)
+    tail = np.setdiff1d(np.arange(len(a)), w)
+    assert len(tail) > 100
+    samples = st.draw_samples(radon_j3, 5, 3)
+    system = st.assemble_system(radon_j3, w, samples, x_full=x_full)
+    rep = st.truncation_residual(system, radon_j3, x_full)
+    scale = np.sqrt(radon_j3.quad_weight / len(samples))
+    dense = np.concatenate([q * scale * (radon_j3.rows(tail, t).T @ x_full[tail])
+                            for t, q in zip(samples, system.q_weights)])
+    expect = float(np.linalg.norm(dense))
+    assert abs(rep.residual - expect) <= 1e-13 * expect
+
+
 def test_rnsp_witness_no_violation(synthetic_model, synthetic_cert):
     nodes, _ = synthetic_model.population_nodes(64)
     system = st.assemble_system(synthetic_model, all_positions(synthetic_model), nodes)

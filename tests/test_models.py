@@ -495,6 +495,58 @@ def test_assemble_guards(haar_atlas_j2, radon_j2):
                            beta=-0.1)
 
 
+def test_assemble_rejects_repeated_positions(haar_atlas_j2, radon_j2):
+    # a repeated window atom would count twice in the data A @ x_full[window]
+    window = st.truncation_positions(haar_atlas_j2, 1)
+    x_full = np.ones(len(haar_atlas_j2))
+    with pytest.raises(ValueError, match="repeat"):
+        st.assemble_system(radon_j2, np.r_[window, window[:1]],
+                           st.draw_samples(radon_j2, 2, seed=0), x_full=x_full)
+
+
+def test_assemble_group_profiles_once_per_sample(haar_atlas_j3, radon_j3, monkeypatch):
+    # each (scale, orientation) profile of the window or the out-of-window
+    # atoms is computed once per angle: 10 groups on the j_max=3, j0=2 cell
+    _, x_full, _ = st.make_phantom(haar_atlas_j3, st.PhantomSpec("tail", a=0.5, seed=0), 2)
+    window = st.truncation_positions(haar_atlas_j3, 2)
+    calls = []
+    base = st.RadonModel._group_base
+
+    def counted(self, *args):
+        calls.append(args[:2])
+        return base(self, *args)
+
+    monkeypatch.setattr(st.RadonModel, "_group_base", counted)
+    m = 5
+    st.assemble_system(radon_j3, window, st.draw_samples(radon_j3, m, seed=0), x_full=x_full)
+    assert len(calls) == 10 * m
+
+
+def _dense_data(model, positions, x_full, samples):
+    """Stacked data of x_full over positions from dense rows, one block per
+    sample, with the assembly's 1/sqrt(m) and quadrature scaling."""
+    scale = np.sqrt(model.quad_weight / len(samples))
+    return np.concatenate([model.rows(positions, t).T @ x_full[positions] * scale
+                           for t in samples])
+
+
+@pytest.mark.parametrize("kind", ["tail", "cartoon", "sparse"])
+def test_assemble_data_matches_dense_rows(haar_atlas_j3, radon_j3, kind):
+    # the sparse phantom lies inside the window: its tail_residual is exactly 0
+    a = haar_atlas_j3
+    _, x_full, _ = st.make_phantom(a, st.PhantomSpec(kind, s=6, a=0.5, seed=4), 2)
+    window = st.truncation_positions(a, 2)
+    supp = np.flatnonzero(x_full)
+    out = np.setdiff1d(supp, window)
+    assert (len(out) == 0) == (kind == "sparse")
+    samples = st.draw_samples(radon_j3, 6, seed=8)
+    sys = st.assemble_system(radon_j3, window, samples, x_full=x_full, beta=0.0)
+    y_dense = _dense_data(radon_j3, supp, x_full, samples)
+    assert np.linalg.norm(sys.y - y_dense) <= 1e-13 * np.linalg.norm(y_dense)
+    tail_dense = np.linalg.norm(_dense_data(radon_j3, out, x_full, samples))
+    assert abs(sys.tail_residual - tail_dense) <= 1e-13 * tail_dense
+
+
 def test_assemble_peak_memory(haar_atlas_j2, radon_j2):
     # the rows are written into one preallocated matrix: no second copy of A
     import tracemalloc
