@@ -316,7 +316,7 @@ def delta_star_bruteforce(system: SampledSystem, cert: GramCertificate,
     the support's contribution; only supports maximal under the budget can
     attain the overall maximum.
     """
-    n = system.matrix.shape[1]
+    n = len(system.positions)
     if n > BRUTEFORCE_MAX_WINDOW:
         raise ValueError(f"brute force limited to windows of {BRUTEFORCE_MAX_WINDOW}")
     wsq = omega.values ** 2
@@ -347,7 +347,7 @@ def delta_star_montecarlo(system: SampledSystem, cert: GramCertificate,
     (random greedy filling until the weighted budget is exhausted)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    n = system.matrix.shape[1]
+    n = len(system.positions)
     wsq = omega.values ** 2
     M = _difference_matrix(system, cert)
     rng = np.random.default_rng(seed)
@@ -417,7 +417,7 @@ class TruncationReport:
     residual: float        # measured ||Q A P_window^perp x||
     bound: float           # measured-constant side of the comparison
     tail_norm: float       # r = ||P_window^perp x||_2
-    tail_opnorm: float     # operator norm of the forward map on the stored tail
+    tail_opnorm: float     # forward-map operator norm on the stored tail; nan without a cert
     tail_truncated: bool   # the tail only covers scales up to the atlas j_max
 
 
@@ -440,13 +440,12 @@ def truncation_residual(system: SampledSystem, model, x_full,
     for k, (t, q) in enumerate(zip(system.samples, system.q_weights)):
         stacked[k] = q * scale * model.measure(supp, x_full[supp], t)
     residual = float(np.linalg.norm(stacked))
-    tail_opnorm = 0.0
-    if len(tail):
-        tail_normal = population_gram_matrix(model, tail, default_quadrature(model, tail))
-        tail_opnorm = float(np.sqrt(max(np.linalg.eigvalsh(tail_normal).max(), 0.0)))
-    if cert is None:
-        bound = float("nan")
-    else:
+    tail_opnorm = bound = float("nan")
+    if cert is not None:   # the tail Gram only feeds the bound
+        tail_opnorm = 0.0
+        if len(tail):
+            tail_normal = population_gram_matrix(model, tail, default_quadrature(model, tail))
+            tail_opnorm = float(np.sqrt(max(np.linalg.eigvalsh(tail_normal).max(), 0.0)))
         cF = c_uniform if c_uniform is not None else uniform_bound_probe(model, system.positions)
         bound = cF * model.c_nu ** -0.5 * (tail_opnorm * cert.inv_norm + 1.0) * r
     return TruncationReport(residual=residual, bound=bound, tail_norm=r,
@@ -462,7 +461,7 @@ def rnsp_witness_search(system: SampledSystem, cert: GramCertificate,
     Returns the worst margin (right side minus left side) over random
     (vector, support) pairs; a nonnegative value means no violation found.
     """
-    n = system.matrix.shape[1]
+    n = len(system.positions)
     if kappa is None:
         kappa = 3.0 * cert.inv_norm / np.sqrt(2.0)
     rng = np.random.default_rng(seed)

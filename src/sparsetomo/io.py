@@ -171,7 +171,7 @@ def write_system_dir(path: str, system, meta: dict | None = None):
     with open(os.path.join(path, "meta.txt"), "w") as fh:
         fh.write(f"m {system.m}\n")
         fh.write(f"block_dim {system.block_dim}\n")
-        fh.write(f"n_window {system.matrix.shape[1]}\n")
+        fh.write(f"n_window {len(system.positions)}\n")
         fh.write(f"noise_bound {_fmt(system.noise_bound)}\n")
         fh.write(f"tail_residual {_fmt(system.tail_residual)}\n")
         for k, v in (meta or {}).items():

@@ -5,15 +5,18 @@ parallel-beam line integrals at an angle, fan-beam line integrals from a
 source on a circle, Fourier coefficients of periodized 1D wavelets, and
 pointwise evaluation of orthonormal Legendre polynomials.  Each model knows
 its dictionary, its sampling density, and how to produce the measurement
-block of a batch of dictionary elements at one parameter value; systems of
-random samples are assembled into a stacked matrix with quadrature weights
-folded in, so plain Euclidean norms of stacked vectors equal the
-(1/m)-averaged measurement-space norms.
+block of a batch of dictionary elements at one parameter value, also as the
+support runs of its rows.  A system of random samples keeps its stacked
+operator A as those runs, with quadrature weights and 1/sqrt(m) folded in,
+so plain Euclidean norms of stacked vectors equal the (1/m)-averaged
+measurement-space norms.  The solver reads A through its Gram, streamed a
+chunk of samples at a time, and its matvec; a dense A is built only on
+request.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,6 +81,13 @@ class MeasurementModel:
         positions at parameter t."""
         return self.rows(positions, t).T @ np.asarray(x, float)
 
+    def _runs(self, positions, t):
+        """(row, column, value) arrays of the rows' runs, as AtlasModel._runs
+        yields them: here one group whose runs are the whole rows."""
+        R = self.rows(positions, t)
+        atom, col = np.indices(R.shape)
+        yield atom.ravel(), col.ravel(), R.ravel()
+
 
 class AtlasModel(MeasurementModel):
     """A measurement model over the atoms of a 2D wavelet atlas.
@@ -85,7 +95,8 @@ class AtlasModel(MeasurementModel):
     Subclasses supply `_runs(positions, t)`, which yields, per (scale,
     orientation) group, the nonzero entries of the group's rows as
     (row, column, value) arrays; an atom's nonzeros form one run of the
-    block.  `rows` scatters them into a dense block and `measure` sums them.
+    block, in column order.  `rows` scatters them into a dense block,
+    `measure` sums them and `assemble_system` keeps them.
     """
 
     atlas: DictionaryAtlas
@@ -542,28 +553,95 @@ def draw_samples(model, m: int, seed: int) -> np.ndarray:
     return model.sample(m, np.random.default_rng(seed))
 
 
-@dataclass
+_CHUNK = 16      # samples per dense block of SampledSystem.gram
+
+
 class SampledSystem:
-    """A drained measurement setup: samples, the stacked sampling matrix with
-    1/sqrt(m) and quadrature weights folded in, per-sample density weights,
-    and the stacked (equally weighted) measurement vector."""
+    """A drained measurement setup: samples, per-sample density weights, the
+    stacked (equally weighted) measurement vector y, and the stacked sampling
+    operator A with 1/sqrt(m) and quadrature weights folded in.
 
-    model: object
-    positions: np.ndarray          # dictionary positions forming the window
-    samples: np.ndarray
-    matrix: np.ndarray             # (m * block_dim, len(positions))
-    q_weights: np.ndarray          # f_nu(t_k)^(-1/2), one per sample
-    y: np.ndarray                  # stacked measurements, same scaling as matrix rows
-    noise_bound: float
-    tail_residual: float = 0.0     # norm of the out-of-window atoms' stacked data
-    block_dim: int = field(init=False)
+    A is held as support runs: per (sample, atom), the first row of the
+    atom's run in the sample's block, the run's length and its values.
+    `gram` and `matvec` read the runs; `matrix` builds the dense
+    (m * block_dim, len(positions)) A only on request.  A dense `matrix`
+    passed in is held as runs that each cover a whole block.
+    """
 
-    def __post_init__(self):
-        self.block_dim = self.matrix.shape[0] // len(self.samples)
+    def __init__(self, model, positions, samples, q_weights, y, noise_bound,
+                 tail_residual: float = 0.0, matrix=None, runs=None):
+        self.model = model
+        self.positions = positions          # dictionary positions forming the window
+        self.samples = samples
+        self.q_weights = q_weights          # f_nu(t_k)^(-1/2), one per sample
+        self.y = y                          # stacked measurements, same scaling as A's rows
+        self.noise_bound = noise_bound
+        self.tail_residual = tail_residual  # norm of the out-of-window atoms' stacked data
+        self.block_dim = len(y) // self.m
+        if matrix is not None:
+            blocks = np.swapaxes(np.reshape(matrix, (self.m, self.block_dim, -1)), 1, 2)
+            cells = np.full(blocks.shape[:2], self.block_dim, dtype=np.int32)
+            runs = (np.zeros_like(cells), cells, list(blocks.reshape(self.m, -1)))
+        self._start, self._len, self._vals = runs
 
     @property
     def m(self) -> int:
         return len(self.samples)
+
+    @property
+    def shape(self) -> tuple:
+        return (self.m * self.block_dim, len(self.positions))
+
+    def _cells(self):
+        """(rows, row, atom, value) of each chunk of _CHUNK samples: the
+        chunk's slice of stacked rows, and its runs' cells with their row
+        inside the chunk."""
+        bd, n = self.block_dim, self.shape[1]
+        for k0 in range(0, self.m, _CHUNK):
+            k1 = min(k0 + _CHUNK, self.m)
+            first = self._start[k0:k1] + bd * np.arange(k1 - k0)[:, None]
+            owner, row = _run_cells(first.ravel(), self._len[k0:k1].ravel())
+            yield slice(k0 * bd, k1 * bd), row, owner % n, np.concatenate(self._vals[k0:k1])
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense A, built from the runs.  Column-major, as stacking the
+        transposed row blocks lays A out (row-major for single-row blocks):
+        BLAS rounds products with A by layout, so the layout is part of what
+        the products with it return."""
+        A = np.zeros(self.shape, order="F" if self.block_dim > 1 else "C")
+        for rows, row, atom, val in self._cells():
+            A[rows.start + row, atom] = val
+        return A
+
+    def gram(self, col: np.ndarray, y: np.ndarray):
+        """(col A^T A col, col A^T y), accumulated _CHUNK samples at a time:
+        the rows of each chunk that some run touches are scattered into one
+        dense block C, and C^T C and C^T y are BLAS products, so A is never
+        held dense.  The rows no run touches add nothing and are left out."""
+        n = self.shape[1]
+        H, b = np.zeros((n, n)), np.zeros(n)
+        buf = np.zeros((min(_CHUNK, self.m) * self.block_dim, n))
+        flat = buf.reshape(-1)
+        for rows, row, atom, val in self._cells():
+            hit = np.zeros(rows.stop - rows.start, dtype=bool)
+            hit[row] = True
+            cell = (np.cumsum(hit) - 1)[row] * n + atom    # in C, whose rows are the hit rows
+            C = buf[:np.count_nonzero(hit)]
+            flat[cell] = val
+            H += C.T @ C
+            b += C.T @ y[rows][hit]
+            flat[cell] = 0.0
+        H *= col[:, None]
+        H *= col[None, :]
+        return H, col * b
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A @ x from the runs."""
+        out = np.empty(self.shape[0])
+        for rows, row, atom, val in self._cells():
+            out[rows] = np.bincount(row, weights=val * x[atom], minlength=rows.stop - rows.start)
+        return out
 
     def q_normal_matrix(self) -> np.ndarray:
         """Normal matrix of the density-normalized sampling operator."""
@@ -575,44 +653,53 @@ class SampledSystem:
         return out.reshape(stacked.shape)
 
     def residual_norm(self, x: np.ndarray) -> float:
-        return float(np.linalg.norm(self.matrix @ x - self.y))
+        return float(np.linalg.norm(self.matvec(x) - self.y))
 
 
 def assemble_system(model, positions, samples, x_full=None, beta: float = 0.0,
                     noise_seed: int = 0) -> SampledSystem:
-    """Write per-sample measurement blocks into one SampledSystem.
+    """Collect per-sample measurement runs into one SampledSystem.
 
     x_full holds coefficients over the model's whole dictionary (any part
-    outside `positions` contributes to the data but not to the matrix).
-    Noise draws one Gaussian block per sample, rescaled so each block has
+    outside `positions` contributes to the data but not to A).  Noise draws
+    one Gaussian block per sample, rescaled so each block has
     measurement-space norm exactly beta.  Each sample's rows over the window
-    go straight into a preallocated matrix, so A is held once.  The data is
-    A applied to the in-window coefficients plus `model.measure` over the
-    out-of-window atoms only; tail_residual is the latter's norm.
+    are kept as the support runs `model._runs` yields, atom by atom, already
+    scaled; A is never written dense.  The data is A applied to the
+    in-window coefficients plus `model.measure` over the out-of-window atoms
+    only; tail_residual is the latter's norm.
     """
     positions = np.asarray(positions, dtype=int)
     samples = np.asarray(samples, dtype=float)
-    m = len(samples)
+    m, n = len(samples), len(positions)
     if m < 1:
         raise ValueError("m must be >= 1")
     if beta < 0:
         raise ValueError("noise bound must be >= 0")
-    if len(np.unique(positions)) != len(positions):
-        raise ValueError("positions must not repeat")
+    if n < 1 or len(np.unique(positions)) != n:
+        raise ValueError("positions must be nonempty and must not repeat")
     scale = np.sqrt(model.quad_weight / m)
     bd = model.block_dim
     full = np.zeros(0) if x_full is None else np.asarray(x_full, float)
     out = np.setdiff1d(np.flatnonzero(full), positions)
     rng = np.random.default_rng(noise_seed)
-    # column-major, as stacking the transposed row blocks lays A out (row-major
-    # for single-row blocks): BLAS rounds products with A by layout, so the
-    # layout is part of what y and the solves return
-    A = np.empty((m * bd, len(positions)), order="F" if bd > 1 else "C")
-    y = np.zeros(m * bd)
+    x_w = full[positions] if x_full is not None else np.zeros(n)
+    start = np.zeros((m, n), dtype=np.int32)
+    length = np.zeros((m, n), dtype=np.int32)
+    vals = []
+    y, y_w = np.zeros(m * bd), np.zeros(m * bd)
     noise = np.empty(m * bd) if beta > 0 else None
     for k, t in enumerate(samples):
         blk = slice(k * bd, (k + 1) * bd)
-        A[blk] = model.rows(positions, t).T * scale
+        atom, col, val = map(np.concatenate, zip(*model._runs(positions, t)))
+        val *= scale
+        order = np.argsort(atom, kind="stable")     # atom by atom, each run in row order
+        length[k] = np.bincount(atom, minlength=n)
+        head = np.cumsum(length[k]) - length[k]
+        has = length[k] > 0
+        start[k, has] = col[order[head[has]]]
+        vals.append(val[order])
+        y_w[blk] = np.bincount(col, weights=val * x_w[atom], minlength=bd)
         if len(out):
             y[blk] = model.measure(out, full[out], t) * scale
         if noise is not None:
@@ -620,14 +707,13 @@ def assemble_system(model, positions, samples, x_full=None, beta: float = 0.0,
             g *= beta / (np.linalg.norm(g) * np.sqrt(model.quad_weight))
             noise[blk] = g * scale
     tail_res = float(np.linalg.norm(y))
-    if x_full is not None:
-        y += A @ full[positions]
+    y += y_w
     if noise is not None:
         y += noise
     q = 1.0 / np.sqrt(model.density(samples))
     return SampledSystem(model=model, positions=positions, samples=samples,
-                         matrix=A, q_weights=np.asarray(q, float), y=y,
-                         noise_bound=float(beta), tail_residual=tail_res)
+                         q_weights=np.asarray(q, float), y=y, noise_bound=float(beta),
+                         tail_residual=tail_res, runs=(start, length, vals))
 
 
 def population_gram_matrix(model, positions, n_quad: int) -> np.ndarray:

@@ -17,6 +17,7 @@ as an algorithm-independent cross-check of the constrained path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -57,33 +58,32 @@ class SolveResult:
     trace: list = field(default_factory=list, repr=False)
 
 
-def _compress(A: np.ndarray, y: np.ndarray, col: np.ndarray):
+def _compress(A, y: np.ndarray, col: np.ndarray):
     """(K, yt, off, L) in the solver's variables (x = col * z), such that
     ||A (col z) - y||^2 = ||K z - yt||^2 + off for every z, off is the squared
     least-squares residual and L = ||K||_2.  Tall systems use the eigenpairs
-    of col A^T A col (no copy of A); short ones keep their rows, so the
-    condition number is not squared, and project y onto range(K) by least
-    squares, which covers rank loss.  The tall offset is evaluated in the
-    original geometry; a norm difference would cancel on consistent data.
+    of A.gram(col, y), which a SampledSystem streams from its runs; short ones
+    keep their dense rows, so the condition number is not squared, and
+    project y onto range(K) by least squares, which covers rank loss.  The
+    tall offset is evaluated in the original geometry through A.matvec; a
+    norm difference would cancel on consistent data.
     """
     m, n = A.shape
     if m <= n:
-        K = A * col[None, :]
+        K = A.matrix * col[None, :]
         z_ls, _, _, sv = np.linalg.lstsq(K, y, rcond=None)
         yt = K @ z_ls
         return K, yt, float(np.linalg.norm(y - yt) ** 2), float(sv.max(initial=0.0))
-    H = A.T @ A
-    H *= col[:, None]
-    H *= col[None, :]
+    H, b = A.gram(col, y)
     evals, V = np.linalg.eigh(H)
     evals = np.clip(evals, 0.0, None)
     keep = evals > max(evals[-1], 1e-300) * 1e-15
     root = np.sqrt(evals[keep])
     Vk = V[:, keep]
     K = root[:, None] * Vk.T
-    yt = (Vk.T @ (col * (A.T @ y))) / root
+    yt = (Vk.T @ b) / root
     z_ls = Vk @ (yt / root)
-    off = float(max(np.linalg.norm(A @ (col * z_ls) - y) ** 2
+    off = float(max(np.linalg.norm(A.matvec(col * z_ls) - y) ** 2
                     - np.linalg.norm(K @ z_ls - yt) ** 2, 0.0))
     return K, yt, off, float(np.sqrt(evals[-1]))
 
@@ -101,21 +101,25 @@ def solve_constrained_l1(system, omega: WeightVector, cfg: SolveConfig) -> Solve
     """Solve the constrained problem on a sampled system."""
     scales = system.model.scales()
     sc = None if scales is None else scales[system.positions]
-    return solve_constrained_l1_matrix(system.matrix, system.y, omega, cfg, scales=sc)
+    return solve_constrained_l1_matrix(system, system.y, omega, cfg, scales=sc)
 
 
-def solve_constrained_l1_matrix(A: np.ndarray, y: np.ndarray, omega: WeightVector,
+def solve_constrained_l1_matrix(A, y: np.ndarray, omega: WeightVector,
                                 cfg: SolveConfig, scales=None) -> SolveResult:
     """Primal-dual solve of min ||W^-zeta x||_{1,omega} s.t. ||Ax-y|| <= eta.
 
-    `infeasible` when the least-squares residual exceeds eta.  Otherwise
-    reports the lowest-gap iterate among those feasible within the configured
-    slack, so the recorded gap sequence is non-increasing; status is `optimal`
-    once that iterate's duality gap clears tol_gap.  The gap bounds the
-    iterate's objective against the problem at its own residual radius (at
-    least eta), so it is never negative.
+    A is a SampledSystem or a dense matrix.  `infeasible` when the
+    least-squares residual exceeds eta.  Otherwise reports the lowest-gap
+    iterate among those feasible within the configured slack, so the recorded
+    gap sequence is non-increasing; status is `optimal` once that iterate's
+    duality gap clears tol_gap.  The gap bounds the iterate's objective
+    against the problem at its own residual radius (at least eta), so it is
+    never negative.
     """
-    A = np.asarray(A, float)
+    if not hasattr(A, "gram"):   # a dense A behind the accessors _compress reads
+        D = np.asarray(A, float)
+        A = SimpleNamespace(matrix=D, shape=D.shape, matvec=D.__matmul__, gram=lambda col, y: (
+            (D.T @ D) * col[:, None] * col[None, :], col * (D.T @ y)))
     y = np.asarray(y, float)
     n = A.shape[1]
     w = omega.values
@@ -194,18 +198,14 @@ def solve_penalized_path(system, omega: WeightVector, penalties,
         raise ValueError("penalties must be positive")
     if sorted(penalties, reverse=True) != penalties:
         raise ValueError("penalties must be decreasing")
-    A = system.matrix
-    y = system.y
     scales = system.model.scales()
     sc = None if scales is None else scales[system.positions]
-    col = _column_scaling(sc, zeta, A.shape[1])
-    Ac = A * col[None, :]
+    col = _column_scaling(sc, zeta, len(system.positions))
     w = omega.values
-    H = Ac.T @ Ac
-    b = Ac.T @ y
+    H, b = system.gram(col, system.y)
     L = float(np.linalg.eigvalsh(H).max())
     out = []
-    z = np.zeros(A.shape[1])
+    z = np.zeros_like(col)
     for pen in penalties:
         thr = pen * w / L
         v = z.copy()
@@ -225,7 +225,7 @@ def solve_penalized_path(system, omega: WeightVector, penalties,
         z = z_prev
         x_hat = col * z
         obj = float(np.sum(np.abs(z) * w))
-        res = float(np.linalg.norm(Ac @ z - y))
+        res = system.residual_norm(col * z)
         out.append(SolveResult(x_hat=x_hat, objective=obj, residual=res,
                                iterations=it, gap=float("nan"), status="optimal"))
     return out

@@ -336,6 +336,36 @@ def test_truncation_residual_matches_dense_rows(haar_atlas_j3, radon_j3):
     assert abs(rep.residual - expect) <= 1e-13 * expect
 
 
+def test_truncation_residual_tail_gram_only_with_cert(haar_atlas_j2, radon_j2, monkeypatch):
+    # the out-of-window population Gram feeds only the bound: none is built
+    # without a cert, and with one the report is what the Gram gives
+    import sparsetomo.certify as certify
+    a = haar_atlas_j2
+    w = st.truncation_positions(a, 1)
+    tail = np.setdiff1d(np.arange(len(a)), w)
+    x_full = np.zeros(len(a))
+    x_full[tail[5]] = 0.7
+    system = st.assemble_system(radon_j2, w, st.draw_samples(radon_j2, 6, 1), x_full=x_full)
+    cert = st.compute_gram(radon_j2, w)
+    calls = []
+
+    def counted(model, positions, n_quad):
+        calls.append(len(positions))
+        return population_gram_matrix(model, positions, n_quad)
+
+    monkeypatch.setattr(certify, "population_gram_matrix", counted)
+    bare = st.truncation_residual(system, radon_j2, x_full)
+    assert calls == []
+    assert np.isnan(bare.tail_opnorm) and np.isnan(bare.bound)
+    rep = st.truncation_residual(system, radon_j2, x_full, cert=cert, c_uniform=1.5)
+    assert calls == [len(tail)]
+    G = population_gram_matrix(radon_j2, tail, certify.default_quadrature(radon_j2, tail))
+    opnorm = float(np.sqrt(np.linalg.eigvalsh(G).max()))
+    assert rep.tail_opnorm == opnorm
+    assert (rep.residual, rep.tail_norm) == (bare.residual, bare.tail_norm)
+    assert rep.bound == 1.5 * radon_j2.c_nu ** -0.5 * (opnorm * cert.inv_norm + 1.0) * rep.tail_norm
+
+
 def test_rnsp_witness_no_violation(synthetic_model, synthetic_cert):
     nodes, _ = synthetic_model.population_nodes(64)
     system = st.assemble_system(synthetic_model, all_positions(synthetic_model), nodes)

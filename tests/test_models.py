@@ -561,6 +561,124 @@ def test_assemble_peak_memory(haar_atlas_j2, radon_j2):
     assert peak <= 1.5 * sys.matrix.nbytes
 
 
+def dense_assembly(model, positions, samples, x_full, beta, noise_seed):
+    """Reference oracle: the dense assembly that wrote each sample's rows into
+    one preallocated A, copied from before systems kept support runs.
+    Returns (A, y, tail_residual)."""
+    positions = np.asarray(positions, dtype=int)
+    samples = np.asarray(samples, dtype=float)
+    m = len(samples)
+    scale = np.sqrt(model.quad_weight / m)
+    bd = model.block_dim
+    full = np.asarray(x_full, float)
+    out = np.setdiff1d(np.flatnonzero(full), positions)
+    rng = np.random.default_rng(noise_seed)
+    A = np.empty((m * bd, len(positions)), order="F" if bd > 1 else "C")
+    y = np.zeros(m * bd)
+    noise = np.empty(m * bd) if beta > 0 else None
+    for k, t in enumerate(samples):
+        blk = slice(k * bd, (k + 1) * bd)
+        A[blk] = model.rows(positions, t).T * scale
+        if len(out):
+            y[blk] = model.measure(out, full[out], t) * scale
+        if noise is not None:
+            g = rng.standard_normal(bd)
+            g *= beta / (np.linalg.norm(g) * np.sqrt(model.quad_weight))
+            noise[blk] = g * scale
+    tail_res = float(np.linalg.norm(y))
+    y += A @ full[positions]
+    if noise is not None:
+        y += noise
+    return A, y, tail_res
+
+
+# (model kind, build_model kwargs, window j0 or atom count, m); the last is a
+# short system, m * block_dim <= n
+RUN_CASES = {
+    "radon": ("radon", {"j_max": 3}, 2, 6),
+    "fanbeam": ("fanbeam", {"j_max": 2}, 1, 4),
+    "fourier": ("fourier", {"j_max": 3, "n_freq": 32}, 12, 40),
+    "legendre": ("legendre", {"max_degree": 30}, 20, 50),
+    "short": ("legendre", {"max_degree": 30}, 20, 5),
+}
+
+
+def _run_case(name):
+    """(system, dense oracle (A, y, tail_residual), col) of one RUN_CASES
+    entry, with a signal that also has out-of-window coefficients."""
+    kind, kwargs, window, m = RUN_CASES[name]
+    model = build_model(kind, **kwargs)
+    rng = np.random.default_rng(7)
+    if kind in ("radon", "fanbeam"):
+        _, x_full, _ = st.make_phantom(model.atlas, st.PhantomSpec("tail", a=0.5, seed=2), window)
+        positions = st.truncation_positions(model.atlas, window)
+    else:
+        x_full = rng.standard_normal(model.dictionary_size())
+        positions = rng.permutation(model.dictionary_size())[:window]
+    samples = st.draw_samples(model, m, seed=3)
+    system = st.assemble_system(model, positions, samples, x_full=x_full, beta=0.05, noise_seed=4)
+    col = 0.5 + rng.random(len(positions))
+    return system, dense_assembly(model, positions, samples, x_full, 0.05, 4), col
+
+
+@pytest.mark.parametrize("name", list(RUN_CASES))
+def test_system_matrix_matches_dense_assembly(name):
+    # the dense A built from the runs is the dense assembly's, layout included
+    system, (A, y, tail_res), _ = _run_case(name)
+    if name == "short":
+        assert system.shape[0] <= system.shape[1]
+    M = system.matrix
+    assert M.tobytes() == A.tobytes()
+    assert (M.flags.f_contiguous, M.flags.c_contiguous) == (A.flags.f_contiguous,
+                                                            A.flags.c_contiguous)
+    assert np.linalg.norm(system.y - y) <= 1e-13 * np.linalg.norm(y)
+    assert system.tail_residual == tail_res
+
+
+@pytest.mark.parametrize("name", list(RUN_CASES))
+def test_system_gram_matches_dense_products(name):
+    system, (A, y, _), col = _run_case(name)
+    H, b = system.gram(col, system.y)
+    H_dense = (A.T @ A) * col[:, None] * col[None, :]
+    b_dense = col * (A.T @ system.y)
+    assert np.linalg.norm(H - H_dense) <= 1e-14 * np.linalg.norm(H_dense)
+    assert np.linalg.norm(b - b_dense) <= 1e-14 * np.linalg.norm(b_dense)
+
+
+@pytest.mark.parametrize("name", list(RUN_CASES))
+def test_system_matvec_matches_dense_products(name):
+    system, (A, y, _), _ = _run_case(name)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        x = rng.standard_normal(system.shape[1])
+        assert np.linalg.norm(system.matvec(x) - A @ x) <= 1e-13 * np.linalg.norm(A @ x)
+        res = np.linalg.norm(A @ x - system.y)
+        assert abs(system.residual_norm(x) - res) <= 1e-13 * res
+
+
+def test_reconstruction_cell_peak_memory():
+    # assembly plus solve of one cell stays far below the dense A it never
+    # holds: the runs, one chunk's dense block and the n x n Gram
+    import tracemalloc
+    model = build_model("radon", j_max=3)
+    _, x_full, _ = st.make_phantom(model.atlas, st.PhantomSpec("tail", a=0.5, seed=0), 2)
+    window = st.truncation_positions(model.atlas, 2)
+    m = 384
+    samples = st.draw_samples(model, m, seed=1)
+    tracemalloc.start()
+    try:
+        system = st.assemble_system(model, window, samples, x_full=x_full, beta=2.0 ** -6,
+                                    noise_seed=2)
+        res = st.solve_constrained_l1(system, st.WeightVector.ones(len(window)),
+                                      st.SolveConfig(zeta=1.0, eta=2.0 ** -6 + system.tail_residual,
+                                                     max_iters=200))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.iterations >= 1
+    assert peak <= 0.25 * m * model.block_dim * len(window) * 8
+
+
 def test_q_weights_bounded(fourier_model):
     samples = st.draw_samples(fourier_model, 50, seed=0)
     sys = st.assemble_system(fourier_model, np.arange(6), samples)
