@@ -40,7 +40,7 @@ def main():
         cell = [r.err_l2 for r in records if r.beta == b]
         print(f"beta = 2^{np.log2(b):.0f}: median err {np.median(cell):.4f}")
     expo, icpt, r2, window, flagged = fit_scaling_windowed(records, "beta")
-    stio.write_fit_report(f"{args.out}/fit.txt", expo, icpt, r2,
+    stio.write_fit_report(f"{args.out}/fit.txt", expo, icpt, r2, records,
                           window=window, flagged=flagged, x_axis="beta")
     print(f"exponent {expo:.3f} r2 {r2:.4f} window "
           f"{[round(np.log2(w)) for w in window]} flagged {flagged}")

@@ -436,9 +436,8 @@ def truncation_residual(system: SampledSystem, model, x_full,
     r = float(np.linalg.norm(x_tail))
     scale = np.sqrt(model.quad_weight / system.m)
     supp = tail[np.flatnonzero(x_tail)]
-    stacked = np.zeros((system.m, model.block_dim))
-    for k, (t, q) in enumerate(zip(system.samples, system.q_weights)):
-        stacked[k] = q * scale * model.measure(supp, x_full[supp], t)
+    stacked = (system.q_weights * scale)[:, None] * model.measure(supp, x_full[supp],
+                                                                  system.samples)
     residual = float(np.linalg.norm(stacked))
     tail_opnorm = bound = float("nan")
     if cert is not None:   # the tail Gram only feeds the bound

@@ -217,7 +217,7 @@ def fit(records_path, x_axis, windowed, out_dir):
     else:
         expo, intercept, r2 = fit_scaling(records, x_axis)
         window, flagged = None, False
-    stio.write_fit_report(os.path.join(out_dir, "fit.txt"), expo, intercept, r2,
+    stio.write_fit_report(os.path.join(out_dir, "fit.txt"), expo, intercept, r2, records,
                           window=window, flagged=flagged, x_axis=x_axis)
     click.echo(f"exponent {expo!r} r2 {r2!r} flagged {flagged}")
 

@@ -235,8 +235,12 @@ def read_records_csv(path: str):
     return out
 
 
-def write_fit_report(path: str, exponent: float, intercept: float, r2: float,
+def write_fit_report(path: str, exponent: float, intercept: float, r2: float, records,
                      window=None, flagged: bool = False, x_axis: str = "beta"):
+    """fit.txt (key-value).  cells_in_window counts the records the fit read,
+    those whose axis value lies in the window (all of them without one), and
+    cells_optimal those of them whose solve ended `optimal`."""
+    cells = [r for r in records if window is None or getattr(r, x_axis) in window]
     with open(path, "w") as fh:
         fh.write(f"x_axis {x_axis}\n")
         fh.write(f"exponent {_fmt(exponent)}\n")
@@ -244,6 +248,8 @@ def write_fit_report(path: str, exponent: float, intercept: float, r2: float,
         fh.write(f"r_squared {_fmt(r2)}\n")
         if window is not None:
             fh.write("window " + " ".join(_fmt(v) for v in window) + "\n")
+        fh.write(f"cells_in_window {len(cells)}\n")
+        fh.write(f"cells_optimal {sum(r.status == 'optimal' for r in cells)}\n")
         fh.write(f"flagged {flagged}\n")
 
 

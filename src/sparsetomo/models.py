@@ -6,9 +6,12 @@ source on a circle, Fourier coefficients of periodized 1D wavelets, and
 pointwise evaluation of orthonormal Legendre polynomials.  Each model knows
 its dictionary, its sampling density, and how to produce the measurement
 block of a batch of dictionary elements at one parameter value, also as the
-support runs of its rows.  A system of random samples keeps its stacked
-operator A as those runs, with quadrature weights and 1/sqrt(m) folded in,
-so plain Euclidean norms of stacked vectors equal the (1/m)-averaged
+support runs of its rows at a batch of parameter values.  The Radon model
+computes each group's profile for a chunk of angles in one pass and cuts
+every run to the span where the row is nonzero.  A system of random samples
+is assembled a chunk of samples at a time and keeps its stacked operator A
+as those runs, with quadrature weights and 1/sqrt(m) folded in, so plain
+Euclidean norms of stacked vectors equal the (1/m)-averaged
 measurement-space norms.  The solver reads A through its Gram, streamed a
 chunk of samples at a time, and its matvec; a dense A is built only on
 request.
@@ -78,25 +81,30 @@ class MeasurementModel:
 
     def measure(self, positions, x, t) -> np.ndarray:
         """The measurement block sum_i x_i rows_i of coefficients x over
-        positions at parameter t."""
-        return self.rows(positions, t).T @ np.asarray(x, float)
+        positions at parameter t; for a vector t, one block per row."""
+        x = np.asarray(x, float)
+        out = np.array([self.rows(positions, tk).T @ x for tk in np.atleast_1d(t)])
+        return out if np.ndim(t) else out[0]
 
-    def _runs(self, positions, t):
-        """(row, column, value) arrays of the rows' runs, as AtlasModel._runs
-        yields them: here one group whose runs are the whole rows."""
-        R = self.rows(positions, t)
-        atom, col = np.indices(R.shape)
-        yield atom.ravel(), col.ravel(), R.ravel()
+    def _runs(self, positions, ts):
+        """(angle, row, column, value) arrays of the rows' runs at each
+        parameter of ts, as AtlasModel._runs yields them: here one group per
+        parameter, whose runs are the whole rows."""
+        for k, t in enumerate(ts):
+            R = self.rows(positions, t)
+            atom, col = np.indices(R.shape)
+            yield np.full(R.size, k), atom.ravel(), col.ravel(), R.ravel()
 
 
 class AtlasModel(MeasurementModel):
     """A measurement model over the atoms of a 2D wavelet atlas.
 
-    Subclasses supply `_runs(positions, t)`, which yields, per (scale,
-    orientation) group, the nonzero entries of the group's rows as
-    (row, column, value) arrays; an atom's nonzeros form one run of the
-    block, in column order.  `rows` scatters them into a dense block,
-    `measure` sums them and `assemble_system` keeps them.
+    Subclasses supply `_runs(positions, ts)`, which yields, per (scale,
+    orientation) group, the nonzero entries of the group's rows at a batch of
+    angles as (angle, row, column, value) arrays; an atom's nonzeros at one
+    angle form one run of the block, in column order.  `rows` scatters one
+    angle's runs into a dense block, `measure` sums them _CHUNK angles at a
+    time and `assemble_system` keeps them.
     """
 
     atlas: DictionaryAtlas
@@ -111,23 +119,28 @@ class AtlasModel(MeasurementModel):
         return self.rows([self.atlas.index_position(idx)], theta)[0]
 
     def rows(self, positions, t) -> np.ndarray:
-        """Measurement rows (len(positions), block_dim), dense, from the
-        atoms' support runs."""
+        """Measurement rows (len(positions), block_dim) at one angle, dense,
+        from the atoms' support runs."""
         positions = np.asarray(positions, dtype=int)
         out = np.zeros((len(positions), self.block_dim))
-        for atom, col, val in self._runs(positions, t):
+        for _, atom, col, val in self._runs(positions, [t]):
             out[atom, col] = val
         return out
 
     def measure(self, positions, x, t) -> np.ndarray:
-        """sum_i x_i rows_i from the support runs, one bincount per group;
-        equals rows(positions, t).T @ x up to summation order."""
+        """sum_i x_i rows_i from the support runs, one bincount per group and
+        chunk of _CHUNK angles; equals rows(positions, t).T @ x up to
+        summation order.  For a vector t, one block per row."""
         positions = np.asarray(positions, dtype=int)
         x = np.asarray(x, float)
-        out = np.zeros(self.block_dim)
-        for atom, col, val in self._runs(positions, t):
-            out += np.bincount(col, weights=val * x[atom], minlength=self.block_dim)
-        return out
+        ts = np.atleast_1d(np.asarray(t, float))
+        out = np.zeros((len(ts), self.block_dim))
+        for k0 in range(0, len(ts), _CHUNK):
+            blk = out[k0:k0 + _CHUNK].reshape(-1)
+            for k, atom, col, val in self._runs(positions, ts[k0:k0 + _CHUNK]):
+                blk += np.bincount(k * self.block_dim + col, weights=val * x[atom],
+                                   minlength=len(blk))
+        return out if np.ndim(t) else out[0]
 
     def atom_norms(self, positions, t) -> np.ndarray:
         """Per-atom measurement norms at one parameter value, from one
@@ -155,31 +168,50 @@ def _run_cells(first, cnt):
     return owner, index
 
 
+def _nonzero_core(owner, val):
+    """Mask of the cells of each owner's run from its first to its last
+    nonzero value; owner is sorted."""
+    nz = np.flatnonzero(val)
+    o = owner[nz]
+    head, tail = np.diff(o, prepend=-1) != 0, np.diff(o, append=owner[-1] + 1) != 0
+    lo, hi = np.full(owner[-1] + 1, len(val)), np.full(owner[-1] + 1, -1)
+    lo[o[head]], hi[o[tail]] = nz[head], nz[tail]
+    i = np.arange(len(val))
+    return (lo[owner] <= i) & (i <= hi[owner])
+
+
 # ---------------------------------------------------------------------------
 # parallel beam
 
 
 def _convolved_base_row(fx, fy, c, s, h, out_grid):
-    """Line-integral profile of the separable bump f_x (x) f_y along direction
-    angle with cos c / sin s, evaluated on out_grid.
+    """Line-integral profiles of the separable bump f_x (x) f_y along the
+    direction angles with cosines c and sines s, (k,) arrays, each evaluated
+    on its row of out_grid, (k, L).
 
     Writes the integral as a 1D convolution of the two stretched factors and
     evaluates it by sampling the wider factor at the narrower factor's cell
     midpoints, weighted by the narrow factor's trapezoid cell masses.  The
     degenerate near-axis case (one stretch collapsing to a point mass) needs
-    no special handling under this scheme.
+    no special handling under this scheme.  Which factor is wider depends on
+    the angle, so the angles of each case take one pass together.
     """
     wx = (len(fx) - 1) * h
     wy = (len(fy) - 1) * h
-    if abs(c) * wx >= abs(s) * wy:
-        wide, aw, nar, an = fx, c, fy, s
-    else:
-        wide, aw, nar, an = fy, s, fx, c
-    masses = 0.5 * h * (nar[:-1] + nar[1:])
-    centers = an * h * (np.arange(len(nar) - 1) + 0.5)
-    P = (out_grid[:, None] - centers[None, :]) / aw
-    V = np.interp(P, np.arange(len(wide)) * h, wide, left=0.0, right=0.0)
-    return (V * masses[None, :]).sum(axis=1) / abs(aw)
+    out = np.empty(out_grid.shape)
+    x_wide = np.abs(c) * wx >= np.abs(s) * wy
+    for sel, wide, aw, nar, an in ((x_wide, fx, c, fy, s), (~x_wide, fy, s, fx, c)):
+        if not sel.any():
+            continue
+        if sel.all():       # one case holds every angle: index by a view
+            sel = slice(None)
+        aw, an = aw[sel, None, None], an[sel, None, None]
+        masses = 0.5 * h * (nar[:-1] + nar[1:])
+        centers = an * h * (np.arange(len(nar) - 1) + 0.5)
+        P = (out_grid[sel, :, None] - centers) / aw
+        V = np.interp(P, np.arange(len(wide)) * h, wide, left=0.0, right=0.0)
+        out[sel] = (V * masses).sum(axis=2) / np.abs(aw[:, :, 0])
+    return out
 
 
 class RadonModel(AtlasModel):
@@ -201,38 +233,84 @@ class RadonModel(AtlasModel):
         self.block_dim = len(self.s_grid)
         self.quad_weight = self.s_step
 
-    def _group_base(self, scale: int, orientation: int, theta: float, fine_step: float):
-        c, s = np.cos(theta), np.sin(theta)
+    def _group_base(self, scale: int, orientation: int, theta, fine_step: float):
+        """Offset grid and line-integral profile of one (scale, orientation)
+        group at angle theta, as 1-D arrays.  For a vector of angles, row k
+        holds angle k's grid and profile, padded to the longest: the grid
+        continues the progression np.arange fills, start + i * ((start +
+        step) - start), and the profile, 0 past its support, reads 0 on the
+        padding.  (np.arange sets node 1 to start + step, the same number
+        here: start <= -step, so (start + step) - start is exact.)"""
+        th = np.atleast_1d(theta)
+        c, s = np.cos(th), np.sin(th)
         kx, ky = self.atlas.profile_kinds(orientation)
         fx = self.atlas.profile(scale, kx)
         fy = self.atlas.profile(scale, ky)
         h = self.atlas.grid.h
         w = self.atlas.filter.support_length / dilation(scale)
-        lo = min(0.0, w * c) + min(0.0, w * s)
-        hi = max(0.0, w * c) + max(0.0, w * s)
-        grid = np.arange(lo - fine_step, hi + 2.0 * fine_step, fine_step)
-        return grid, _convolved_base_row(fx, fy, c, s, h, grid)
+        wc, ws = w * c, w * s
+        lo = np.minimum(0.0, wc) + np.minimum(0.0, ws)
+        hi = np.maximum(0.0, wc) + np.maximum(0.0, ws)
+        start, stop = lo - fine_step, hi + 2.0 * fine_step
+        size = np.ceil((stop - start) / fine_step).astype(int)
+        index = np.arange(size.max())
+        grid = start[:, None] + index * ((start + fine_step) - start)[:, None]
+        base = _convolved_base_row(fx, fy, c, s, h, grid)
+        if np.ndim(theta) == 0:
+            return grid[0, :size[0]], base[0, :size[0]]
+        return grid, base
 
-    def _runs(self, positions, theta: float):
-        """(atom, offset, value) arrays of each (scale, orientation) group.
+    def _runs(self, positions, thetas):
+        """(angle, atom, offset, value) arrays of each (scale, orientation)
+        group at a batch of angles; callers pass at most _CHUNK at a time.
 
-        Atoms of one group share a single base profile; each atom's row is
-        that profile resampled at its own offset shift, which is nonzero on
-        one run of the offset grid only.  The run is found by searchsorted
-        with one offset of margin on each side and resampled alone.
+        Atoms of one group share one base profile per angle; each atom's row
+        is that profile resampled at its own offset shift.  The profile is
+        nonzero only on the open interval between the grid nodes glo and ghi
+        around its nonzero values, so a row is nonzero on one run of offsets
+        only: those whose sample point P = offset - shift, the point interp
+        reads, passes glo < P < ghi.  Rounding can move the ends of the run
+        by one offset from where the arithmetic puts them, so the exact test
+        is made on the candidates next to each end.  The runs' points then
+        take one interp call per angle, on that angle's own profile grid.  An
+        exact zero of the profile inside its span can still fall on a run's
+        end, and is cut too: every run starts and ends on a nonzero value,
+        and drops only exact zeros of the row.
         """
-        c, s = np.cos(theta), np.sin(theta)
+        thetas = np.atleast_1d(np.asarray(thetas, float))
+        c, s = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
         fine = self.s_step / 2.0
         sg = self.s_grid
+        top, zero = len(sg) - 1, len(sg) // 2       # sg = s_step * (index - zero)
         n1, n2 = self.atlas.n1[positions], self.atlas.n2[positions]
         for scale, orient, sel in self._groups(positions):
-            grid, base = self._group_base(scale, orient, theta, fine)
-            shifts = (n1[sel] * c + n2[sel] * s) / dilation(scale)
-            first = np.maximum(np.searchsorted(sg, shifts + grid[0]) - 1, 0)
-            stop = np.minimum(np.searchsorted(sg, shifts + grid[-1], "right") + 1, len(sg))
-            atom, col = _run_cells(first, stop - first)
-            P = sg[col] - shifts[atom]
-            yield sel[atom], col, np.interp(P, grid, base, left=0.0, right=0.0)
+            grid, base = self._group_base(scale, orient, thetas, fine)
+            nz = base != 0.0
+            live = np.flatnonzero(nz.any(axis=1))      # angles whose profile is not all 0
+            nz = nz[live]
+            glo = grid[live, nz.argmax(axis=1) - 1][:, None]
+            ghi = grid[live, nz.shape[1] - nz[:, ::-1].argmax(axis=1)][:, None]
+            shifts = (n1[sel] * c[live] + n2[sel] * s[live]) / dilation(scale)
+            # the first offset with P > glo, and one past the last with P < ghi
+            i = np.floor((shifts + glo) / self.s_step).astype(int) + zero
+            j = np.ceil((shifts + ghi) / self.s_step).astype(int) + zero - 1
+            for _ in range(2):
+                i += sg.take(i, mode="clip") - shifts <= glo
+                j += sg.take(j, mode="clip") - shifts < ghi
+            first = np.maximum(i, 0).ravel()
+            cnt = np.maximum(np.minimum(j, top + 1).ravel() - first, 0)
+            pair, col = _run_cells(first, cnt)
+            P = sg[col] - shifts.ravel()[pair]
+            val = np.empty(len(P))
+            ends = np.cumsum(np.append(0, cnt.reshape(len(live), len(sel)).sum(axis=1)))
+            for a, k in enumerate(live):
+                cut = slice(ends[a], ends[a + 1])
+                val[cut] = np.interp(P[cut], grid[k], base[k], left=0.0, right=0.0)
+            angle, atom = np.repeat(live, np.diff(ends)), np.repeat(np.tile(sel, len(live)), cnt)
+            if not val.all():       # an exact zero of the profile may end a run
+                keep = _nonzero_core(pair, val)
+                angle, atom, col, val = angle[keep], atom[keep], col[keep], val[keep]
+            yield angle, atom, col, val
 
     def atom_norms(self, positions, theta: float) -> np.ndarray:
         """Per-atom measurement norms at one angle, from the group profiles
@@ -309,46 +387,50 @@ class FanBeamModel(AtlasModel):
         self.block_dim = len(self.alpha_grid)
         self.quad_weight = self.alpha_step
 
-    def _runs(self, positions, theta: float):
-        """(atom, ray, value) arrays of ray integrals, one (scale,
-        orientation) group at a time: the rays that hit an atom's box sample
-        it at step h/2, and all (atom, ray) pairs of a group take one interp
-        call per 1D profile."""
+    def _runs(self, positions, thetas):
+        """(angle, atom, ray, value) arrays of ray integrals, one angle and
+        (scale, orientation) group at a time: the rays that hit an atom's box
+        sample it at step h/2, and all (atom, ray) pairs of a group take one
+        interp call per 1D profile."""
         a, grid = self.atlas, self.alpha_grid
-        src = self.rho * np.array([np.cos(theta), np.sin(theta)])
         h = a.grid.h
         step = h / 2.0
-        for scale, orient, sel in self._groups(positions):
-            d, w = dilation(scale), a.filter.support_length
-            n = np.stack([a.n1[positions[sel]], a.n2[positions[sel]]], axis=1)
-            lo = n / d                                # box corners; every side is w/d
-            to_c = 0.5 * (lo + (n + w) / d) - src     # source -> box center
-            # the batched dot product rounds as np.linalg.norm of a 2-vector
-            dist = np.sqrt((to_c[:, None, :] @ to_c[:, :, None])[:, 0, 0])
-            phi_abs = np.arctan2(to_c[:, 1], to_c[:, 0])
-            # the atom sits at negative ray parameter, so the ray angles that
-            # meet it cluster around the direction opposite to source->atom
-            alpha_c = (phi_abs - theta) % (2.0 * np.pi) - np.pi
-            rad = 0.5 * np.hypot(w / d, w / d)
-            half = np.arcsin(np.minimum(1.0, rad / dist)) + self.alpha_step
-            # an atom's hit rays are a run of the grid: take the run with one
-            # index of margin, then apply the exact test
-            first = np.maximum(np.searchsorted(grid, alpha_c - half) - 1, 0)
-            cnt = np.minimum(np.searchsorted(grid, alpha_c + half, "right") + 1, len(grid)) - first
-            atom, ray = _run_cells(first, cnt)
-            hit = np.abs(grid[ray] - alpha_c[atom]) <= half[atom]
-            atom, ray = atom[hit], ray[hit]
-            alphas = grid[ray]
-            t_mid = dist[atom] * np.cos(phi_abs[atom] - theta - alphas)
-            t = t_mid[:, None] + np.arange(-rad - step, rad + 2 * step, step)[None, :]
-            dirs = np.stack([np.cos(theta + alphas), np.sin(theta + alphas)], axis=1)
-            v = np.ones_like(t)
-            for k, kind in enumerate(a.profile_kinds(orient)):   # x, then y
-                f = a.profile(scale, kind)
-                P = dirs[:, k, None] * t + src[k]
-                P -= lo[atom, k, None]
-                v *= np.interp(P, np.arange(len(f)) * h, f, left=0.0, right=0.0)
-            yield sel[atom], ray, v.sum(axis=1) * step
+        for k, theta in enumerate(thetas):
+            src = self.rho * np.array([np.cos(theta), np.sin(theta)])
+            for scale, orient, sel in self._groups(positions):
+                d, w = dilation(scale), a.filter.support_length
+                n = np.stack([a.n1[positions[sel]], a.n2[positions[sel]]], axis=1)
+                lo = n / d                                # box corners; every side is w/d
+                to_c = 0.5 * (lo + (n + w) / d) - src     # source -> box center
+                # the batched dot product rounds as np.linalg.norm of a 2-vector
+                dist = np.sqrt((to_c[:, None, :] @ to_c[:, :, None])[:, 0, 0])
+                phi_abs = np.arctan2(to_c[:, 1], to_c[:, 0])
+                # the atom sits at negative ray parameter, so the ray angles
+                # that meet it cluster around the direction opposite to
+                # source->atom
+                alpha_c = (phi_abs - theta) % (2.0 * np.pi) - np.pi
+                rad = 0.5 * np.hypot(w / d, w / d)
+                half = np.arcsin(np.minimum(1.0, rad / dist)) + self.alpha_step
+                # an atom's hit rays are a run of the grid: take the run with
+                # one index of margin, then apply the exact test
+                first = np.maximum(np.searchsorted(grid, alpha_c - half) - 1, 0)
+                stop = np.minimum(np.searchsorted(grid, alpha_c + half, "right") + 1, len(grid))
+                atom, ray = _run_cells(first, stop - first)
+                hit = np.abs(grid[ray] - alpha_c[atom]) <= half[atom]
+                atom, ray = atom[hit], ray[hit]
+                alphas = grid[ray]
+                t_mid = dist[atom] * np.cos(phi_abs[atom] - theta - alphas)
+                t = t_mid[:, None] + np.arange(-rad - step, rad + 2 * step, step)[None, :]
+                dirs = np.stack([np.cos(theta + alphas), np.sin(theta + alphas)], axis=1)
+                v = np.ones_like(t)
+                for i, kind in enumerate(a.profile_kinds(orient)):   # x, then y
+                    f = a.profile(scale, kind)
+                    P = dirs[:, i, None] * t + src[i]
+                    P -= lo[atom, i, None]
+                    v *= np.interp(P, np.arange(len(f)) * h, f, left=0.0, right=0.0)
+                # int32 indices: assembly holds a chunk of angles' runs at once
+                yield (np.full(len(atom), k, dtype=np.int32), sel[atom].astype(np.int32),
+                       ray.astype(np.int32), v.sum(axis=1) * step)
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +635,7 @@ def draw_samples(model, m: int, seed: int) -> np.ndarray:
     return model.sample(m, np.random.default_rng(seed))
 
 
-_CHUNK = 16      # samples per dense block of SampledSystem.gram
+_CHUNK = 16      # samples per batch of _runs and per dense block of SampledSystem.gram
 
 
 class SampledSystem:
@@ -562,7 +644,8 @@ class SampledSystem:
     operator A with 1/sqrt(m) and quadrature weights folded in.
 
     A is held as support runs: per (sample, atom), the first row of the
-    atom's run in the sample's block, the run's length and its values.
+    atom's run in the sample's block and the run's length, and per chunk of
+    _CHUNK samples the runs' values, sample by sample and atom by atom.
     `gram` and `matvec` read the runs; `matrix` builds the dense
     (m * block_dim, len(positions)) A only on request.  A dense `matrix`
     passed in is held as runs that each cover a whole block.
@@ -581,7 +664,8 @@ class SampledSystem:
         if matrix is not None:
             blocks = np.swapaxes(np.reshape(matrix, (self.m, self.block_dim, -1)), 1, 2)
             cells = np.full(blocks.shape[:2], self.block_dim, dtype=np.int32)
-            runs = (np.zeros_like(cells), cells, list(blocks.reshape(self.m, -1)))
+            runs = (np.zeros_like(cells), cells,
+                    [blocks[k0:k0 + _CHUNK].ravel() for k0 in range(0, self.m, _CHUNK)])
         self._start, self._len, self._vals = runs
 
     @property
@@ -601,7 +685,7 @@ class SampledSystem:
             k1 = min(k0 + _CHUNK, self.m)
             first = self._start[k0:k1] + bd * np.arange(k1 - k0)[:, None]
             owner, row = _run_cells(first.ravel(), self._len[k0:k1].ravel())
-            yield slice(k0 * bd, k1 * bd), row, owner % n, np.concatenate(self._vals[k0:k1])
+            yield slice(k0 * bd, k1 * bd), row, owner % n, self._vals[k0 // _CHUNK]
 
     @property
     def matrix(self) -> np.ndarray:
@@ -663,11 +747,13 @@ def assemble_system(model, positions, samples, x_full=None, beta: float = 0.0,
     x_full holds coefficients over the model's whole dictionary (any part
     outside `positions` contributes to the data but not to A).  Noise draws
     one Gaussian block per sample, rescaled so each block has
-    measurement-space norm exactly beta.  Each sample's rows over the window
-    are kept as the support runs `model._runs` yields, atom by atom, already
-    scaled; A is never written dense.  The data is A applied to the
-    in-window coefficients plus `model.measure` over the out-of-window atoms
-    only; tail_residual is the latter's norm.
+    measurement-space norm exactly beta.  The samples are taken _CHUNK at a
+    time: `model._runs` yields the chunk's rows over the window as support
+    runs (for the Radon model, each cut to the span where its profile is
+    nonzero), which are kept already scaled, sample by sample and atom by
+    atom; A is never written dense.  The data is A applied to the in-window
+    coefficients plus one many-angle `model.measure` of the chunk over the
+    out-of-window atoms only; tail_residual is the latter's norm.
     """
     positions = np.asarray(positions, dtype=int)
     samples = np.asarray(samples, dtype=float)
@@ -682,34 +768,37 @@ def assemble_system(model, positions, samples, x_full=None, beta: float = 0.0,
     bd = model.block_dim
     full = np.zeros(0) if x_full is None else np.asarray(x_full, float)
     out = np.setdiff1d(np.flatnonzero(full), positions)
-    rng = np.random.default_rng(noise_seed)
     x_w = full[positions] if x_full is not None else np.zeros(n)
     start = np.zeros((m, n), dtype=np.int32)
     length = np.zeros((m, n), dtype=np.int32)
     vals = []
     y, y_w = np.zeros(m * bd), np.zeros(m * bd)
-    noise = np.empty(m * bd) if beta > 0 else None
-    for k, t in enumerate(samples):
-        blk = slice(k * bd, (k + 1) * bd)
-        atom, col, val = map(np.concatenate, zip(*model._runs(positions, t)))
+    for k0 in range(0, m, _CHUNK):
+        ts = samples[k0:k0 + _CHUNK]
+        rows = slice(k0 * bd, (k0 + len(ts)) * bd)
+        k, atom, col, val = map(np.concatenate, zip(*model._runs(positions, ts)))
         val *= scale
-        order = np.argsort(atom, kind="stable")     # atom by atom, each run in row order
-        length[k] = np.bincount(atom, minlength=n)
-        head = np.cumsum(length[k]) - length[k]
-        has = length[k] > 0
-        start[k, has] = col[order[head[has]]]
-        vals.append(val[order])
-        y_w[blk] = np.bincount(col, weights=val * x_w[atom], minlength=bd)
+        run = k * n + atom                   # (sample, atom); a run's cells are adjacent
+        cnt = np.bincount(run, minlength=len(ts) * n)
+        head = np.flatnonzero(np.diff(run, prepend=-1))
+        first = np.zeros(len(cnt), dtype=np.int32)
+        first[run[head]] = col[head]
+        chunk = np.empty_like(val)          # sample by sample, atom by atom
+        chunk[(np.cumsum(cnt) - cnt)[run] + col - first[run]] = val
+        vals.append(chunk)
+        start[k0:k0 + len(ts)] = first.reshape(-1, n)
+        length[k0:k0 + len(ts)] = cnt.reshape(-1, n)
+        y_w[rows] = np.bincount(k * bd + col, weights=val * x_w[atom], minlength=len(ts) * bd)
         if len(out):
-            y[blk] = model.measure(out, full[out], t) * scale
-        if noise is not None:
-            g = rng.standard_normal(bd)
-            g *= beta / (np.linalg.norm(g) * np.sqrt(model.quad_weight))
-            noise[blk] = g * scale
+            y[rows] = (model.measure(out, full[out], ts) * scale).ravel()
     tail_res = float(np.linalg.norm(y))
     y += y_w
-    if noise is not None:
-        y += noise
+    if beta > 0:
+        rng = np.random.default_rng(noise_seed)
+        for blk in range(0, m * bd, bd):
+            g = rng.standard_normal(bd)
+            g *= beta / (np.linalg.norm(g) * np.sqrt(model.quad_weight))
+            y[blk:blk + bd] += g * scale
     q = 1.0 / np.sqrt(model.density(samples))
     return SampledSystem(model=model, positions=positions, samples=samples,
                          q_weights=np.asarray(q, float), y=y, noise_bound=float(beta),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from sparsetomo import io as stio
 from sparsetomo.cli import main
 
 
@@ -66,6 +67,11 @@ def test_sweep_and_fit(tmp_path, runner):
     assert res2.exit_code == 0, res2.output
     assert (out / "fit.txt").exists()
     assert "exponent" in res2.output
+    # four axis values: every window the fit may choose holds all 8 cells
+    fit = dict(line.split(" ", 1) for line in (out / "fit.txt").read_text().splitlines())
+    records = stio.read_records_csv(str(out / "records.csv"))
+    assert fit["cells_in_window"] == "8"
+    assert fit["cells_optimal"] == str(sum(r.status == "optimal" for r in records))
 
 
 def test_config_file_merging(tmp_path, runner):

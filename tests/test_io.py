@@ -122,9 +122,29 @@ def test_records_csv_reads_old_header(tmp_path):
 
 def test_fit_report(tmp_path):
     path = str(tmp_path / "fit.txt")
-    stio.write_fit_report(path, 0.5, -1.0, 0.95, window=(0.25, 0.125),
+    stio.write_fit_report(path, 0.5, -1.0, 0.95, [], window=(0.25, 0.125),
                           flagged=False, x_axis="beta")
     text = open(path).read()
     assert "exponent 0.5" in text
     assert "window 0.25 0.125" in text
     assert "flagged False" in text
+
+
+def test_fit_report_counts_cells(tmp_path):
+    # the fit's cells are the records inside its window (all of them without
+    # one); cells_optimal counts those whose solve ended optimal
+    def rec(beta, m, status):
+        return SweepRecord(beta=beta, m=m, j0=2, s=5, err_l2=0.1, err_img=0.1, residual=0.0,
+                           wall_time=0.0, seed=0, status=status)
+
+    recs = [rec(0.25, 16, "optimal"), rec(0.25, 32, "max_iters"), rec(0.125, 16, "optimal"),
+            rec(0.125, 32, "optimal"), rec(0.0625, 16, "infeasible"), rec(0.5, 32, "optimal")]
+    path = tmp_path / "fit.txt"
+    for window, x_axis, cells, optimal in (((0.0625, 0.125, 0.25), "beta", 5, 3),
+                                           (None, "beta", 6, 4), ((16,), "m", 3, 2)):
+        stio.write_fit_report(str(path), 0.5, -1.0, 0.95, recs, window=window,
+                              flagged=True, x_axis=x_axis)
+        lines = path.read_text().splitlines()
+        assert f"cells_in_window {cells}" in lines
+        assert f"cells_optimal {optimal}" in lines
+        assert lines[-1] == "flagged True"

@@ -3,7 +3,7 @@ import pytest
 
 import sparsetomo as st
 from sparsetomo.experiments import build_model
-from sparsetomo.models import GeometryError, radon_image
+from sparsetomo.models import _CHUNK, GeometryError, radon_image
 from sparsetomo.wavelets import GridSpec, dilation
 
 
@@ -176,6 +176,53 @@ def test_radon_rows_match_dense_oracle():
         for th in angles:
             brute = brute_radon_rows(model, positions, th)
             assert model.rows(positions, th).tobytes() == brute.tobytes()
+
+
+def _kernel_angles():
+    """Axis and diagonal angles, repeats and random angles: 2 * _CHUNK + 5
+    of them."""
+    angles = [0.0, np.pi / 2, np.pi, 3 * np.pi / 2, np.pi / 4, 3 * np.pi / 4, 5 * np.pi / 4,
+              7 * np.pi / 4, 0.0, np.pi / 2, np.pi]
+    rest = np.random.default_rng(12).uniform(0.0, 2 * np.pi, 2 * _CHUNK + 5 - len(angles) - 3)
+    return np.r_[angles, rest, rest[:3]]
+
+
+def test_radon_group_profiles_batch_matches_single():
+    # a many-angle _group_base call pads its rows; each row is the one-angle
+    # call bit for bit, whose grid is the one np.arange fills, and the
+    # padding of the profile reads 0
+    model = build_model("radon", order=1, j_max=3)
+    fine = model.s_step / 2.0
+    angles = _kernel_angles()
+    for scale, orient, _ in model._groups(np.arange(len(model.atlas))):
+        grid, base = model._group_base(scale, orient, angles, fine)
+        for k, th in enumerate(angles):
+            g, b = model._group_base(scale, orient, th, fine)
+            assert g.tobytes() == np.arange(g[0], g[-1] + fine / 2, fine).tobytes()
+            assert grid[k, :len(g)].tobytes() == g.tobytes()
+            assert base[k, :len(b)].tobytes() == b.tobytes()
+            assert not base[k, len(b):].any()
+
+
+@pytest.mark.parametrize("s_step", [1.0 / 32, None])
+def test_radon_runs_cut_to_nonzero_span(s_step):
+    # assembled over the whole atlas at angles that cross chunk boundaries,
+    # every stored run starts and ends on a nonzero value, and the rows are
+    # still the dense oracle's.  With offsets at the atlas grid step,
+    # rounding moves a run's end at 3pi/4 by one offset.
+    model = st.RadonModel(st.build_atlas(st.build_filter(1), 3), s_step=s_step)
+    positions = np.arange(len(model.atlas))
+    angles = _kernel_angles()
+    system = st.assemble_system(model, positions, angles)
+    for c, k0 in enumerate(range(0, system.m, _CHUNK)):
+        cnt = system._len[k0:k0 + _CHUNK].ravel()
+        ends = np.cumsum(cnt)[cnt > 0]
+        vals = system._vals[c]
+        assert len(vals) == cnt.sum()
+        assert np.all(vals[ends - cnt[cnt > 0]] != 0) and np.all(vals[ends - 1] != 0)
+    for th in angles:
+        assert model.rows(positions, th).tobytes() == brute_radon_rows(model, positions,
+                                                                       th).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["radon", "fanbeam"])
@@ -506,20 +553,22 @@ def test_assemble_rejects_repeated_positions(haar_atlas_j2, radon_j2):
 
 def test_assemble_group_profiles_once_per_sample(haar_atlas_j3, radon_j3, monkeypatch):
     # each (scale, orientation) profile of the window or the out-of-window
-    # atoms is computed once per angle: 10 groups on the j_max=3, j0=2 cell
+    # atoms is computed once per angle: 10 groups on the j_max=3, j0=2 cell.
+    # One call computes a group's profiles at a batch of angles, so the
+    # counter adds the angles of each call.
     _, x_full, _ = st.make_phantom(haar_atlas_j3, st.PhantomSpec("tail", a=0.5, seed=0), 2)
     window = st.truncation_positions(haar_atlas_j3, 2)
-    calls = []
+    profiles = []
     base = st.RadonModel._group_base
 
-    def counted(self, *args):
-        calls.append(args[:2])
-        return base(self, *args)
+    def counted(self, scale, orientation, theta, fine_step):
+        profiles.append(np.size(theta))
+        return base(self, scale, orientation, theta, fine_step)
 
     monkeypatch.setattr(st.RadonModel, "_group_base", counted)
     m = 5
     st.assemble_system(radon_j3, window, st.draw_samples(radon_j3, m, seed=0), x_full=x_full)
-    assert len(calls) == 10 * m
+    assert sum(profiles) == 10 * m
 
 
 def _dense_data(model, positions, x_full, samples):
@@ -596,6 +645,7 @@ def dense_assembly(model, positions, samples, x_full, beta, noise_seed):
 # short system, m * block_dim <= n
 RUN_CASES = {
     "radon": ("radon", {"j_max": 3}, 2, 6),
+    "radon_chunks": ("radon", {"j_max": 3}, 2, 2 * _CHUNK + 5),
     "fanbeam": ("fanbeam", {"j_max": 2}, 1, 4),
     "fourier": ("fourier", {"j_max": 3, "n_freq": 32}, 12, 40),
     "legendre": ("legendre", {"max_degree": 30}, 20, 50),
