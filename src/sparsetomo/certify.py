@@ -135,7 +135,9 @@ def _norms_from_rows(model) -> bool:
 
 def _population_pass(model, positions, rules, norm_nodes=()):
     """Gram matrices of several quadrature rules, and the row norms at
-    norm_nodes, from one rows call per distinct node.
+    norm_nodes, from the rows of each distinct node, computed once: the
+    row kernel takes _CHUNK nodes per call, and their rows are scattered
+    into one dense block at a time.
 
     Nodes are visited in the order of the first (finest) rule.  A later rule
     whose nodes all appear in the visit, in the rule's own order, joins it;
@@ -167,8 +169,7 @@ def _population_pass(model, positions, rules, norm_nodes=()):
     grams = [np.zeros((n, n)) for _ in rules]
     term = np.empty((n, n))
     norms = []
-    for i, (t, use) in enumerate(zip(order, users)):
-        R = model.rows(positions, t)
+    for i, (t, use, R) in enumerate(zip(order, users, model.rows_at(positions, order))):
         if use:
             RRt = R @ R.T
             for g, w in use:
@@ -431,6 +432,9 @@ def truncation_residual(system: SampledSystem, model, x_full,
     finest built scale, which is flagged in the report.
     """
     x_full = np.asarray(x_full, float)
+    if len(x_full) != model.dictionary_size():
+        raise ValueError(f"x_full has {len(x_full)} coefficients, the dictionary "
+                         f"{model.dictionary_size()}")
     tail = np.setdiff1d(np.arange(len(x_full)), system.positions)
     x_tail = x_full[tail]
     r = float(np.linalg.norm(x_tail))
@@ -465,7 +469,7 @@ def rnsp_witness_search(system: SampledSystem, cert: GramCertificate,
         kappa = 3.0 * cert.inv_norm / np.sqrt(2.0)
     rng = np.random.default_rng(seed)
     wsq = omega.values ** 2
-    qa = system.apply_q(system.matrix)
+    q = np.repeat(system.q_weights, system.block_dim)   # ||Q A x|| by matvec, not by a Gram
     worst = np.inf
     for _ in range(n_trials):
         x = rng.standard_normal(n)
@@ -476,6 +480,6 @@ def rnsp_witness_search(system: SampledSystem, cert: GramCertificate,
         mask[_greedy_support(rng.permutation(n), wsq, s)] = True
         lhs = float(np.linalg.norm(x[mask]))
         tail1 = float(np.sum(np.abs(x[~mask]) * omega.values[~mask]))
-        rhs = rho / np.sqrt(s) * tail1 + kappa * float(np.linalg.norm(qa @ x))
+        rhs = rho / np.sqrt(s) * tail1 + kappa * float(np.linalg.norm(q * system.matvec(x)))
         worst = min(worst, rhs - lhs)
     return float(worst)

@@ -166,7 +166,9 @@ def write_system_dir(path: str, system, meta: dict | None = None):
         w.writerow(["k", "t", "q_weight"])
         for k, (t, q) in enumerate(zip(system.samples, system.q_weights)):
             w.writerow([k, _fmt(t), _fmt(q)])
-    system.matrix.astype("<f8").tofile(os.path.join(path, "A.bin"))
+    with open(os.path.join(path, "A.bin"), "wb") as fh:
+        for _, block in system.dense_chunks():
+            block.astype("<f8", copy=False).tofile(fh)
     system.y.astype("<f8").tofile(os.path.join(path, "y.bin"))
     with open(os.path.join(path, "meta.txt"), "w") as fh:
         fh.write(f"m {system.m}\n")

@@ -12,9 +12,11 @@ every run to the span where the row is nonzero.  A system of random samples
 is assembled a chunk of samples at a time and keeps its stacked operator A
 as those runs, with quadrature weights and 1/sqrt(m) folded in, so plain
 Euclidean norms of stacked vectors equal the (1/m)-averaged
-measurement-space norms.  The solver reads A through its Gram, streamed a
-chunk of samples at a time, and its matvec; a dense A is built only on
-request.
+measurement-space norms.  Every consumer reads A from the runs: the solver
+through its Gram, streamed a chunk of samples at a time, and its matvec, the
+certification path through the q-normal matrix, streamed the same way, and
+A.bin one dense chunk of samples at a time; the whole dense A is built only
+for a short system's solve and for tests.
 """
 
 from __future__ import annotations
@@ -95,16 +97,34 @@ class MeasurementModel:
             atom, col = np.indices(R.shape)
             yield np.full(R.size, k), atom.ravel(), col.ravel(), R.ravel()
 
+    def rows_at(self, positions, ts):
+        """rows(positions, t) for each t of ts in turn, one dense block at a
+        time, scattered from one _runs call per _CHUNK parameters."""
+        positions = np.asarray(positions, dtype=int)
+        ts = np.asarray(ts, float)
+        for k0 in range(0, len(ts), _CHUNK):
+            chunk = ts[k0:k0 + _CHUNK]
+            runs = [(np.searchsorted(k, np.arange(len(chunk) + 1)).tolist(), atom, col, val)
+                    for k, atom, col, val in self._runs(positions, chunk)]
+            for a in range(len(chunk)):
+                R = np.zeros((len(positions), self.block_dim))
+                for ends, atom, col, val in runs:
+                    if ends[a] < ends[a + 1]:
+                        cut = slice(ends[a], ends[a + 1])
+                        R[atom[cut], col[cut]] = val[cut]
+                yield R
+
 
 class AtlasModel(MeasurementModel):
     """A measurement model over the atoms of a 2D wavelet atlas.
 
     Subclasses supply `_runs(positions, ts)`, which yields, per (scale,
     orientation) group, the nonzero entries of the group's rows at a batch of
-    angles as (angle, row, column, value) arrays; an atom's nonzeros at one
-    angle form one run of the block, in column order.  `rows` scatters one
-    angle's runs into a dense block, `measure` sums them _CHUNK angles at a
-    time and `assemble_system` keeps them.
+    angles as (angle, row, column, value) arrays in angle order; an atom's
+    nonzeros at one angle form one run of the block, in column order.
+    `rows_at` scatters each angle's runs into a dense block, `rows` is its
+    one-angle view, `measure` sums them _CHUNK angles at a time and
+    `assemble_system` keeps them.
     """
 
     atlas: DictionaryAtlas
@@ -121,11 +141,7 @@ class AtlasModel(MeasurementModel):
     def rows(self, positions, t) -> np.ndarray:
         """Measurement rows (len(positions), block_dim) at one angle, dense,
         from the atoms' support runs."""
-        positions = np.asarray(positions, dtype=int)
-        out = np.zeros((len(positions), self.block_dim))
-        for _, atom, col, val in self._runs(positions, [t]):
-            out[atom, col] = val
-        return out
+        return next(self.rows_at(positions, [t]))
 
     def measure(self, positions, x, t) -> np.ndarray:
         """sum_i x_i rows_i from the support runs, one bincount per group and
@@ -635,7 +651,7 @@ def draw_samples(model, m: int, seed: int) -> np.ndarray:
     return model.sample(m, np.random.default_rng(seed))
 
 
-_CHUNK = 16      # samples per batch of _runs and per dense block of SampledSystem.gram
+_CHUNK = 16      # parameters per batch of _runs, samples per dense block of a SampledSystem
 
 
 class SampledSystem:
@@ -646,9 +662,11 @@ class SampledSystem:
     A is held as support runs: per (sample, atom), the first row of the
     atom's run in the sample's block and the run's length, and per chunk of
     _CHUNK samples the runs' values, sample by sample and atom by atom.
-    `gram` and `matvec` read the runs; `matrix` builds the dense
-    (m * block_dim, len(positions)) A only on request.  A dense `matrix`
-    passed in is held as runs that each cover a whole block.
+    Every reader of A reads the runs: `gram`, `matvec` and `q_normal_matrix`
+    stream them, and `dense_chunks` gives the dense rows of one chunk at a
+    time, for A.bin and for `matrix`, the dense (m * block_dim,
+    len(positions)) A that only short solves and tests ask for.  A dense
+    `matrix` passed in is held as runs that each cover a whole block.
     """
 
     def __init__(self, model, positions, samples, q_weights, y, noise_bound,
@@ -687,15 +705,26 @@ class SampledSystem:
             owner, row = _run_cells(first.ravel(), self._len[k0:k1].ravel())
             yield slice(k0 * bd, k1 * bd), row, owner % n, self._vals[k0 // _CHUNK]
 
+    def dense_chunks(self):
+        """(rows, block) of each chunk of _CHUNK samples: its slice of the
+        stacked rows and those rows of A, dense.  The block is a view of one
+        buffer that the next step rewrites; a consumer may scale it in place."""
+        buf = np.zeros((min(_CHUNK, self.m) * self.block_dim, self.shape[1]))
+        for rows, row, atom, val in self._cells():
+            block = buf[:rows.stop - rows.start]
+            block[row, atom] = val
+            yield rows, block
+            block[row, atom] = 0.0
+
     @property
     def matrix(self) -> np.ndarray:
         """The dense A, built from the runs.  Column-major, as stacking the
         transposed row blocks lays A out (row-major for single-row blocks):
         BLAS rounds products with A by layout, so the layout is part of what
         the products with it return."""
-        A = np.zeros(self.shape, order="F" if self.block_dim > 1 else "C")
-        for rows, row, atom, val in self._cells():
-            A[rows.start + row, atom] = val
+        A = np.empty(self.shape, order="F" if self.block_dim > 1 else "C")
+        for rows, block in self.dense_chunks():
+            A[rows] = block
         return A
 
     def gram(self, col: np.ndarray, y: np.ndarray):
@@ -728,13 +757,13 @@ class SampledSystem:
         return out
 
     def q_normal_matrix(self) -> np.ndarray:
-        """Normal matrix of the density-normalized sampling operator."""
-        qa = self.apply_q(self.matrix)
-        return qa.T @ qa
-
-    def apply_q(self, stacked: np.ndarray) -> np.ndarray:
-        out = stacked.reshape(self.m, self.block_dim, -1) * self.q_weights[:, None, None]
-        return out.reshape(stacked.shape)
+        """A^T Q^2 A, Q = q_weights on each sample's block: the normal matrix
+        of the density-normalized operator, summed one dense chunk at a time."""
+        H, q = np.zeros((self.shape[1],) * 2), np.repeat(self.q_weights, self.block_dim)
+        for rows, block in self.dense_chunks():
+            block *= q[rows, None]
+            H += block.T @ block
+        return H
 
     def residual_norm(self, x: np.ndarray) -> float:
         return float(np.linalg.norm(self.matvec(x) - self.y))
@@ -760,6 +789,9 @@ def assemble_system(model, positions, samples, x_full=None, beta: float = 0.0,
     m, n = len(samples), len(positions)
     if m < 1:
         raise ValueError("m must be >= 1")
+    if x_full is not None and len(x_full) != model.dictionary_size():
+        raise ValueError(f"x_full has {len(x_full)} coefficients, the dictionary "
+                         f"{model.dictionary_size()}")
     if beta < 0:
         raise ValueError("noise bound must be >= 0")
     if n < 1 or len(np.unique(positions)) != n:

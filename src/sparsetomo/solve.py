@@ -17,10 +17,10 @@ as an algorithm-independent cross-check of the constrained path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
+from .models import SampledSystem
 from .wavelets import DictionaryAtlas, synthesis
 from .weights import WeightVector
 
@@ -62,8 +62,8 @@ def _compress(A, y: np.ndarray, col: np.ndarray):
     """(K, yt, off, L) in the solver's variables (x = col * z), such that
     ||A (col z) - y||^2 = ||K z - yt||^2 + off for every z, off is the squared
     least-squares residual and L = ||K||_2.  Tall systems use the eigenpairs
-    of A.gram(col, y), which a SampledSystem streams from its runs; short ones
-    keep their dense rows, so the condition number is not squared, and
+    of A.gram(col, y), which the SampledSystem A streams from its runs; short
+    ones keep their dense rows, so the condition number is not squared, and
     project y onto range(K) by least squares, which covers rank loss.  The
     tall offset is evaluated in the original geometry through A.matvec; a
     norm difference would cancel on consistent data.
@@ -116,11 +116,11 @@ def solve_constrained_l1_matrix(A, y: np.ndarray, omega: WeightVector,
     against the problem at its own residual radius (at least eta), so it is
     never negative.
     """
-    if not hasattr(A, "gram"):   # a dense A behind the accessors _compress reads
-        D = np.asarray(A, float)
-        A = SimpleNamespace(matrix=D, shape=D.shape, matvec=D.__matmul__, gram=lambda col, y: (
-            (D.T @ D) * col[:, None] * col[None, :], col * (D.T @ y)))
     y = np.asarray(y, float)
+    if not isinstance(A, SampledSystem):   # a dense A, held as one-row samples
+        A = SampledSystem(model=None, positions=np.arange(np.shape(A)[1]),
+                          samples=np.zeros(len(y)), q_weights=np.ones(len(y)), y=y,
+                          noise_bound=0.0, matrix=np.asarray(A, float))
     n = A.shape[1]
     w = omega.values
     if len(w) != n:

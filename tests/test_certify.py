@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import sparsetomo as st
-from sparsetomo.certify import NumericalConsistencyError, _support_delta
-from sparsetomo.models import population_gram_matrix
+from sparsetomo.certify import NumericalConsistencyError, _greedy_support, _support_delta
+from sparsetomo.experiments import build_model
+from sparsetomo.models import _CHUNK, population_gram_matrix
 
 
 def all_positions(model):
@@ -68,19 +69,21 @@ PASS_MODELS = {
 @pytest.mark.parametrize("kind", list(PASS_MODELS))
 def test_gram_pass_matches_single_rule_oracles(kind, haar_atlas_j2):
     # one pass over the nodes gives every consumer what its own quadrature
-    # gave, bit for bit, and calls rows once per distinct node
+    # gave, bit for bit, and hands each distinct node to the row kernel once,
+    # at most _CHUNK nodes per call
     model = PASS_MODELS[kind](haar_atlas_j2)
     w = np.arange(model.dictionary_size())
     calls = []
-    rows = model.rows
+    runs = model._runs
 
-    def counting_rows(positions, t):
-        calls.append(float(t))
-        return rows(positions, t)
+    def counting_runs(positions, ts):
+        assert len(ts) <= _CHUNK
+        calls.extend(float(t) for t in ts)
+        return runs(positions, ts)
 
-    model.rows = counting_rows
+    model._runs = counting_runs
     cert = st.compute_gram(model, w, check_convergence=True)
-    del model.rows
+    del model._runs
     n = cert.n_quad
 
     assert np.array_equal(cert.normal, population_gram_matrix(model, w, n))
@@ -185,6 +188,27 @@ def test_delta_star_montecarlo_bounds_bruteforce(synthetic_model, synthetic_cert
     mc_full = st.delta_star_montecarlo(system, synthetic_cert, omega, 3.0,
                                        trials=4000, seed=1)
     assert mc_full.delta_star == pytest.approx(brute.delta_star, rel=1e-12)
+
+
+def test_delta_star_montecarlo_peak_memory():
+    # the sampled q-normal matrix is streamed one dense chunk of samples at
+    # a time: the estimate never holds the dense A (the pre-streaming code
+    # held it twice)
+    import tracemalloc
+    model = build_model("fanbeam", j_max=2)
+    w = st.truncation_positions(model.atlas, 1)
+    cert = st.compute_gram(model, w, n_quad=64)
+    m = 16 * _CHUNK
+    system = st.assemble_system(model, w, st.draw_samples(model, m, seed=1))
+    omega = st.WeightVector.ones(len(w))
+    tracemalloc.start()
+    try:
+        est = st.delta_star_montecarlo(system, cert, omega, 4.0, trials=8, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.delta_star > 0.0
+    assert peak <= 0.25 * m * model.block_dim * len(w) * 8
 
 
 def test_delta_star_montecarlo_deterministic(synthetic_model, synthetic_cert):
@@ -364,6 +388,54 @@ def test_truncation_residual_tail_gram_only_with_cert(haar_atlas_j2, radon_j2, m
     assert rep.tail_opnorm == opnorm
     assert (rep.residual, rep.tail_norm) == (bare.residual, bare.tail_norm)
     assert rep.bound == 1.5 * radon_j2.c_nu ** -0.5 * (opnorm * cert.inv_norm + 1.0) * rep.tail_norm
+
+
+def test_truncation_residual_rejects_x_full_of_window_length(haar_atlas_j2, radon_j2):
+    # x_full is indexed by dictionary position, as in assemble_system
+    w = np.flatnonzero(radon_j2.scales() == 1)
+    system = st.assemble_system(radon_j2, w, st.draw_samples(radon_j2, 3, 0))
+    with pytest.raises(ValueError, match="dictionary"):
+        st.truncation_residual(system, radon_j2, np.ones(len(w)))
+
+
+def dense_rnsp_margin(system, cert, omega, s, rho=0.5, kappa=None, n_trials=10000, seed=0):
+    """Reference oracle: rnsp_witness_search as it was when it multiplied by
+    the dense density-normalized operator Q A."""
+    n = len(system.positions)
+    if kappa is None:
+        kappa = 3.0 * cert.inv_norm / np.sqrt(2.0)
+    rng = np.random.default_rng(seed)
+    wsq = omega.values ** 2
+    stacked = system.matrix
+    qa = (stacked.reshape(system.m, system.block_dim, -1)
+          * system.q_weights[:, None, None]).reshape(stacked.shape)
+    worst = np.inf
+    for _ in range(n_trials):
+        x = rng.standard_normal(n)
+        if rng.random() < 0.5:
+            k = rng.integers(1, n + 1)
+            x[rng.choice(n, size=n - k, replace=False)] = 0.0
+        mask = np.zeros(n, dtype=bool)
+        mask[_greedy_support(rng.permutation(n), wsq, s)] = True
+        lhs = float(np.linalg.norm(x[mask]))
+        tail1 = float(np.sum(np.abs(x[~mask]) * omega.values[~mask]))
+        rhs = rho / np.sqrt(s) * tail1 + kappa * float(np.linalg.norm(qa @ x))
+        worst = min(worst, rhs - lhs)
+    return float(worst)
+
+
+def test_rnsp_witness_matches_dense_oracle():
+    # Fourier samples have q != 1 and two-row blocks; the margin from the run
+    # matvec is the dense product's
+    model = build_model("fourier", j_max=3, n_freq=32)
+    positions = np.arange(12)
+    cert = st.compute_gram(model, positions)
+    system = st.assemble_system(model, positions, st.draw_samples(model, 2 * _CHUNK + 5, 3))
+    assert np.ptp(system.q_weights) > 0
+    omega = st.WeightVector(model.natural_weights()[positions])
+    margin = st.rnsp_witness_search(system, cert, omega, s=3.0, n_trials=300, seed=2)
+    expect = dense_rnsp_margin(system, cert, omega, s=3.0, n_trials=300, seed=2)
+    assert abs(margin - expect) <= 1e-12 * abs(expect)
 
 
 def test_rnsp_witness_no_violation(synthetic_model, synthetic_cert):

@@ -4,6 +4,7 @@ import pytest
 import sparsetomo as st
 from sparsetomo import io as stio
 from sparsetomo.experiments import SweepRecord
+from sparsetomo.models import _CHUNK
 
 
 def test_image_binary_round_trip(tmp_path, haar_atlas_j2):
@@ -70,17 +71,38 @@ def test_sinogram_binary(tmp_path):
 
 
 def test_system_dir_round_trip(tmp_path, haar_atlas_j2, radon_j2):
+    # A.bin is written a chunk of samples at a time: m spans two whole
+    # chunks and a partial one
     w = st.truncation_positions(haar_atlas_j2, 1)
-    samples = st.draw_samples(radon_j2, 3, 0)
+    m = 2 * _CHUNK + 3
+    samples = st.draw_samples(radon_j2, m, 0)
     system = st.assemble_system(radon_j2, w, samples, beta=0.1, noise_seed=1)
     stio.write_system_dir(str(tmp_path / "sys"), system, meta={"seed": 0})
     A, y, meta = stio.read_system_matrices(str(tmp_path / "sys"))
+    assert (tmp_path / "sys" / "A.bin").read_bytes() == \
+        np.ascontiguousarray(system.matrix).astype("<f8").tobytes()
     assert np.array_equal(A, system.matrix)
     assert np.array_equal(y, system.y)
     assert meta["noise_bound"] == "0.1"
     lines = open(tmp_path / "sys" / "samples.csv").read().splitlines()
     assert lines[0] == "k,t,q_weight"
-    assert len(lines) == 4
+    assert len(lines) == m + 1
+
+
+def test_system_dir_peak_memory(tmp_path, haar_atlas_j2, radon_j2):
+    # A.bin is written from one dense chunk of samples at a time, never from
+    # the whole dense A
+    import tracemalloc
+    w = st.truncation_positions(haar_atlas_j2, 1)
+    m = 16 * _CHUNK
+    system = st.assemble_system(radon_j2, w, st.draw_samples(radon_j2, m, 0))
+    tracemalloc.start()
+    try:
+        stio.write_system_dir(str(tmp_path / "sys"), system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * m * system.block_dim * len(w) * 8
 
 
 def test_records_csv_round_trip(tmp_path):

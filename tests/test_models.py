@@ -542,6 +542,16 @@ def test_assemble_guards(haar_atlas_j2, radon_j2):
                            beta=-0.1)
 
 
+def test_assemble_rejects_x_full_of_window_length(haar_atlas_j2, radon_j2):
+    # x_full is indexed by dictionary position: a window-length vector over a
+    # window that is not a prefix would be read from the wrong positions
+    window = np.flatnonzero(radon_j2.scales() == 1)
+    assert window[0] > 0
+    with pytest.raises(ValueError, match="dictionary"):
+        st.assemble_system(radon_j2, window, st.draw_samples(radon_j2, 2, seed=0),
+                           x_full=np.ones(len(window)))
+
+
 def test_assemble_rejects_repeated_positions(haar_atlas_j2, radon_j2):
     # a repeated window atom would count twice in the data A @ x_full[window]
     window = st.truncation_positions(haar_atlas_j2, 1)
@@ -693,6 +703,10 @@ def test_system_gram_matches_dense_products(name):
     b_dense = col * (A.T @ system.y)
     assert np.linalg.norm(H - H_dense) <= 1e-14 * np.linalg.norm(H_dense)
     assert np.linalg.norm(b - b_dense) <= 1e-14 * np.linalg.norm(b_dense)
+    # the q-normal matrix, streamed a chunk at a time (q is not 1 on Fourier)
+    qA = np.repeat(system.q_weights, system.block_dim)[:, None] * A
+    Q, Q_dense = system.q_normal_matrix(), qA.T @ qA
+    assert np.linalg.norm(Q - Q_dense) <= 1e-14 * np.linalg.norm(Q_dense)
 
 
 @pytest.mark.parametrize("name", list(RUN_CASES))
