@@ -7,16 +7,18 @@ pointwise evaluation of orthonormal Legendre polynomials.  Each model knows
 its dictionary, its sampling density, and how to produce the measurement
 block of a batch of dictionary elements at one parameter value, also as the
 support runs of its rows at a batch of parameter values.  The Radon model
-computes each group's profile for a chunk of angles in one pass and cuts
-every run to the span where the row is nonzero.  A system of random samples
-is assembled a chunk of samples at a time and keeps its stacked operator A
-as those runs, with quadrature weights and 1/sqrt(m) folded in, so plain
-Euclidean norms of stacked vectors equal the (1/m)-averaged
-measurement-space norms.  Every consumer reads A from the runs: the solver
-through its Gram, streamed a chunk of samples at a time, and its matvec, the
-certification path through the q-normal matrix, streamed the same way, and
-A.bin one dense chunk of samples at a time; the whole dense A is built only
-for a short system's solve and for tests.
+computes each group's profile for a chunk of angles in one pass; the
+fan-beam model takes a group's rays over a chunk of angles at once, as exact
+chord-length line integrals for Haar atoms and by sampling each ray for
+higher orders.  Both cut every run to the span where the row is nonzero.
+A system of random samples is assembled a chunk of samples at a time and
+keeps its stacked operator A as those runs, with quadrature weights and
+1/sqrt(m) folded in, so plain Euclidean norms of stacked vectors equal the
+(1/m)-averaged measurement-space norms.  Every consumer reads A from the
+runs: the solver through its Gram, streamed a chunk of samples at a time,
+and its matvec, the certification path through the q-normal matrix,
+streamed the same way, and A.bin one dense chunk of samples at a time; the
+whole dense A is built only for a short system's solve and for tests.
 """
 
 from __future__ import annotations
@@ -374,6 +376,9 @@ def radon_image(image: np.ndarray, grid, theta: float, s_grid: np.ndarray,
 # fan beam
 
 
+_SAMPLED_PAIRS = 1024     # (atom, ray) pairs per block of sampled fan-beam rays
+
+
 class FanBeamModel(AtlasModel):
     """Line integrals along rays from a source at distance rho, one source
     angle per sample, measured over the ray-angle grid on (-pi/2, pi/2).
@@ -381,7 +386,9 @@ class FanBeamModel(AtlasModel):
     The support of every dictionary atom must fit inside the ball of radius
     d < rho.  Defaults put the source at rho = 3 and take d just large enough
     to contain the dictionary.  Rows are computed for one (scale,
-    orientation) group of atoms at a time, as arrays over the group.
+    orientation) group of atoms and a chunk of angles at a time: exact
+    chord-length line integrals for Haar atoms, sampled rays for higher
+    orders, whose atoms (radius 3.54 and up) need rho above the default.
     """
 
     kind = "fanbeam"
@@ -404,49 +411,111 @@ class FanBeamModel(AtlasModel):
         self.quad_weight = self.alpha_step
 
     def _runs(self, positions, thetas):
-        """(angle, atom, ray, value) arrays of ray integrals, one angle and
-        (scale, orientation) group at a time: the rays that hit an atom's box
-        sample it at step h/2, and all (atom, ray) pairs of a group take one
-        interp call per 1D profile."""
+        """(angle, atom, ray, value) arrays of ray integrals, one (scale,
+        orientation) group at a time over the whole batch of angles.
+
+        The rays that may meet an atom's box are a run of the ray grid, those
+        within its circumscribed circle's angular half-width (plus one ray
+        step) of the ray through its center.  All (angle, atom, ray)
+        candidates of a group take their values in one step: exact line
+        integrals for Haar atoms (filter order 1, _haar_chords), sampled rays
+        for higher orders (_sampled_rays).  Each run is then cut to its
+        nonzero span, which drops the candidates whose ray misses the box."""
         a, grid = self.atlas, self.alpha_grid
+        values = self._haar_chords if a.filter.regularity_order == 1 else self._sampled_rays
+        thetas = np.atleast_1d(np.asarray(thetas, float))
+        # one angle at a time: the source rounds as in a one-angle call
+        src = np.array([self.rho * np.array([np.cos(t), np.sin(t)]) for t in thetas])
+        for scale, orient, sel in self._groups(positions):
+            d, w = dilation(scale), a.filter.support_length
+            n = np.stack([a.n1[positions[sel]], a.n2[positions[sel]]], axis=1)
+            lo = n / d                                        # box corners; every side is w/d
+            to_c = (0.5 * (lo + (n + w) / d) - src[:, None]).reshape(-1, 2)   # source -> center
+            th = np.repeat(thetas, len(sel))                  # per (angle, atom)
+            # the batched dot product rounds as np.linalg.norm of a 2-vector
+            dist = np.sqrt((to_c[:, None, :] @ to_c[:, :, None])[:, 0, 0])
+            phi_abs = np.arctan2(to_c[:, 1], to_c[:, 0])
+            # the atom sits at negative ray parameter, so the ray angles that
+            # meet it cluster around the direction opposite to source->atom
+            alpha_c = (phi_abs - th) % (2.0 * np.pi) - np.pi
+            rad = 0.5 * np.hypot(w / d, w / d)
+            half = np.arcsin(np.minimum(1.0, rad / dist)) + self.alpha_step
+            # an atom's hit rays are a run of the grid: take the run with one
+            # index of margin, then apply the exact test
+            first = np.maximum(np.searchsorted(grid, alpha_c - half) - 1, 0)
+            stop = np.minimum(np.searchsorted(grid, alpha_c + half, "right") + 1, len(grid))
+            pair, ray = _run_cells(first, stop - first)
+            hit = np.abs(grid[ray] - alpha_c[pair]) <= half[pair]
+            pair, ray = pair[hit], ray[hit]
+            angle, atom = np.divmod(pair, len(sel))
+            alphas, theta = grid[ray], thetas[angle]
+            dirs = np.stack([np.cos(theta + alphas), np.sin(theta + alphas)])
+            t_mid = dist[pair] * np.cos(phi_abs[pair] - theta - alphas)
+            val = values(scale, orient, src.T[:, angle], dirs, lo.T[:, atom], t_mid, rad)
+            if not val.all():       # rays that miss the box end the runs
+                keep = _nonzero_core(pair, val)
+                angle, atom, ray, val = angle[keep], atom[keep], ray[keep], val[keep]
+            # int32 indices: assembly holds a chunk of angles' runs at once
+            yield (angle.astype(np.int32), sel[atom].astype(np.int32),
+                   ray.astype(np.int32), val)
+
+    def _sampled_rays(self, scale, orient, src, dirs, corner, t_mid, rad):
+        """Ray integrals by sampling: each ray src + t dirs at step h/2 over
+        t_mid +- rad, t_mid its point nearest the box center, the profiles
+        interpolated at the points relative to the box corner.  src, dirs
+        and corner are (2, pairs): x, then y.  The pairs take _SAMPLED_PAIRS
+        at a time, which bounds the sample arrays."""
+        a = self.atlas
         h = a.grid.h
         step = h / 2.0
-        for k, theta in enumerate(thetas):
-            src = self.rho * np.array([np.cos(theta), np.sin(theta)])
-            for scale, orient, sel in self._groups(positions):
-                d, w = dilation(scale), a.filter.support_length
-                n = np.stack([a.n1[positions[sel]], a.n2[positions[sel]]], axis=1)
-                lo = n / d                                # box corners; every side is w/d
-                to_c = 0.5 * (lo + (n + w) / d) - src     # source -> box center
-                # the batched dot product rounds as np.linalg.norm of a 2-vector
-                dist = np.sqrt((to_c[:, None, :] @ to_c[:, :, None])[:, 0, 0])
-                phi_abs = np.arctan2(to_c[:, 1], to_c[:, 0])
-                # the atom sits at negative ray parameter, so the ray angles
-                # that meet it cluster around the direction opposite to
-                # source->atom
-                alpha_c = (phi_abs - theta) % (2.0 * np.pi) - np.pi
-                rad = 0.5 * np.hypot(w / d, w / d)
-                half = np.arcsin(np.minimum(1.0, rad / dist)) + self.alpha_step
-                # an atom's hit rays are a run of the grid: take the run with
-                # one index of margin, then apply the exact test
-                first = np.maximum(np.searchsorted(grid, alpha_c - half) - 1, 0)
-                stop = np.minimum(np.searchsorted(grid, alpha_c + half, "right") + 1, len(grid))
-                atom, ray = _run_cells(first, stop - first)
-                hit = np.abs(grid[ray] - alpha_c[atom]) <= half[atom]
-                atom, ray = atom[hit], ray[hit]
-                alphas = grid[ray]
-                t_mid = dist[atom] * np.cos(phi_abs[atom] - theta - alphas)
-                t = t_mid[:, None] + np.arange(-rad - step, rad + 2 * step, step)[None, :]
-                dirs = np.stack([np.cos(theta + alphas), np.sin(theta + alphas)], axis=1)
-                v = np.ones_like(t)
-                for i, kind in enumerate(a.profile_kinds(orient)):   # x, then y
-                    f = a.profile(scale, kind)
-                    P = dirs[:, i, None] * t + src[i]
-                    P -= lo[atom, i, None]
-                    v *= np.interp(P, np.arange(len(f)) * h, f, left=0.0, right=0.0)
-                # int32 indices: assembly holds a chunk of angles' runs at once
-                yield (np.full(len(atom), k, dtype=np.int32), sel[atom].astype(np.int32),
-                       ray.astype(np.int32), v.sum(axis=1) * step)
+        offsets = np.arange(-rad - step, rad + 2 * step, step)[None, :]
+        out = np.empty(len(t_mid))
+        for c in range(0, len(t_mid), _SAMPLED_PAIRS):
+            cut = slice(c, c + _SAMPLED_PAIRS)
+            t = t_mid[cut, None] + offsets
+            v = np.ones_like(t)
+            for i, kind in enumerate(a.profile_kinds(orient)):   # x, then y
+                f = a.profile(scale, kind)
+                P = dirs[i, cut, None] * t + src[i, cut, None]
+                P -= corner[i, cut, None]
+                v *= np.interp(P, np.arange(len(f)) * h, f, left=0.0, right=0.0)
+            out[cut] = v.sum(axis=1) * step
+        return out
+
+    def _haar_chords(self, scale, orient, src, dirs, corner, t_mid, rad):
+        """Exact ray integrals of Haar atoms: value x chord length summed over
+        the atom's 2 x 2 constant sub-rectangles.
+
+        Along each axis the box side W is cut at W/2, and a factor takes its
+        profile's samples f[0] and f[W/2] on the two cells (equal for a 'c'
+        factor).  The ray src + t dirs crosses the cell [e0, e1) of axis i
+        for t between (e0 - src_i) / u and (e1 - src_i) / u, u its direction
+        component (slab clipping).  The edges are exact (dyadic corners and
+        sides), so each difference rounds once, and a near-axis ray along an
+        edge stays on the right side of it.  A ray parallel to the axis
+        (u = 0) lies in the cell for every t when e0 <= src_i < e1, the cells'
+        half-open convention, and for no t otherwise.  A sub-rectangle's
+        chord is the overlap of its two axes' t-intervals."""
+        a = self.atlas
+        W = a.filter.support_length / dilation(scale)
+        e = corner[:, None] + np.array([0.0, W / 2.0, W])[:, None]   # (axis, edge, pair)
+        p = src[:, None]
+        flat = dirs == 0.0
+        t = (e - p) / np.where(flat, 1.0, dirs)[:, None]
+        enter, leave = np.minimum(t[:, :-1], t[:, 1:]), np.maximum(t[:, :-1], t[:, 1:])
+        if flat.any():
+            inside = (e[:, :-1] <= p) & (p < e[:, 1:])
+            enter = np.where(flat[:, None], np.where(inside, -np.inf, np.inf), enter)
+            leave = np.where(flat[:, None], -enter, leave)
+        chord = (np.minimum(leave[0][:, None], leave[1][None, :])
+                 - np.maximum(enter[0][:, None], enter[1][None, :]))   # (x cell, y cell, pair)
+        np.maximum(chord, 0.0, out=chord)
+        fx, fy = (a.profile(scale, kind) for kind in a.profile_kinds(orient))
+        cell = [0, (len(fx) - 1) // 2]                # samples at 0 and W/2
+        value = np.outer(fx[cell], fy[cell])
+        # a sum of rows, not a BLAS product: each pair's value rounds alike
+        # whatever its place in the batch
+        return (value[:, :, None] * chord).sum(axis=(0, 1))
 
 
 # ---------------------------------------------------------------------------

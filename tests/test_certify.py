@@ -506,3 +506,13 @@ def test_fanbeam_quasi_diag_band_of_radon():
     hi = 1.0 / np.sqrt(fan.rho ** 2 - fan.d ** 2)
     assert cD >= cR * lo * 0.98
     assert CD <= CR * hi * 1.02
+
+
+def test_fanbeam_b_fit_matches_smoothing_exponent():
+    # on the certify-fan window the fitted decay of ||F phi||^2 per scale
+    # matches the model's exponent: exact Haar rows read 0.503, rows that
+    # smear each jump over one grid step read 0.545
+    model = build_model("fanbeam", j_max=3)
+    cert = st.compute_gram(model, st.truncation_positions(model.atlas, 2),
+                           check_convergence=True)
+    assert abs(cert.b_fit - model.smoothing_exponent) <= 0.02

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,52 @@ def brute_fan_rows(model, positions, theta):
         vx = np.interp(Px - x_lo, np.arange(len(fx)) * h, fx, left=0.0, right=0.0)
         vy = np.interp(Py - y_lo, np.arange(len(fy)) * h, fy, left=0.0, right=0.0)
         out[row_i, sel] = (vx * vy).sum(axis=1) * step
+    return out
+
+
+def _clip_chord(px, py, ux, uy, x0, x1, y0, y1):
+    """Liang-Barsky: length of the line (px, py) + t (ux, uy), t real, inside
+    the cell [x0, x1) x [y0, y1).  A line parallel to a side lies inside
+    when its coordinate is in the half-open range, as the atoms take it."""
+    t0, t1 = -math.inf, math.inf
+    for p, q, closed in ((-ux, px - x0, True), (ux, x1 - px, False),
+                         (-uy, py - y0, True), (uy, y1 - py, False)):
+        if p == 0.0:
+            if q < 0.0 or (q == 0.0 and not closed):
+                return 0.0
+        elif p < 0.0:
+            t0 = max(t0, q / p)
+        else:
+            t1 = min(t1, q / p)
+    return max(t1 - t0, 0.0)
+
+
+def chord_fan_rows(model, positions, theta):
+    """Independent exact oracle for Haar atoms: per atom, every ray whose
+    angle lies between the angles of the box corners seen from the source is
+    clipped against each constant sub-rectangle, and value x chord length is
+    summed."""
+    atlas = model.atlas
+    out = np.zeros((len(positions), model.block_dim))
+    sx, sy = model.rho * math.cos(theta), model.rho * math.sin(theta)
+    for row_i, pos in enumerate(positions):
+        a = atlas.gamma[pos]
+        fx, fy, _, _ = atlas.atom_profiles(a)
+        box = atlas.support_box(a)
+        cells = []
+        for (lo, hi), f, kind in zip(box, (fx, fy), atlas.profile_kinds(a.orientation)):
+            mid = 0.5 * (lo + hi)
+            cells.append([(lo, hi, f[0])] if kind == "c"
+                         else [(lo, mid, f[0]), (mid, hi, f[(len(f) - 1) // 2])])
+        (bx0, bx1), (by0, by1) = box
+        corner = [(math.atan2(cy - sy, cx - sx) - theta) % (2 * math.pi) - math.pi
+                  for cx in (bx0, bx1) for cy in (by0, by1)]
+        for k, al in enumerate(model.alpha_grid):
+            if not min(corner) - 1e-9 <= al <= max(corner) + 1e-9:
+                continue
+            ux, uy = math.cos(theta + al), math.sin(theta + al)
+            out[row_i, k] = sum(vx * vy * _clip_chord(sx, sy, ux, uy, x0, x1, y0, y1)
+                                for x0, x1, vx in cells[0] for y0, y1, vy in cells[1])
     return out
 
 
@@ -262,19 +310,34 @@ def test_fanbeam_zero_signal(haar_atlas_j2):
     assert (R.T @ np.zeros(4) == 0.0).all()
 
 
-def test_fanbeam_rows_match_per_atom_oracle(haar_atlas_j2):
-    # the grouped kernel keeps the per-atom loop's arithmetic, so the rows
-    # agree bit for bit (tobytes also tells -0.0 from +0.0)
+FAN_ANGLES = ([0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4, np.pi, 5.2]
+              + list(np.random.default_rng(7).uniform(0.0, 2 * np.pi, 8)))
+
+
+def test_fanbeam_rows_match_per_atom_oracle():
+    # orders >= 2 sample the rays: the grouped kernel keeps the per-atom
+    # loop's arithmetic, so the rows agree bit for bit (tobytes also tells
+    # -0.0 from +0.0).  The order-2 atoms reach radius 3.54, past rho = 3.
+    atlas = st.build_atlas(st.build_filter(2), 1)
+    fan = st.FanBeamModel(atlas, rho=5.0)
+    for positions in (np.arange(len(atlas)), np.flatnonzero(atlas.scales == 0)):
+        for th in FAN_ANGLES:
+            brute = brute_fan_rows(fan, positions, th)
+            assert fan.rows(positions, th).tobytes() == brute.tobytes()
+
+
+def test_fanbeam_haar_rows_match_chord_oracle(haar_atlas_j2):
+    # Haar rows are exact line integrals; theta = 0 holds a ray along y = 0,
+    # an edge of some atoms' boxes and cells
     whole = st.FanBeamModel(haar_atlas_j2)
     window = build_model("fanbeam", order=1, j_max=3)   # alpha_step = s_step / rho
     cases = [(whole, np.arange(len(haar_atlas_j2))),
              (window, np.flatnonzero(window.atlas.scales <= 2))]
-    angles = [0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4, np.pi, 5.2]
-    angles += list(np.random.default_rng(7).uniform(0.0, 2 * np.pi, 8))
     for fan, positions in cases:
-        for th in angles:
-            brute = brute_fan_rows(fan, positions, th)
-            assert fan.rows(positions, th).tobytes() == brute.tobytes()
+        for th in FAN_ANGLES:
+            ref = chord_fan_rows(fan, positions, th)
+            got = fan.rows(positions, th)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_fanbeam_rows_shuffled_positions_with_repeats(haar_atlas_j3):

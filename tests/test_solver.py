@@ -15,21 +15,30 @@ def toy_system(model, m=4, seed=0, x_true=None, beta=0.0):
 
 
 def grid_search_objective(A, y, eta, lo=-2.0, hi=2.0, step=0.01):
-    """Dense 3D grid search for min ||x||_1 s.t. ||Ax - y|| <= eta."""
+    """Dense 3D grid search for min ||x||_1 s.t. ||Ax - y|| <= eta.
+
+    One x1 slice of the grid at a time, by increasing |x1|: a point's
+    objective is a float sum of non-negative terms, so it is at least its
+    |x1|, and the search stops once |x1| reaches the best value found."""
     H = A.T @ A
     b = A.T @ y
     c = float(y @ y)
     g = np.arange(lo, hi + step / 2, step)
-    x1 = g[:, None, None]
     x2 = g[None, :, None]
     x3 = g[None, None, :]
-    res = (H[0, 0] * x1 ** 2 + H[1, 1] * x2 ** 2 + H[2, 2] * x3 ** 2
-           + 2 * H[0, 1] * x1 * x2 + 2 * H[0, 2] * x1 * x3 + 2 * H[1, 2] * x2 * x3
-           - 2 * (b[0] * x1 + b[1] * x2 + b[2] * x3) + c)
-    feas = res <= eta ** 2 + 1e-12
-    obj = np.abs(x1) + np.abs(x2) + np.abs(x3)
-    obj = np.where(feas, obj, np.inf)
-    return float(obj.min())
+    best = np.inf
+    for i in np.argsort(np.abs(g), kind="stable"):
+        if abs(g[i]) >= best:
+            break
+        x1 = g[i:i + 1, None, None]
+        res = (H[0, 0] * x1 ** 2 + H[1, 1] * x2 ** 2 + H[2, 2] * x3 ** 2
+               + 2 * H[0, 1] * x1 * x2 + 2 * H[0, 2] * x1 * x3 + 2 * H[1, 2] * x2 * x3
+               - 2 * (b[0] * x1 + b[1] * x2 + b[2] * x3) + c)
+        feas = res <= eta ** 2 + 1e-12
+        obj = np.abs(x1) + np.abs(x2) + np.abs(x3)
+        obj = np.where(feas, obj, np.inf)
+        best = min(best, float(obj.min()))
+    return best
 
 
 def random_3var_instance(seed, rows=4):
