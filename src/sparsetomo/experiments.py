@@ -69,6 +69,7 @@ class SweepRecord:
     status: str
     iterations: int = 0           # solver iterations; 0 when none ran
     gap: float = float("inf")     # the reported iterate's duality gap
+    eta: float = float("nan")     # the solve's radius, beta + tail_residual
 
 
 def j0_for_beta(beta: float, a: float, b: float = 0.5, cap: int = 4,
@@ -149,7 +150,7 @@ def run_recovery_cell(atlas, model, j0: int, x_full: np.ndarray, beta: float,
                        s=int(meta.get("s", 0)), err_l2=err_l2, err_img=err_img,
                        residual=res.residual, wall_time=time.perf_counter() - t0,
                        seed=int(seed), status=res.status,
-                       iterations=int(res.iterations), gap=float(res.gap))
+                       iterations=int(res.iterations), gap=float(res.gap), eta=float(eta))
 
 
 def run_recovery_sweep(cfg: ExperimentConfig):

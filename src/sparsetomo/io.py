@@ -210,7 +210,7 @@ def write_trace_csv(path: str, trace):
 def write_records_csv(path: str, records):
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     fields = ["beta", "m", "j0", "s", "err_l2", "err_img", "residual",
-              "wall_time", "seed", "status", "iterations", "gap"]
+              "wall_time", "seed", "status", "iterations", "gap", "eta"]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
         w.writerow(fields)
@@ -220,13 +220,15 @@ def write_records_csv(path: str, records):
 
 
 def read_records_csv(path: str):
-    """Records of a records.csv; files written before the iterations and gap
-    columns existed read with those fields at their defaults."""
+    """Records of a records.csv; files written before the iterations, gap
+    and eta columns existed read with those fields at their defaults (eta
+    NaN)."""
     from .experiments import SweepRecord
     out = []
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
-            extra = {k: conv(row[k]) for k, conv in (("iterations", int), ("gap", float))
+            extra = {k: conv(row[k])
+                     for k, conv in (("iterations", int), ("gap", float), ("eta", float))
                      if row.get(k) is not None}
             out.append(SweepRecord(
                 beta=float(row["beta"]), m=int(row["m"]), j0=int(row["j0"]),

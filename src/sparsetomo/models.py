@@ -251,6 +251,17 @@ class RadonModel(AtlasModel):
         self.block_dim = len(self.s_grid)
         self.quad_weight = self.s_step
 
+    def _group_span(self, scale: int, c, s, fine_step: float):
+        """(start, size) of the offset grid of a group's profile at each
+        angle with cosine c and sine s: its support and one fine step before
+        it, two after."""
+        w = self.atlas.filter.support_length / dilation(scale)
+        wc, ws = w * c, w * s
+        lo = np.minimum(0.0, wc) + np.minimum(0.0, ws)
+        hi = np.maximum(0.0, wc) + np.maximum(0.0, ws)
+        start, stop = lo - fine_step, hi + 2.0 * fine_step
+        return start, np.ceil((stop - start) / fine_step).astype(int)
+
     def _group_base(self, scale: int, orientation: int, theta, fine_step: float):
         """Offset grid and line-integral profile of one (scale, orientation)
         group at angle theta, as 1-D arrays.  For a vector of angles, row k
@@ -265,12 +276,7 @@ class RadonModel(AtlasModel):
         fx = self.atlas.profile(scale, kx)
         fy = self.atlas.profile(scale, ky)
         h = self.atlas.grid.h
-        w = self.atlas.filter.support_length / dilation(scale)
-        wc, ws = w * c, w * s
-        lo = np.minimum(0.0, wc) + np.minimum(0.0, ws)
-        hi = np.maximum(0.0, wc) + np.maximum(0.0, ws)
-        start, stop = lo - fine_step, hi + 2.0 * fine_step
-        size = np.ceil((stop - start) / fine_step).astype(int)
+        start, size = self._group_span(scale, c, s, fine_step)
         index = np.arange(size.max())
         grid = start[:, None] + index * ((start + fine_step) - start)[:, None]
         base = _convolved_base_row(fx, fy, c, s, h, grid)
@@ -330,16 +336,25 @@ class RadonModel(AtlasModel):
                 angle, atom, col, val = angle[keep], atom[keep], col[keep], val[keep]
             yield angle, atom, col, val
 
-    def atom_norms(self, positions, theta: float) -> np.ndarray:
+    def atom_norms(self, positions, theta) -> np.ndarray:
         """Per-atom measurement norms at one angle, from the group profiles
-        directly (rows of one group are offset copies of the same profile)."""
+        directly (rows of one group are offset copies of the same profile).
+        For a vector of angles, one row per angle: a group's profiles take
+        one _group_base call per _CHUNK angles, and each is summed over its
+        own grid only, so every row is the one-angle call's bit for bit."""
         positions = np.asarray(positions, dtype=int)
-        out = np.empty(len(positions))
+        th = np.atleast_1d(np.asarray(theta, float))
+        out = np.empty((len(th), len(positions)))
         fine = self.s_step / 2.0
+        c, s = np.cos(th), np.sin(th)
         for scale, orient, sel in self._groups(positions):
-            _, base = self._group_base(scale, orient, theta, fine)
-            out[sel] = float(np.sqrt(np.sum(base * base) * fine))
-        return out
+            _, size = self._group_span(scale, c, s, fine)
+            for k0 in range(0, len(th), _CHUNK):
+                _, base = self._group_base(scale, orient, th[k0:k0 + _CHUNK], fine)
+                for k, b in enumerate(base, k0):
+                    b = b[:size[k]]
+                    out[k, sel] = float(np.sqrt(np.sum(b * b) * fine))
+        return out if np.ndim(theta) else out[0]
 
 
 def radon_image(image: np.ndarray, grid, theta: float, s_grid: np.ndarray,

@@ -1,14 +1,17 @@
 """Constrained weighted-l1 reconstruction.
 
 The constrained problem  min ||W^-zeta x||_{1,omega}  s.t.  ||A x - y|| <= eta
-is solved by a first-order primal-dual splitting after the change of
-variables x = W^zeta z, which turns the objective into a plain weighted l1
-norm and rescales the columns of A.  One compression of the column-scaled
-system gives an equivalent system no larger than the window, the
-least-squares residual that decides feasibility, and the operator norm L.
-The step sizes are tau = 0.95 / (L omega) and sigma = 0.95 omega / L with
-the primal weight omega = ||w|| / ||yt|| of the weights and the compressed
-data (PDLP's initial primal weight; Applegate et al., NeurIPS 2021).
+is solved after the change of variables x = W^zeta z, which turns the
+objective into a plain weighted l1 norm and rescales the columns of A.  One
+compression of the column-scaled system gives its singular values and right
+singular vectors, the data in the left singular basis and the least-squares
+residual that decides feasibility.  ADMM on the split u = z, v = K z (as in
+C-SALSA; Afonso, Bioucas-Dias & Figueiredo, IEEE TIP 2011) then solves the
+compressed problem: in the singular basis (I + K^T K)^-1 is diagonal, so an
+iteration costs two products with the singular vectors.  The penalty is
+rho = 10 ||w|| L / ||yt|| on the system normalized by its norm L, which no
+rescaling of y, eta or w changes.  Every check_every iterations the duality
+gap and feasibility of u certify it.
 
 A Lagrangian sweep (iterative soft thresholding over a penalty grid) serves
 as an algorithm-independent cross-check of the constrained path.
@@ -59,33 +62,34 @@ class SolveResult:
 
 
 def _compress(A, y: np.ndarray, col: np.ndarray):
-    """(K, yt, off, L) in the solver's variables (x = col * z), such that
-    ||A (col z) - y||^2 = ||K z - yt||^2 + off for every z, off is the squared
-    least-squares residual and L = ||K||_2.  Tall systems use the eigenpairs
-    of A.gram(col, y), which the SampledSystem A streams from its runs; short
-    ones keep their dense rows, so the condition number is not squared, and
-    project y onto range(K) by least squares, which covers rank loss.  The
-    tall offset is evaluated in the original geometry through A.matvec; a
-    norm difference would cancel on consistent data.
+    """(root, V, yt, off) in the solver's variables (x = col * z): the
+    nonzero singular values root of the column-scaled A, its right singular
+    vectors V (n, len(root)), the data yt in the left singular basis and the
+    squared least-squares residual off, so that with K = diag(root) V^T
+    ||A (col z) - y||^2 = ||K z - yt||^2 + off for every z.  Tall systems use
+    the eigenpairs of A.gram(col, y), which the SampledSystem A streams from
+    its runs; short ones take an SVD of their dense rows, so the condition
+    number is not squared.  The tall offset is evaluated in the original
+    geometry through A.matvec; a norm difference would cancel on consistent
+    data.
     """
     m, n = A.shape
     if m <= n:
-        K = A.matrix * col[None, :]
-        z_ls, _, _, sv = np.linalg.lstsq(K, y, rcond=None)
-        yt = K @ z_ls
-        return K, yt, float(np.linalg.norm(y - yt) ** 2), float(sv.max(initial=0.0))
+        U, sv, Vt = np.linalg.svd(A.matrix * col[None, :], full_matrices=False)
+        keep = sv > sv[0] * max(m, n) * np.finfo(float).eps
+        yt = U[:, keep].T @ y
+        return sv[keep], Vt[keep].T, yt, float(np.linalg.norm(y - U[:, keep] @ yt) ** 2)
     H, b = A.gram(col, y)
     evals, V = np.linalg.eigh(H)
     evals = np.clip(evals, 0.0, None)
     keep = evals > max(evals[-1], 1e-300) * 1e-15
     root = np.sqrt(evals[keep])
     Vk = V[:, keep]
-    K = root[:, None] * Vk.T
     yt = (Vk.T @ b) / root
     z_ls = Vk @ (yt / root)
     off = float(max(np.linalg.norm(A.matvec(col * z_ls) - y) ** 2
-                    - np.linalg.norm(K @ z_ls - yt) ** 2, 0.0))
-    return K, yt, off, float(np.sqrt(evals[-1]))
+                    - np.linalg.norm(root * (Vk.T @ z_ls) - yt) ** 2, 0.0))
+    return root, Vk, yt, off
 
 
 def _column_scaling(scales, zeta: float, n: int) -> np.ndarray:
@@ -106,7 +110,7 @@ def solve_constrained_l1(system, omega: WeightVector, cfg: SolveConfig) -> Solve
 
 def solve_constrained_l1_matrix(A, y: np.ndarray, omega: WeightVector,
                                 cfg: SolveConfig, scales=None) -> SolveResult:
-    """Primal-dual solve of min ||W^-zeta x||_{1,omega} s.t. ||Ax-y|| <= eta.
+    """ADMM solve of min ||W^-zeta x||_{1,omega} s.t. ||Ax-y|| <= eta.
 
     A is a SampledSystem or a dense matrix.  `infeasible` when the
     least-squares residual exceeds eta.  Otherwise reports the lowest-gap
@@ -127,61 +131,67 @@ def solve_constrained_l1_matrix(A, y: np.ndarray, omega: WeightVector,
         raise ValueError(f"weight length {len(w)} != {n} columns")
     col = _column_scaling(scales, cfg.zeta, n)   # x = col * z
 
-    K, yt, off, L = _compress(A, y, col)
+    root, V, yt, off = _compress(A, y, col)
     ls_res = float(np.sqrt(off))
     if ls_res > cfg.eta * (1.0 + cfg.tol_feas) + 1e-12:
         return SolveResult(x_hat=np.zeros(n), objective=0.0, residual=ls_res,
                            iterations=0, gap=float("inf"), status="infeasible")
+    L = float(root.max(initial=0.0))
     if L == 0.0:
         x0 = np.zeros(n)
         return SolveResult(x_hat=x0, objective=0.0, residual=float(np.linalg.norm(y)),
                            iterations=0, gap=0.0, status="optimal")
     eta_c = float(np.sqrt(max(cfg.eta ** 2 - off, 0.0)))
-    # primal weight ||w|| / ||yt|| (PDLP's initial one); tau * sig * L^2 < 1
+    # ADMM on u = z, v = (K/L) z with scaled duals a, c; K/L = diag(r) V^T
+    r, yn, en = root / L, yt / L, eta_c / L
     ny = float(np.linalg.norm(yt))
-    pw = float(np.linalg.norm(w)) / ny if ny > 0 else 1.0
-    tau, sig = 0.95 / (L * pw), 0.95 * pw / L
-
-    z = np.zeros(n)
-    zb = z.copy()
-    p = np.zeros(K.shape[0])
+    rho = 10.0 * float(np.linalg.norm(w)) * L / ny if ny > 0 else 1.0
+    thr = w / rho
+    u, a, v, c = np.zeros(n), np.zeros(n), np.zeros(len(r)), np.zeros(len(r))
     best = None
     trace = []
     status = "max_iters"
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        q = p + sig * (K @ zb - yt)
+        # z = (I + V diag(r^2) V^T)^-1 (g + V diag(r) (v - c)), g = u - a;
+        # g's part outside range(V) passes through unchanged
+        g = u - a
+        t = V.T @ g
+        coef = (t + r * (v - c)) / (1.0 + r * r)
+        z = g + V @ (coef - t)
+        kz = r * coef                        # (K/L) z
+        u = z + a
+        u = np.sign(u) * np.maximum(np.abs(u) - thr, 0.0)
+        q = kz + c - yn                      # v: kz + c projected on the ball
         nq = float(np.linalg.norm(q))
-        p = q * max(0.0, 1.0 - sig * eta_c / nq) if nq > 0 else q * 0.0
-        zn = z - tau * (K.T @ p)
-        zn = np.sign(zn) * np.maximum(np.abs(zn) - tau * w, 0.0)
-        zb = 2.0 * zn - z
-        z = zn
+        v = yn + q * (en / nq if nq > en else 1.0)
+        a += z - u
+        c += kz - v
         if it % cfg.check_every == 0 or it == cfg.max_iters:
-            obj = float(np.sum(np.abs(z) * w))
-            rc = float(np.linalg.norm(K @ z - yt))
+            obj = float(np.sum(np.abs(u) * w))
+            rc = float(np.linalg.norm(root * (V.T @ u) - yt))
             res = float(np.sqrt(rc ** 2 + off))
-            u = K.T @ p
-            dscale = max(1.0, float(np.max(np.abs(u) / w)))
+            p = rho / L * c                  # the dual of ||K u - yt|| <= eta_c
+            dscale = max(1.0, float(np.max(np.abs(V @ (root * p)) / w)))
             pd = p / dscale
-            # the dual at z's own radius: z is feasible there, so weak
+            # the dual at u's own radius: u is feasible there, so weak
             # duality keeps the gap >= 0, and the radius tends to eta_c
             dual = -float(pd @ yt) - max(eta_c, rc) * float(np.linalg.norm(pd))
             gap = obj - dual
             # only feasible iterates can claim the certificate
             feasible = res <= cfg.eta * (1.0 + cfg.tol_feas) + 1e-12
             if feasible and (best is None or gap < best[0]):
-                best = (gap, z.copy(), obj, res)
+                best = (gap, u, obj, res)
             if best is not None:
                 trace.append((it, best[3], best[2], best[0]))
                 if best[0] <= cfg.tol_gap * max(1.0, best[2]):
                     status = "optimal"
                     break
     if best is None:   # no feasible iterate: report the last one
-        best = (float("inf"), z, float(np.sum(np.abs(z) * w)),
-                float(np.sqrt(np.linalg.norm(K @ z - yt) ** 2 + off)))
-    gap, z_best, obj, res = best
-    return SolveResult(x_hat=col * z_best, objective=obj, residual=res,
+        best = (float("inf"), u, float(np.sum(np.abs(u) * w)),
+                float(np.sqrt(np.linalg.norm(root * (V.T @ u) - yt) ** 2 + off)))
+    gap, u_best, obj, res = best
+    return SolveResult(x_hat=col * u_best, objective=obj, residual=res,
                        iterations=it, gap=gap, status=status, trace=trace)
 
 

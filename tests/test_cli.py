@@ -50,6 +50,9 @@ def test_readme_reconstruct_example_certifies(tmp_path, runner):
                                "--out", str(tmp_path)])
     assert res.exit_code == 0, res.output
     assert res.output.startswith("status optimal")
+    # it certifies in 650 iterations; the bound leaves room for BLAS rounding
+    words = res.output.split()
+    assert int(words[words.index("iterations") + 1]) <= 2000, res.output
     trace = (tmp_path / "trace.csv").read_text().splitlines()
     assert len(trace) > 1 and float(trace[-1].split(",")[3]) >= 0.0
 
@@ -72,6 +75,10 @@ def test_sweep_and_fit(tmp_path, runner):
     records = stio.read_records_csv(str(out / "records.csv"))
     assert fit["cells_in_window"] == "8"
     assert fit["cells_optimal"] == str(sum(r.status == "optimal" for r in records))
+    # each record carries its solve's radius, at which an optimal cell is feasible
+    assert all(r.eta >= r.beta for r in records)
+    assert all(r.residual <= r.eta * (1 + 1e-6) + 1e-12
+               for r in records if r.status == "optimal")
 
 
 def test_config_file_merging(tmp_path, runner):

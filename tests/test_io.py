@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -108,7 +110,7 @@ def test_system_dir_peak_memory(tmp_path, haar_atlas_j2, radon_j2):
 def test_records_csv_round_trip(tmp_path):
     recs = [SweepRecord(beta=0.25, m=16, j0=2, s=5, err_l2=0.125,
                         err_img=0.1251, residual=0.3, wall_time=1.5,
-                        seed=7, status="optimal")]
+                        seed=7, status="optimal", eta=0.3)]
     path = str(tmp_path / "records.csv")
     stio.write_records_csv(path, recs)
     back = stio.read_records_csv(path)
@@ -118,18 +120,46 @@ def test_records_csv_round_trip(tmp_path):
 def test_records_csv_telemetry_round_trip(tmp_path):
     recs = [SweepRecord(beta=0.25, m=16, j0=2, s=5, err_l2=0.125, err_img=0.1251,
                         residual=0.3, wall_time=1.5, seed=7, status="optimal",
-                        iterations=850, gap=2.75e-9),
+                        iterations=850, gap=2.75e-9, eta=0.3125),
             SweepRecord(beta=0.5, m=16, j0=2, s=5, err_l2=0.25, err_img=0.2501,
                         residual=0.6, wall_time=1.5, seed=8, status="max_iters",
-                        iterations=6000, gap=float("inf"))]
+                        iterations=6000, gap=float("inf"), eta=0.5625)]
     path = str(tmp_path / "records.csv")
     stio.write_records_csv(path, recs)
     header = open(path).read().splitlines()[0].split(",")
     # the new columns come after status, so the old column indices hold
     assert header[:10] == ["beta", "m", "j0", "s", "err_l2", "err_img", "residual",
                            "wall_time", "seed", "status"]
-    assert header[10:] == ["iterations", "gap"]
+    assert header[10:] == ["iterations", "gap", "eta"]
     assert stio.read_records_csv(path) == recs
+
+
+def test_records_csv_eta_round_trip(tmp_path):
+    # eta is the solve's radius, so residual <= eta (1 + tol_feas) can be
+    # checked from the file alone; an unknown radius round-trips as NaN
+    recs = [SweepRecord(beta=2.0 ** -6, m=384, j0=3, s=0, err_l2=0.02, err_img=0.02,
+                        residual=0.0312500002, wall_time=1.25, seed=0, status="optimal",
+                        iterations=200, gap=3.5e-7, eta=0.0312500001234567),
+            SweepRecord(beta=0.25, m=16, j0=2, s=5, err_l2=0.125, err_img=0.1251,
+                        residual=0.3, wall_time=1.5, seed=7, status="infeasible")]
+    path = str(tmp_path / "records.csv")
+    stio.write_records_csv(path, recs)
+    first, second = stio.read_records_csv(path)
+    assert first == recs[0]
+    assert np.isnan(second.eta)
+    assert replace(second, eta=0.0) == replace(recs[1], eta=0.0)
+
+
+def test_records_csv_reads_file_without_eta(tmp_path):
+    # a file with the iterations and gap columns but no eta reads eta as NaN
+    path = tmp_path / "records.csv"
+    path.write_text("beta,m,j0,s,err_l2,err_img,residual,wall_time,seed,status,iterations,gap\r\n"
+                    "0.25,16,2,5,0.125,0.1251,0.3,1.5,7,optimal,850,2.75e-09\r\n")
+    (rec,) = stio.read_records_csv(str(path))
+    assert np.isnan(rec.eta)
+    assert replace(rec, eta=0.0) == SweepRecord(
+        beta=0.25, m=16, j0=2, s=5, err_l2=0.125, err_img=0.1251, residual=0.3,
+        wall_time=1.5, seed=7, status="optimal", iterations=850, gap=2.75e-9, eta=0.0)
 
 
 def test_records_csv_reads_old_header(tmp_path):
@@ -137,8 +167,10 @@ def test_records_csv_reads_old_header(tmp_path):
     path.write_text("beta,m,j0,s,err_l2,err_img,residual,wall_time,seed,status\r\n"
                     "0.25,16,2,5,0.125,0.1251,0.3,1.5,7,optimal\r\n")
     (rec,) = stio.read_records_csv(str(path))
-    assert rec == SweepRecord(beta=0.25, m=16, j0=2, s=5, err_l2=0.125, err_img=0.1251,
-                              residual=0.3, wall_time=1.5, seed=7, status="optimal")
+    assert np.isnan(rec.eta)
+    assert replace(rec, eta=0.0) == SweepRecord(
+        beta=0.25, m=16, j0=2, s=5, err_l2=0.125, err_img=0.1251, residual=0.3,
+        wall_time=1.5, seed=7, status="optimal", eta=0.0)
     assert rec.iterations == 0 and rec.gap == float("inf")
 
 

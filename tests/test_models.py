@@ -252,6 +252,18 @@ def test_radon_group_profiles_batch_matches_single():
             assert not base[k, len(b):].any()
 
 
+def test_radon_atom_norms_batch_matches_single():
+    # a many-angle atom_norms call takes each group's profiles _CHUNK angles
+    # per _group_base call; each row is the one-angle call bit for bit
+    model = build_model("radon", order=1, j_max=3)
+    positions = np.arange(len(model.atlas))
+    angles = _kernel_angles()
+    batch = model.atom_norms(positions, angles)
+    assert batch.shape == (len(angles), len(positions))
+    for k, th in enumerate(angles):
+        assert batch[k].tobytes() == model.atom_norms(positions, th).tobytes()
+
+
 @pytest.mark.parametrize("s_step", [1.0 / 32, None])
 def test_radon_runs_cut_to_nonzero_span(s_step):
     # assembled over the whole atlas at angles that cross chunk boundaries,

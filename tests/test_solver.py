@@ -149,6 +149,69 @@ def test_weighted_objective_respected():
     assert res.objective == pytest.approx(11.0 - np.sqrt(101.0), abs=1e-6)
 
 
+def noisy_window_system(radon_j2, haar_atlas_j2):
+    """A tall j_max=2 Radon system over the j0=1 window, 4 atoms of +-1,
+    with noise of norm 0.05 per sample."""
+    a = haar_atlas_j2
+    w = st.truncation_positions(a, 1)
+    rng = np.random.default_rng(4)
+    x_full = np.zeros(len(a))
+    x_full[rng.choice(w, 4, replace=False)] = rng.choice([-1.0, 1.0], 4)
+    system = st.assemble_system(radon_j2, w, st.draw_samples(radon_j2, 24, 5),
+                                x_full=x_full, beta=0.05, noise_seed=6)
+    return system, radon_j2.scales()[w]
+
+
+def test_scaling_data_and_radius_scales_solution(haar_atlas_j2, radon_j2):
+    # the penalty rule and the certificate are free of the data's scale: y
+    # and eta times 2^k give the same iterations and status, x_hat times 2^k
+    system, sc = noisy_window_system(radon_j2, haar_atlas_j2)
+    omega = st.WeightVector.ones(len(sc))
+    runs = {}
+    for k in (0, 3, 7):
+        f = 2.0 ** k
+        runs[k] = solve_constrained_l1_matrix(system, f * system.y, omega,
+                                              st.SolveConfig(zeta=1.0, eta=f * 0.05), scales=sc)
+    base = runs[0]
+    assert base.status == "optimal" and base.objective >= 1.0
+    for k, res in runs.items():
+        assert (res.status, res.iterations) == (base.status, base.iterations), k
+        assert np.abs(res.x_hat - 2.0 ** k * base.x_hat).max() <= 1e-9 * 2.0 ** k, k
+
+
+def test_scaling_weights_leaves_solution(haar_atlas_j2, radon_j2):
+    system, sc = noisy_window_system(radon_j2, haar_atlas_j2)
+    w = 1.0 + np.arange(len(sc)) % 3
+    cfg = st.SolveConfig(zeta=1.0, eta=0.05)
+    base = solve_constrained_l1_matrix(system, system.y, st.WeightVector(w), cfg, scales=sc)
+    assert base.status == "optimal" and base.objective >= 1.0
+    for k in (2, 6):
+        res = solve_constrained_l1_matrix(system, system.y, st.WeightVector(2.0 ** k * w),
+                                          cfg, scales=sc)
+        assert (res.status, res.iterations) == (base.status, base.iterations), k
+        assert np.abs(res.x_hat - base.x_hat).max() <= 1e-9, k
+
+
+def test_short_rank_deficient_system():
+    # 5 rows of rank 3 over 12 columns take the SVD compression; the same
+    # rows padded with zero rows are tall and take the Gram's eigenpairs
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((5, 3)) @ rng.standard_normal((3, 12))
+    x_true = np.zeros(12)
+    x_true[[2, 9]] = [1.0, -0.5]
+    e = 0.01 * rng.standard_normal(5)
+    y = A @ x_true + e
+    cfg = st.SolveConfig(eta=1.2 * float(np.linalg.norm(e)), tol_gap=1e-9)
+    res = solve_constrained_l1_matrix(A, y, st.WeightVector.ones(12), cfg)
+    assert res.status == "optimal"
+    assert res.residual <= cfg.eta * (1 + cfg.tol_feas) + 1e-12
+    assert res.residual == pytest.approx(np.linalg.norm(A @ res.x_hat - y), rel=1e-9)
+    tall = solve_constrained_l1_matrix(np.vstack([A, np.zeros((8, 12))]), np.r_[y, np.zeros(8)],
+                                       st.WeightVector.ones(12), cfg)
+    assert tall.status == "optimal"
+    assert tall.objective == pytest.approx(res.objective, rel=1e-6)
+
+
 def test_penalized_path_limits(synthetic_model):
     rng = np.random.default_rng(3)
     x_true = np.zeros(6)
