@@ -6,17 +6,15 @@ from .weights import (CoefficientVector, SparseApproxResult, WeightVector,
                       stechkin_bound, weighted_norm, weighted_size)
 from .wavelets import (AtomIndex, DictionaryAtlas, GridSpec, WaveletFilter,
                        analysis, build_atlas, build_filter, discrete_gram,
-                       synthesis, truncation_positions, truncation_set)
+                       synthesis, truncation_positions)
 from .models import (FanBeamModel, FourierWaveletModel, LegendrePointModel,
                      RadonModel, SampledSystem, SyntheticDiagonalModel,
-                     assemble_system, draw_samples, population_gram_matrix,
-                     radon_image)
+                     assemble_system, draw_samples, population_gram_matrix)
 from .certify import (GramCertificate, RipEstimate, compute_gram,
                       delta_star_bruteforce, delta_star_montecarlo,
-                      estimate_quasi_diag, rnsp_witness_search,
-                      sample_complexity, scale_decay_fit, truncation_residual)
-from .solve import (SolveConfig, SolveResult, reconstruct_image,
-                    solve_constrained_l1, solve_penalized_path)
+                      rnsp_witness_search, sample_complexity, scale_decay_fit,
+                      truncation_residual)
+from .solve import SolveConfig, SolveResult, solve_constrained_l1
 from .phantoms import PhantomSpec, make_phantom
 from .experiments import (ExperimentConfig, SweepRecord,
                           calibrate_recovery_constant, fit_scaling,

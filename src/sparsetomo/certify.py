@@ -101,8 +101,7 @@ def scale_decay_fit(model, positions=None, n_angles: int = 64) -> float:
         raise ValueError("scale decay needs a multiscale dictionary")
     nodes, wts = model.population_nodes(n_angles)
     avg = np.zeros(len(positions))
-    for t, w in zip(nodes, wts):
-        nr = model.atom_norms(positions, t)
+    for w, nr in zip(wts, model.atom_norms(positions, nodes)):
         avg += w * nr * nr
     return _decay_fit(scales[positions], np.log2(np.maximum(avg, 1e-300)),
                       model.smoothing_exponent)
@@ -255,17 +254,6 @@ def compute_gram(model, positions, n_quad: int | None = None,
         coherence_B=B, d_exponents=d_exp, scale_coherence_max=per_scale,
         relative_coherence=rel, fbi_flag=fbi_flag, scales=scales,
         positions=positions, n_quad=n_quad, sigma_min_shift=shift)
-
-
-def estimate_quasi_diag(model, positions=None, n_quad: int | None = None,
-                        n_probes: int = 200, seed: int = 0):
-    """(c_hat, C_hat, b_fit) measured over singletons and random probes."""
-    if positions is None:
-        positions = np.arange(model.dictionary_size())
-    cert = compute_gram(model, positions, n_quad=n_quad,
-                        quasi_diag_probes=n_probes, seed=seed)
-    b, c_hat, C_hat = cert.quasi_diag
-    return c_hat, C_hat, cert.b_fit
 
 
 @dataclass

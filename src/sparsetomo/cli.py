@@ -1,8 +1,9 @@
 """Command-line harness: atlas build, certify, reconstruct, sweep, fit.
 
-Every flag can also come from a JSON config file (--config); explicit flags
-win over the file.  All runs are deterministic in their seeds, and outputs
-are plain CSV / text / PGM / flat binary files under --out.
+Each command takes only the flags it reads.  Every flag can also come from a
+JSON config file (--config); explicit flags win over the file.  All runs are
+deterministic in their seeds, and outputs are plain CSV / text / PGM / flat
+binary files under --out.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from .experiments import (ExperimentConfig, build_model, fit_scaling,
                           run_recovery_sweep)
 from .models import assemble_system, draw_samples
 from .phantoms import PhantomSpec, make_phantom
-from .solve import SolveConfig, solve_constrained_l1, reconstruct_image
-from .wavelets import build_atlas, build_filter, truncation_positions
+from .solve import SolveConfig, solve_constrained_l1
+from .wavelets import build_atlas, build_filter, synthesis, truncation_positions
 from .weights import WeightVector
 
 MODEL_CHOICES = ("radon", "fanbeam", "fourier", "legendre")
@@ -47,26 +48,44 @@ def _phantom_from(cfg) -> PhantomSpec:
                        a=float(cfg.get("a", 0.5)), seed=int(cfg.get("seed", 0)))
 
 
-common_options = [
-    click.option("--model", type=click.Choice(MODEL_CHOICES), default=None),
-    click.option("--wavelet-order", type=int, default=None),
-    click.option("--j0", type=int, default=None),
-    click.option("--jmax", type=int, default=None),
-    click.option("--s", type=int, default=None),
-    click.option("--m", type=int, default=None),
-    click.option("--beta", type=float, default=None),
-    click.option("--zeta", type=float, default=None),
-    click.option("--gamma", type=float, default=None),
-    click.option("--seed", type=int, default=None),
-    click.option("--out", "out_dir", type=click.Path(), default=None),
-    click.option("--config", "config_path", type=click.Path(exists=True), default=None),
-]
+def _experiment(cfg, **fields) -> ExperimentConfig:
+    """The ExperimentConfig of certify and sweep: the fields they share, read
+    from the merged flags, plus the command's own."""
+    return ExperimentConfig(
+        model=cfg.get("model", "radon"),
+        wavelet_order=int(cfg.get("wavelet_order", 1)),
+        j0=int(cfg.get("j0", 2)),
+        j_max=int(cfg["jmax"]) if cfg.get("jmax") is not None else None,
+        gamma=float(cfg.get("gamma", 0.1)),
+        zeta=float(cfg.get("zeta", 1.0)),
+        **fields)
 
 
-def add_options(opts):
+def _csv(text, conv):
+    return None if text is None else [conv(v) for v in text.split(",")]
+
+
+OPTIONS = {
+    "model": click.option("--model", type=click.Choice(MODEL_CHOICES), default=None),
+    "wavelet_order": click.option("--wavelet-order", type=int, default=None),
+    "j0": click.option("--j0", type=int, default=None),
+    "jmax": click.option("--jmax", type=int, default=None),
+    "s": click.option("--s", type=int, default=None),
+    "m": click.option("--m", type=int, default=None),
+    "beta": click.option("--beta", type=float, default=None),
+    "zeta": click.option("--zeta", type=float, default=None),
+    "gamma": click.option("--gamma", type=float, default=None),
+    "seed": click.option("--seed", type=int, default=None),
+    "out": click.option("--out", "out_dir", type=click.Path(), default=None),
+    "config": click.option("--config", "config_path", type=click.Path(exists=True), default=None),
+}
+
+
+def options(*names):
+    """The named flags of OPTIONS, then --out and --config."""
     def wrap(fn):
-        for opt in reversed(opts):
-            fn = opt(fn)
+        for name in reversed(names + ("out", "config")):
+            fn = OPTIONS[name](fn)
         return fn
     return wrap
 
@@ -82,7 +101,7 @@ def atlas():
 
 
 @atlas.command("build")
-@add_options(common_options)
+@options("wavelet_order", "jmax")
 def atlas_build(config_path, **flags):
     """Build a wavelet atlas and export it (binary patches + text header)."""
     cfg = _merged(config_path, **flags)
@@ -99,20 +118,13 @@ def atlas_build(config_path, **flags):
 
 
 @main.command()
-@add_options(common_options)
+@options("model", "wavelet_order", "j0", "jmax", "zeta", "gamma", "seed")
 def certify(config_path, **flags):
     """Gram certificate, coherence table, restricted-constant estimates."""
     cfg = _merged(config_path, **flags)
     out = cfg.get("out_dir") or "."
-    exp = ExperimentConfig(
-        model=cfg.get("model", "radon"),
-        wavelet_order=int(cfg.get("wavelet_order", 1)),
-        j0=int(cfg.get("j0", 2)),
-        j_max=int(cfg["jmax"]) if cfg.get("jmax") is not None else None,
-        gamma=float(cfg.get("gamma", 0.1)),
-        zeta=float(cfg.get("zeta", 1.0)),
-    )
-    cert, _, table = run_certification_report(exp, out, seed=int(cfg.get("seed", 0)))
+    cert, _, table = run_certification_report(_experiment(cfg), out,
+                                              seed=int(cfg.get("seed", 0)))
     click.echo(f"sigma_min {cert.sigma_min!r} sigma_max {cert.sigma_max!r}")
     click.echo(f"b_fit {cert.b_fit!r} B {cert.coherence_B!r}")
     click.echo("sample complexity " + " ".join(f"{k}={v}" for k, v in table.items()))
@@ -120,7 +132,7 @@ def certify(config_path, **flags):
 
 
 @main.command()
-@add_options(common_options)
+@options("model", "wavelet_order", "j0", "jmax", "s", "m", "beta", "zeta", "seed")
 def reconstruct(config_path, **flags):
     """One reconstruction: phantom, sampled angles, solve, image outputs."""
     cfg = _merged(config_path, **flags)
@@ -146,7 +158,9 @@ def reconstruct(config_path, **flags):
                      eta=beta + system.tail_residual)
     res = solve_constrained_l1(system, WeightVector.ones(len(window)), sc)
     stio.write_trace_csv(os.path.join(out, "trace.csv"), res.trace)
-    img = reconstruct_image(res, a, [a.gamma[i] for i in window])
+    x_hat = np.zeros(len(a))
+    x_hat[window] = res.x_hat
+    img = synthesis(a, x_hat)
     stio.write_image_binary(os.path.join(out, "reconstruction.bin"), img, a.grid)
     stio.write_pgm(os.path.join(out, "reconstruction.pgm"), img)
     stio.write_system_dir(os.path.join(out, "system"), system,
@@ -164,37 +178,21 @@ def reconstruct(config_path, **flags):
 @click.option("--m-rule", type=click.Choice(["fixed", "noise_matched"]), default=None)
 @click.option("--m-rule-c0", type=float, default=None)
 @click.option("--j0-rule/--no-j0-rule", default=None)
-@add_options(common_options)
-def sweep(config_path, betas, ms, seeds, m_rule, m_rule_c0, j0_rule, **flags):
+@options("model", "wavelet_order", "j0", "jmax", "s", "m", "zeta", "gamma", "seed")
+def sweep(config_path, betas, ms, seeds, **flags):
     """Recovery sweep over (beta, m, seed) cells; writes records.csv."""
-    cfg = _merged(config_path, **flags)
+    cfg = _merged(config_path, betas=_csv(betas, float), ms=_csv(ms, int),
+                  seeds=_csv(seeds, int), **flags)
     out = cfg.get("out_dir") or "."
     os.makedirs(out, exist_ok=True)
-    if betas is not None:
-        cfg["betas"] = [float(v) for v in betas.split(",")]
-    if ms is not None:
-        cfg["ms"] = [int(v) for v in ms.split(",")]
-    if seeds is not None:
-        cfg["seeds"] = [int(v) for v in seeds.split(",")]
-    if m_rule is not None:
-        cfg["m_rule"] = m_rule
-    if m_rule_c0 is not None:
-        cfg["m_rule_c0"] = m_rule_c0
-    if j0_rule is not None:
-        cfg["j0_rule"] = j0_rule
-    exp = ExperimentConfig(
-        model=cfg.get("model", "radon"),
-        wavelet_order=int(cfg.get("wavelet_order", 1)),
-        j0=int(cfg.get("j0", 2)),
-        j_max=int(cfg["jmax"]) if cfg.get("jmax") is not None else None,
+    exp = _experiment(
+        cfg,
         phantom=_phantom_from(cfg),
         betas=tuple(cfg.get("betas", [0.0])),
         ms=tuple(cfg["ms"]) if cfg.get("ms") else (int(cfg["m"]),) if cfg.get("m") else None,
         m_rule=cfg.get("m_rule", "fixed"),
         m_rule_c0=float(cfg.get("m_rule_c0", 1.0)),
         j0_rule=bool(cfg.get("j0_rule", False)),
-        gamma=float(cfg.get("gamma", 0.1)),
-        zeta=float(cfg.get("zeta", 1.0)),
         seeds=tuple(cfg.get("seeds", [0, 1, 2, 3, 4])),
         out_dir=out,
     )

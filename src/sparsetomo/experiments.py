@@ -40,7 +40,6 @@ class ExperimentConfig:
     zeta: float = 1.0
     seeds: tuple = (0, 1, 2, 3, 4)
     s_step: float = 1.0 / 32
-    rho: float = 3.0
     out_dir: str | None = None
     solver: SolveConfig = field(default_factory=lambda: SolveConfig(max_iters=30000))
 
@@ -100,7 +99,7 @@ def noise_matched_m_rule(beta: float, a: float, p: float, c0: float,
 
 @functools.cache
 def build_model(kind: str, order: int = 1, j_max: int = 3, s_step: float = 1.0 / 32,
-                rho: float = 3.0, n_freq: int | None = None, max_degree: int = 30):
+                n_freq: int | None = None, max_degree: int = 30):
     """Model factory covering all four measurement families, memoised: the
     same arguments return the same (shared, read-only) model.  The
     tomographic models carry their atlas as `model.atlas`."""
@@ -108,7 +107,7 @@ def build_model(kind: str, order: int = 1, j_max: int = 3, s_step: float = 1.0 /
         atlas = build_atlas(build_filter(order), j_max)
         if kind == "radon":
             return RadonModel(atlas, s_step=s_step)
-        return FanBeamModel(atlas, rho=rho, alpha_step=s_step / rho)
+        return FanBeamModel(atlas, alpha_step=s_step / 3.0)   # s_step / rho at rho = 3
     if kind in ("fourier", "fourier_wavelet"):
         return FourierWaveletModel(build_filter(order), j_max=j_max, n_freq=n_freq)
     if kind in ("legendre", "legendre_point"):
@@ -167,7 +166,7 @@ def run_recovery_sweep(cfg: ExperimentConfig):
               if cfg.j0_rule else cfg.j0)
         j_max = j0 + 1 if cfg.j0_rule else cfg.j_max
         model = build_model(cfg.model, order=cfg.wavelet_order, j_max=j_max,
-                            s_step=cfg.s_step, rho=cfg.rho)
+                            s_step=cfg.s_step)
         atlas = model.atlas
         _, x_full, meta = make_phantom(atlas, cfg.phantom, j0)
         m = _cell_m(cfg, beta, bi)
@@ -285,7 +284,7 @@ def run_certification_report(cfg: ExperimentConfig, out_dir: str,
     """Write the certificate report, the per-scale coherence table, restricted
     constant estimates over a (lambda, m) grid, and the sample-rule table."""
     model = build_model(cfg.model, order=cfg.wavelet_order, j_max=cfg.j_max,
-                        s_step=cfg.s_step, rho=cfg.rho)
+                        s_step=cfg.s_step)
     scales = model.scales()
     window = (np.arange(model.dictionary_size()) if scales is None
               else np.flatnonzero(scales <= cfg.j0))

@@ -1,6 +1,6 @@
 """On-disk formats: flat little-endian float64 binaries with plain-text
 headers, 8-bit PGM previews, RFC-4180 records CSV, solver trace CSV,
-sinogram CSV, sampled system directories, and certificate reports.
+sampled system directories, and certificate reports.
 
 Every writer formats floats with repr (shortest round-trip), so reruns under
 the same seed produce byte-identical files.
@@ -127,31 +127,6 @@ def read_atlas_patches(path: str):
         patch = flat[off:off + nx * ny].reshape(ny, nx)
         out.append((AtomIndex(scale, n1, n2, orient), patch, ix, iy))
     return meta, out
-
-
-# ---------------------------------------------------------------------------
-# sinograms
-
-
-def write_sinogram_csv(path: str, sinogram: np.ndarray):
-    """(theta index, s index, value) rows; sinogram is (n_theta, n_s)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["theta_index", "s_index", "value"])
-        for ti in range(sinogram.shape[0]):
-            for si in range(sinogram.shape[1]):
-                w.writerow([ti, si, _fmt(sinogram[ti, si])])
-
-
-def write_sinogram_binary(path: str, sinogram: np.ndarray, thetas, s_grid):
-    sinogram = np.asarray(sinogram, float)
-    sinogram.astype("<f8").tofile(path)
-    with open(path + ".hdr", "w") as fh:
-        fh.write(f"shape {sinogram.shape[0]} {sinogram.shape[1]}\n")
-        fh.write("dtype float64-le row-major (theta, s)\n")
-        fh.write("thetas " + " ".join(_fmt(t) for t in thetas) + "\n")
-        fh.write("s_grid_start " + _fmt(s_grid[0]) + "\n")
-        fh.write("s_grid_step " + _fmt(s_grid[1] - s_grid[0]) + "\n")
 
 
 # ---------------------------------------------------------------------------

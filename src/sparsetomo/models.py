@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wavelets import AtomIndex, DictionaryAtlas, WaveletFilter, dilation, _cascade
+from .wavelets import DictionaryAtlas, WaveletFilter, dilation, _cascade
 
 
 class GeometryError(ValueError):
@@ -79,19 +79,32 @@ class MeasurementModel:
         return 2.0 * np.pi * np.arange(n) / n, np.full(n, 1.0 / n)
 
     def atom_norms(self, positions, t) -> np.ndarray:
-        """Per-atom measurement norms at one parameter value."""
-        R = self.rows(positions, t)
-        return np.sqrt((R * R).sum(axis=1) * self.quad_weight)
+        """Per-atom measurement norms at parameter t; for a vector t, one row
+        per parameter, each the one-parameter call's bit for bit."""
+        ts = np.atleast_1d(np.asarray(t, float))
+        out = np.empty((len(ts), len(positions)))
+        for k, R in enumerate(self.rows_at(positions, ts)):
+            out[k] = np.sqrt((R * R).sum(axis=1) * self.quad_weight)
+        return out if np.ndim(t) else out[0]
 
     def measure(self, positions, x, t) -> np.ndarray:
         """The measurement block sum_i x_i rows_i of coefficients x over
-        positions at parameter t; for a vector t, one block per row."""
+        positions at parameter t, from the support runs, one bincount per
+        group and chunk of _CHUNK parameters; equals rows(positions, t).T @ x
+        up to summation order.  For a vector t, one block per row."""
+        positions = np.asarray(positions, dtype=int)
         x = np.asarray(x, float)
-        out = np.array([self.rows(positions, tk).T @ x for tk in np.atleast_1d(t)])
+        ts = np.atleast_1d(np.asarray(t, float))
+        out = np.zeros((len(ts), self.block_dim))
+        for k0 in range(0, len(ts), _CHUNK):
+            blk = out[k0:k0 + _CHUNK].reshape(-1)
+            for k, atom, col, val in self._runs(positions, ts[k0:k0 + _CHUNK]):
+                blk += np.bincount(k * self.block_dim + col, weights=val * x[atom],
+                                   minlength=len(blk))
         return out if np.ndim(t) else out[0]
 
     def _runs(self, positions, ts):
-        """(angle, row, column, value) arrays of the rows' runs at each
+        """(parameter, row, column, value) arrays of the rows' runs at each
         parameter of ts, as AtlasModel._runs yields them: here one group per
         parameter, whose runs are the whole rows."""
         for k, t in enumerate(ts):
@@ -137,37 +150,18 @@ class AtlasModel(MeasurementModel):
     def scales(self) -> np.ndarray:
         return self.atlas.scales
 
-    def atom_row(self, idx: AtomIndex, theta: float) -> np.ndarray:
-        return self.rows([self.atlas.index_position(idx)], theta)[0]
-
     def rows(self, positions, t) -> np.ndarray:
         """Measurement rows (len(positions), block_dim) at one angle, dense,
         from the atoms' support runs."""
         return next(self.rows_at(positions, [t]))
 
-    def measure(self, positions, x, t) -> np.ndarray:
-        """sum_i x_i rows_i from the support runs, one bincount per group and
-        chunk of _CHUNK angles; equals rows(positions, t).T @ x up to
-        summation order.  For a vector t, one block per row."""
-        positions = np.asarray(positions, dtype=int)
-        x = np.asarray(x, float)
-        ts = np.atleast_1d(np.asarray(t, float))
-        out = np.zeros((len(ts), self.block_dim))
-        for k0 in range(0, len(ts), _CHUNK):
-            blk = out[k0:k0 + _CHUNK].reshape(-1)
-            for k, atom, col, val in self._runs(positions, ts[k0:k0 + _CHUNK]):
-                blk += np.bincount(k * self.block_dim + col, weights=val * x[atom],
-                                   minlength=len(blk))
-        return out if np.ndim(t) else out[0]
-
     def atom_norms(self, positions, t) -> np.ndarray:
-        """Per-atom measurement norms at one parameter value, from one
-        (scale, orientation) group's rows at a time, so only that group's
-        rows are held."""
+        """Per-atom measurement norms at t, from one (scale, orientation)
+        group's rows at a time, so only that group's rows are held."""
         positions = np.asarray(positions, dtype=int)
-        out = np.empty(len(positions))
+        out = np.empty(np.shape(t) + (len(positions),))
         for _, _, sel in self._groups(positions):
-            out[sel] = super().atom_norms(positions[sel], t)
+            out[..., sel] = super().atom_norms(positions[sel], t)
         return out
 
     def _groups(self, positions):
@@ -263,15 +257,14 @@ class RadonModel(AtlasModel):
         return start, np.ceil((stop - start) / fine_step).astype(int)
 
     def _group_base(self, scale: int, orientation: int, theta, fine_step: float):
-        """Offset grid and line-integral profile of one (scale, orientation)
-        group at angle theta, as 1-D arrays.  For a vector of angles, row k
-        holds angle k's grid and profile, padded to the longest: the grid
-        continues the progression np.arange fills, start + i * ((start +
-        step) - start), and the profile, 0 past its support, reads 0 on the
-        padding.  (np.arange sets node 1 to start + step, the same number
-        here: start <= -step, so (start + step) - start is exact.)"""
-        th = np.atleast_1d(theta)
-        c, s = np.cos(th), np.sin(th)
+        """Offset grids and line-integral profiles of one (scale, orientation)
+        group at a vector of angles theta: row k holds angle k's grid and
+        profile, padded to the longest.  The grid continues the progression
+        np.arange fills, start + i * ((start + step) - start), and the
+        profile, 0 past its support, reads 0 on the padding.  (np.arange sets
+        node 1 to start + step, the same number here: start <= -step, so
+        (start + step) - start is exact.)"""
+        c, s = np.cos(theta), np.sin(theta)
         kx, ky = self.atlas.profile_kinds(orientation)
         fx = self.atlas.profile(scale, kx)
         fy = self.atlas.profile(scale, ky)
@@ -279,10 +272,7 @@ class RadonModel(AtlasModel):
         start, size = self._group_span(scale, c, s, fine_step)
         index = np.arange(size.max())
         grid = start[:, None] + index * ((start + fine_step) - start)[:, None]
-        base = _convolved_base_row(fx, fy, c, s, h, grid)
-        if np.ndim(theta) == 0:
-            return grid[0, :size[0]], base[0, :size[0]]
-        return grid, base
+        return grid, _convolved_base_row(fx, fy, c, s, h, grid)
 
     def _runs(self, positions, thetas):
         """(angle, atom, offset, value) arrays of each (scale, orientation)
@@ -355,36 +345,6 @@ class RadonModel(AtlasModel):
                     b = b[:size[k]]
                     out[k, sel] = float(np.sqrt(np.sum(b * b) * fine))
         return out if np.ndim(theta) else out[0]
-
-
-def radon_image(image: np.ndarray, grid, theta: float, s_grid: np.ndarray,
-                step: float | None = None) -> np.ndarray:
-    """Line integrals of a pixel image: bilinear interpolation along rotated
-    equispaced sample points at step h/2, summed with the step weight."""
-    image = np.asarray(image, float)
-    h = grid.h
-    step = h / 2.0 if step is None else step
-    c, s = np.cos(theta), np.sin(theta)
-    half = grid.extent[1] * np.sqrt(2.0) + h
-    ts = np.arange(-half, half + step, step)
-    X = s_grid[:, None] * c - ts[None, :] * s
-    Y = s_grid[:, None] * s + ts[None, :] * c
-    gx = (X - grid.x0) / h
-    gy = (Y - grid.x0) / h
-    i0 = np.floor(gx).astype(int)
-    j0 = np.floor(gy).astype(int)
-    fx = gx - i0
-    fy = gy - j0
-    n = grid.npts
-    valid = (i0 >= 0) & (i0 < n - 1) & (j0 >= 0) & (j0 < n - 1)
-    i0c = np.clip(i0, 0, n - 2)
-    j0c = np.clip(j0, 0, n - 2)
-    v = (image[j0c, i0c] * (1 - fx) * (1 - fy)
-         + image[j0c, i0c + 1] * fx * (1 - fy)
-         + image[j0c + 1, i0c] * (1 - fx) * fy
-         + image[j0c + 1, i0c + 1] * fx * fy)
-    v = np.where(valid, v, 0.0)
-    return v.sum(axis=1) * step
 
 
 # ---------------------------------------------------------------------------
@@ -940,4 +900,4 @@ def uniform_bound_probe(model, positions, n_angles: int = 64, seed: int = 0) -> 
     """Measured uniform bound: max over random parameters and window atoms of
     the per-atom measurement norm (atom norms are 1)."""
     ts = model.sample(n_angles, np.random.default_rng(seed))
-    return max((float(model.atom_norms(positions, t).max()) for t in ts), default=0.0)
+    return float(model.atom_norms(positions, ts).max(initial=0.0))

@@ -98,28 +98,4 @@ def make_phantom(atlas: DictionaryAtlas, spec: PhantomSpec, j0: int):
         x = analysis(atlas, img)
         img = synthesis(atlas, x)  # the in-model part; tails beyond j_max are dropped
         meta = {"kind": "cartoon"}
-    meta["a_effective"] = tail_decay_exponent(atlas, x)
     return img, x, meta
-
-
-def tail_decay_exponent(atlas: DictionaryAtlas, x) -> float:
-    """Fitted slope -a of log2 out-of-window energy against the window scale.
-
-    Windows whose tail holds fewer than three further scales are excluded:
-    there the geometric series is visibly truncated and the local slope
-    steepens regardless of the underlying decay."""
-    x = np.asarray(x, float)
-    j_hi = max(atlas.j_max - 3, 0)
-    js, ys = [], []
-    for j in range(min(j_hi, atlas.j_max - 1) + 1):
-        tail = x[atlas.scales > j]
-        nrm = float(np.linalg.norm(tail))
-        if nrm > 0:
-            js.append(float(j))
-            ys.append(np.log2(nrm))
-    if len(js) < 2:
-        return float("nan")
-    js = np.asarray(js)
-    ys = np.asarray(ys)
-    jc = js - js.mean()
-    return float(-(jc @ (ys - ys.mean())) / (jc @ jc))

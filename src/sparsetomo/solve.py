@@ -12,9 +12,6 @@ iteration costs two products with the singular vectors.  The penalty is
 rho = 10 ||w|| L / ||yt|| on the system normalized by its norm L, which no
 rescaling of y, eta or w changes.  Every check_every iterations the duality
 gap and feasibility of u certify it.
-
-A Lagrangian sweep (iterative soft thresholding over a penalty grid) serves
-as an algorithm-independent cross-check of the constrained path.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import SampledSystem
-from .wavelets import DictionaryAtlas, synthesis
 from .weights import WeightVector
 
 
@@ -193,56 +189,3 @@ def solve_constrained_l1_matrix(A, y: np.ndarray, omega: WeightVector,
     gap, u_best, obj, res = best
     return SolveResult(x_hat=col * u_best, objective=obj, residual=res,
                        iterations=it, gap=gap, status=status, trace=trace)
-
-
-def solve_penalized_path(system, omega: WeightVector, penalties,
-                         zeta: float = 0.0, max_iters: int = 20000, tol: float = 1e-10):
-    """Lagrangian sweep min pen * ||W^-zeta x||_{1,omega} + 0.5 ||Ax-y||^2 by
-    accelerated iterative soft thresholding, one result per penalty.
-
-    Serves as an independent oracle: residuals decrease along decreasing
-    penalties, and the member bracketing a constraint radius should agree
-    with the constrained solver's objective."""
-    penalties = list(penalties)
-    if any(p <= 0 for p in penalties):
-        raise ValueError("penalties must be positive")
-    if sorted(penalties, reverse=True) != penalties:
-        raise ValueError("penalties must be decreasing")
-    scales = system.model.scales()
-    sc = None if scales is None else scales[system.positions]
-    col = _column_scaling(sc, zeta, len(system.positions))
-    w = omega.values
-    H, b = system.gram(col, system.y)
-    L = float(np.linalg.eigvalsh(H).max())
-    out = []
-    z = np.zeros_like(col)
-    for pen in penalties:
-        thr = pen * w / L
-        v = z.copy()
-        t_acc = 1.0
-        z_prev = z.copy()
-        for it in range(1, max_iters + 1):
-            grad = H @ v - b
-            zn = v - grad / L
-            zn = np.sign(zn) * np.maximum(np.abs(zn) - thr, 0.0)
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc ** 2))
-            v = zn + (t_acc - 1.0) / t_new * (zn - z_prev)
-            step = float(np.linalg.norm(zn - z_prev))
-            z_prev = zn
-            t_acc = t_new
-            if step <= tol * max(1.0, float(np.linalg.norm(zn))):
-                break
-        z = z_prev
-        x_hat = col * z
-        obj = float(np.sum(np.abs(z) * w))
-        res = system.residual_norm(col * z)
-        out.append(SolveResult(x_hat=x_hat, objective=obj, residual=res,
-                               iterations=it, gap=float("nan"), status="optimal"))
-    return out
-
-
-def reconstruct_image(result: SolveResult, atlas: DictionaryAtlas, indices) -> np.ndarray:
-    """Superpose the solved coefficients into a pixel image."""
-    if len(result.x_hat) != len(indices):
-        raise ValueError("coefficient count does not match the index window")
-    return synthesis(atlas, result.x_hat, indices)

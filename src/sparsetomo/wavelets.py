@@ -207,7 +207,6 @@ class DictionaryAtlas:
         self.grid = grid
         self.gamma = list(gamma)
         self._profiles = profiles
-        self._pos = {idx: i for i, idx in enumerate(self.gamma)}
         self.scales = np.array([a.scale for a in self.gamma])
         self.orientations = np.array([a.orientation for a in self.gamma])
         self.n1 = np.array([a.n1 for a in self.gamma])
@@ -215,9 +214,6 @@ class DictionaryAtlas:
 
     def __len__(self):
         return len(self.gamma)
-
-    def index_position(self, idx: AtomIndex) -> int:
-        return self._pos[idx]
 
     def scale_counts(self) -> np.ndarray:
         return np.bincount(self.scales, minlength=self.j_max + 1)
@@ -315,15 +311,6 @@ def build_atlas(filt: WaveletFilter, j_max: int, grid_resolution: float | None =
     return DictionaryAtlas(filt, j_max, grid, gamma, profiles)
 
 
-def truncation_set(atlas: DictionaryAtlas, j0: int) -> list[AtomIndex]:
-    """All dictionary indices with scale <= j0."""
-    if j0 > atlas.j_max:
-        raise ValueError(f"j0={j0} exceeds atlas j_max={atlas.j_max}")
-    if j0 < 0:
-        raise ValueError("j0 must be >= 0")
-    return [a for a in atlas.gamma if a.scale <= j0]
-
-
 def truncation_positions(atlas: DictionaryAtlas, j0: int) -> np.ndarray:
     """Positions (into atlas.gamma) of the scale <= j0 atoms."""
     if j0 > atlas.j_max or j0 < 0:
@@ -331,29 +318,29 @@ def truncation_positions(atlas: DictionaryAtlas, j0: int) -> np.ndarray:
     return np.flatnonzero(atlas.scales <= j0)
 
 
-def analysis(atlas: DictionaryAtlas, image: np.ndarray, indices=None) -> np.ndarray:
-    """Grid inner products <image, atom> with quadrature weight h^2."""
+def analysis(atlas: DictionaryAtlas, image: np.ndarray) -> np.ndarray:
+    """Grid inner products <image, atom> with quadrature weight h^2, one per
+    atlas atom."""
     image = np.asarray(image, float)
     if image.shape != (atlas.grid.npts, atlas.grid.npts):
         raise ValueError(f"image shape {image.shape} does not match atlas grid")
-    idxs = atlas.gamma if indices is None else indices
     h2 = atlas.grid.h ** 2
-    out = np.empty(len(idxs))
-    for k, idx in enumerate(idxs):
+    out = np.empty(len(atlas))
+    for k, idx in enumerate(atlas.gamma):
         fx, fy, i1, i2 = atlas.atom_profiles(idx)
         block = image[i2:i2 + len(fy), i1:i1 + len(fx)]
         out[k] = h2 * (fy @ block @ fx)
     return out
 
 
-def synthesis(atlas: DictionaryAtlas, coeffs, indices=None) -> np.ndarray:
-    """Superpose coefficients times rasterized atoms into a pixel image."""
-    idxs = atlas.gamma if indices is None else indices
+def synthesis(atlas: DictionaryAtlas, coeffs) -> np.ndarray:
+    """Superpose coefficients (one per atlas atom) times rasterized atoms into
+    a pixel image; zero coefficients are skipped."""
     c = np.asarray(coeffs, float)
-    if len(c) != len(idxs):
-        raise ValueError(f"{len(c)} coefficients for {len(idxs)} atoms")
+    if len(c) != len(atlas):
+        raise ValueError(f"{len(c)} coefficients for {len(atlas)} atoms")
     img = np.zeros((atlas.grid.npts, atlas.grid.npts))
-    for k, idx in enumerate(idxs):
+    for k, idx in enumerate(atlas.gamma):
         if c[k] == 0.0:
             continue
         fx, fy, i1, i2 = atlas.atom_profiles(idx)
@@ -366,21 +353,20 @@ def image_norm(atlas: DictionaryAtlas, image: np.ndarray) -> float:
     return float(atlas.grid.h * np.sqrt(np.sum(np.asarray(image) ** 2)))
 
 
-def discrete_gram(atlas: DictionaryAtlas, indices=None) -> np.ndarray:
-    """Gram matrix of the rasterized atoms under the grid inner product.
+def discrete_gram(atlas: DictionaryAtlas) -> np.ndarray:
+    """Gram matrix of the rasterized atlas atoms under the grid inner product.
 
     Exploits separability: the 2D entry is the product of two 1D profile
     inner products, so only a small cross-Gram of deduplicated 1D factors is
     ever accumulated.
     """
-    idxs = atlas.gamma if indices is None else list(indices)
     h = atlas.grid.h
-    n = len(idxs)
+    n = len(atlas)
     axes: list[tuple[np.ndarray, int]] = []
     seen: dict = {}
     ax_x = np.empty(n, dtype=int)
     ax_y = np.empty(n, dtype=int)
-    for k, idx in enumerate(idxs):
+    for k, idx in enumerate(atlas.gamma):
         kx, ky = atlas.profile_kinds(idx.orientation)
         _, _, i1, i2 = atlas.atom_profiles(idx)
         for kind, off, store in ((kx, i1, ax_x), (ky, i2, ax_y)):

@@ -124,7 +124,7 @@ def test_criterion_03_coherence_law(haar5):
 
 def test_criterion_04_quasi_diagonalization(haar_atlas_j3, radon_j3):
     t0 = time.time()
-    _, _, b_fit = st.estimate_quasi_diag(radon_j3)
+    b_fit = st.compute_gram(radon_j3, np.arange(len(haar_atlas_j3))).b_fit
     consts = []
     for j0 in (1, 2, 3):
         w = st.truncation_positions(haar_atlas_j3, j0)
@@ -183,7 +183,7 @@ def test_criterion_06_exact_recovery():
     t0 = time.time()
     c0 = calibrate_recovery_constant(order=1, s=5, j0=2, n_seeds=20)
     m = recovery_rule_m(c0, 5, 3, gamma=0.1)
-    model = build_model("radon", order=1, j_max=4, s_step=1.0 / 32, rho=3.0)
+    model = build_model("radon", order=1, j_max=4, s_step=1.0 / 32)
     atlas = model.atlas
     good = 0
     worst = 0.0

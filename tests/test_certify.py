@@ -106,11 +106,11 @@ def test_gram_pass_matches_single_rule_oracles(kind, haar_atlas_j2):
         assert cert.sigma_min_shift == 0.0
 
 
-def test_quasi_diag_synthetic_exact(synthetic_model):
-    c_hat, C_hat, b_fit = st.estimate_quasi_diag(synthetic_model)
+def test_quasi_diag_synthetic_exact(synthetic_cert):
+    _, c_hat, C_hat = synthetic_cert.quasi_diag
     assert c_hat == pytest.approx(1.0, abs=1e-10)
     assert C_hat == pytest.approx(1.0, abs=1e-10)
-    assert b_fit == pytest.approx(0.5, abs=1e-10)
+    assert synthetic_cert.b_fit == pytest.approx(0.5, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +500,8 @@ def test_fanbeam_quasi_diag_band_of_radon():
     rad = st.RadonModel(a)
     fan = st.FanBeamModel(a)
     w = np.arange(len(a))
-    cR, CR, _ = st.estimate_quasi_diag(rad, w, n_quad=64, n_probes=100)
-    cD, CD, _ = st.estimate_quasi_diag(fan, w, n_quad=64, n_probes=100)
+    _, cR, CR = st.compute_gram(rad, w, n_quad=64, quasi_diag_probes=100).quasi_diag
+    _, cD, CD = st.compute_gram(fan, w, n_quad=64, quasi_diag_probes=100).quasi_diag
     lo = 1.0 / fan.rho
     hi = 1.0 / np.sqrt(fan.rho ** 2 - fan.d ** 2)
     assert cD >= cR * lo * 0.98

@@ -32,6 +32,15 @@ def test_certify_writes_reports(tmp_path, runner):
     assert "b_fit" in res.output
 
 
+@pytest.mark.parametrize("args", [["certify", "--m", "64"], ["atlas", "build", "--beta", "0.1"],
+                                  ["reconstruct", "--gamma", "0.2"], ["sweep", "--beta", "0.1"]])
+def test_command_rejects_flags_it_does_not_read(tmp_path, runner, args):
+    # each command declares only the flags it reads: an unread one is a usage error
+    res = runner.invoke(main, args + ["--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert "No such option" in res.output
+
+
 def test_reconstruct_outputs(tmp_path, runner):
     res = runner.invoke(main, ["reconstruct", "--j0", "1", "--jmax", "2",
                                "--s", "2", "--m", "24", "--seed", "3",

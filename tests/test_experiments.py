@@ -158,7 +158,7 @@ def test_build_model_is_memoised():
 def test_measurement_error_in_quasi_diag_band():
     # with the reweighted solver, the measurement-domain error tracks the
     # scale-weighted coefficient error inside the dyadic-equivalence band
-    model = build_model("radon", order=1, j_max=2, s_step=1.0 / 16, rho=3.0)
+    model = build_model("radon", order=1, j_max=2, s_step=1.0 / 16)
     atlas = model.atlas
     window = st.truncation_positions(atlas, 1)
     _, x_full, _ = st.make_phantom(atlas, st.PhantomSpec("sparse", s=4, seed=2), 1)
@@ -177,7 +177,7 @@ def test_measurement_error_in_quasi_diag_band():
 
 
 def test_doubling_samples_improves_median_error():
-    model = build_model("radon", order=1, j_max=2, s_step=1.0 / 16, rho=3.0)
+    model = build_model("radon", order=1, j_max=2, s_step=1.0 / 16)
     atlas = model.atlas
     _, x_full, _ = st.make_phantom(atlas, st.PhantomSpec("tail", a=0.5, seed=0), 1)
     from sparsetomo.solve import SolveConfig

@@ -52,26 +52,6 @@ def test_atlas_export_import(tmp_path, haar_atlas_j2):
         assert np.array_equal(patch, ref_patch)
 
 
-def test_sinogram_csv(tmp_path):
-    sino = np.arange(6.0).reshape(2, 3)
-    path = str(tmp_path / "sino.csv")
-    stio.write_sinogram_csv(path, sino)
-    lines = open(path).read().splitlines()
-    assert lines[0] == "theta_index,s_index,value"
-    assert len(lines) == 7
-    assert lines[1] == "0,0,0.0"
-
-
-def test_sinogram_binary(tmp_path):
-    sino = np.arange(6.0).reshape(2, 3)
-    path = str(tmp_path / "sino.bin")
-    stio.write_sinogram_binary(path, sino, thetas=[0.0, 1.0],
-                               s_grid=np.array([0.0, 0.5, 1.0]))
-    back = np.fromfile(path, dtype="<f8").reshape(2, 3)
-    assert np.array_equal(back, sino)
-    assert "s_grid_step 0.5" in open(path + ".hdr").read()
-
-
 def test_system_dir_round_trip(tmp_path, haar_atlas_j2, radon_j2):
     # A.bin is written a chunk of samples at a time: m spans two whole
     # chunks and a partial one

@@ -5,8 +5,10 @@ import pytest
 
 import sparsetomo as st
 from sparsetomo.experiments import build_model
-from sparsetomo.models import _CHUNK, GeometryError, radon_image
+from sparsetomo.models import _CHUNK, GeometryError
 from sparsetomo.wavelets import GridSpec, dilation
+
+from oracles import radon_image
 
 
 def brute_radon_atom(atlas, idx, theta, s_grid, step):
@@ -40,7 +42,7 @@ def brute_radon_rows(model, positions, theta):
     fine = model.s_step / 2.0
     n1, n2 = model.atlas.n1[positions], model.atlas.n2[positions]
     for scale, orient, sel in model._groups(positions):
-        grid, base = model._group_base(scale, orient, theta, fine)
+        (grid,), (base,) = model._group_base(scale, orient, [theta], fine)
         shifts = (n1[sel] * c + n2[sel] * s) / dilation(scale)
         P = model.s_grid[None, :] - shifts[:, None]
         out[sel] = np.interp(P, grid, base, left=0.0, right=0.0)
@@ -169,13 +171,13 @@ def test_radon_atom_matches_line_quadrature(haar_atlas_j3):
     for pos in rng.choice(resolved, 6, replace=False):
         idx = a.gamma[pos]
         for th in (0.31, 2.1, 4.4):
-            mine = mo.atom_row(idx, th)
+            mine = mo.rows([pos], th)[0]
             brute = brute_radon_atom(a, idx, th, mo.s_grid, a.grid.h / 2)
             assert np.abs(mine - brute).max() <= 3 * mo.s_step
 
 
 def test_radon_atom_zero_outside_projection(haar_atlas_j3, radon_j3):
-    row = radon_j3.atom_row(haar_atlas_j3.gamma[0], 1.0)
+    row = radon_j3.rows([0], 1.0)[0]
     assert np.isfinite(row).all()
     assert np.abs(row[0]) == 0.0 and np.abs(row[-1]) == 0.0
 
@@ -245,7 +247,7 @@ def test_radon_group_profiles_batch_matches_single():
     for scale, orient, _ in model._groups(np.arange(len(model.atlas))):
         grid, base = model._group_base(scale, orient, angles, fine)
         for k, th in enumerate(angles):
-            g, b = model._group_base(scale, orient, th, fine)
+            (g,), (b,) = model._group_base(scale, orient, [th], fine)
             assert g.tobytes() == np.arange(g[0], g[-1] + fine / 2, fine).tobytes()
             assert grid[k, :len(g)].tobytes() == g.tobytes()
             assert base[k, :len(b)].tobytes() == b.tobytes()
@@ -262,6 +264,19 @@ def test_radon_atom_norms_batch_matches_single():
     assert batch.shape == (len(angles), len(positions))
     for k, th in enumerate(angles):
         assert batch[k].tobytes() == model.atom_norms(positions, th).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["fanbeam", "fourier", "legendre", "synthetic"])
+def test_atom_norms_batch_matches_single(kind, synthetic_model):
+    # every model takes a vector of parameters, one row per parameter, each
+    # the one-parameter call's bit for bit; the batch crosses a chunk boundary
+    model = synthetic_model if kind == "synthetic" else build_model(kind, j_max=2)
+    positions = np.arange(model.dictionary_size())
+    ts = model.sample(_CHUNK + 5, np.random.default_rng(6))
+    batch = model.atom_norms(positions, ts)
+    assert batch.shape == (len(ts), len(positions))
+    for k, t in enumerate(ts):
+        assert batch[k].tobytes() == model.atom_norms(positions, t).tobytes()
 
 
 @pytest.mark.parametrize("s_step", [1.0 / 32, None])
@@ -285,22 +300,31 @@ def test_radon_runs_cut_to_nonzero_span(s_step):
                                                                        th).tobytes()
 
 
-@pytest.mark.parametrize("kind", ["radon", "fanbeam"])
+@pytest.mark.parametrize("kind", ["radon", "fanbeam", "fourier", "legendre"])
 def test_measure_matches_rows(kind):
-    # measure sums the support runs directly: rows(p, t).T @ x up to the order
-    # of summation
+    # measure sums the support runs directly (whole rows, one group per
+    # parameter, on the models without an atlas): rows(p, t).T @ x up to the
+    # order of summation; a vector of parameters gives each one-parameter
+    # block bit for bit
     model = build_model(kind, order=1, j_max=3)
-    n = len(model.atlas)
+    n = model.dictionary_size()
     rng = np.random.default_rng(4)
-    base = rng.choice(n, 150, replace=False)
-    cases = [np.arange(n), st.truncation_positions(model.atlas, 2),
-             rng.permutation(np.concatenate([base, base[:40]])), np.array([int(base[0])])]
+    base = rng.choice(n, min(150, n // 2), replace=False)
+    cases = [np.arange(n), rng.permutation(np.concatenate([base, base[:40]])),
+             np.array([int(base[0])])]
+    ts = np.array([0.0, np.pi / 2, 2.6, 4.4])
+    if kind in ("radon", "fanbeam"):
+        cases.insert(1, st.truncation_positions(model.atlas, 2))
+    else:
+        ts = model.sample(len(ts), rng)
     for positions in cases:
         x = rng.standard_normal(len(positions))
-        for th in (0.0, np.pi / 2, 2.6, 4.4):
+        batch = model.measure(positions, x, ts)
+        for k, th in enumerate(ts):
             expect = model.rows(positions, th).T @ x
             got = model.measure(positions, x, th)
             assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+            assert batch[k].tobytes() == got.tobytes()
     assert np.array_equal(model.measure(np.array([], dtype=int), [], 0.9),
                           np.zeros(model.block_dim))
 
@@ -401,7 +425,7 @@ def test_fanbeam_reparametrization_identity(haar_atlas_j3):
     for pos in rng.choice(coarse, 6, replace=False):
         idx = a.gamma[pos]
         for th in (0.7, 3.5):
-            row_fan = fan.atom_row(idx, th)
+            row_fan = fan.rows([pos], th)[0]
             sel = np.flatnonzero(np.abs(row_fan) > 1e-12)
             w = a.filter.support_length / dilation(idx.scale)
             for k in sel[:: max(1, len(sel) // 6)]:
@@ -412,7 +436,7 @@ def test_fanbeam_reparametrization_identity(haar_atlas_j3):
                 # 1D interpolation cannot represent it
                 if min(abs(np.cos(phi)), abs(np.sin(phi))) * w < 4 * rad.s_step:
                     continue
-                r_row = rad.atom_row(idx, phi)
+                r_row = rad.rows([pos], phi)[0]
                 v = np.interp(fan.rho * np.sin(al), rad.s_grid, r_row)
                 assert abs(v - row_fan[k]) <= 5 * rad.s_step
 

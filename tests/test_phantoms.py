@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import sparsetomo as st
-from sparsetomo.phantoms import cartoon_phantom, tail_decay_exponent
+from sparsetomo.phantoms import cartoon_phantom
+
+from oracles import tail_decay_exponent
 
 
 def test_sparse_phantom_zero(haar_atlas_j2):
@@ -34,10 +36,9 @@ def test_sparse_phantom_deterministic(haar_atlas_j2):
 
 def test_tail_phantom_decay_slope():
     a = st.build_atlas(st.build_filter(1), 6)
-    _, x, meta = st.make_phantom(a, st.PhantomSpec("tail", a=0.5, seed=1), 3)
+    _, x, _ = st.make_phantom(a, st.PhantomSpec("tail", a=0.5, seed=1), 3)
     slope = tail_decay_exponent(a, x)
     assert abs(slope - 0.5) <= 0.05
-    assert abs(meta["a_effective"] - 0.5) <= 0.05
 
 
 def test_tail_phantom_other_exponent():

@@ -173,20 +173,20 @@ def test_round_trip(haar_atlas_j2):
 
 def test_truncation_set(haar_atlas_j3):
     a = haar_atlas_j3
-    assert len(st.truncation_set(a, a.j_max)) == len(a)
-    t0 = st.truncation_set(a, 0)
-    assert all(i.scale == 0 for i in t0)
-    n2 = len(st.truncation_set(a, 2))
-    n3 = len(st.truncation_set(a, 3))
+    assert len(st.truncation_positions(a, a.j_max)) == len(a)
+    t0 = st.truncation_positions(a, 0)
+    assert all(a.gamma[i].scale == 0 for i in t0)
+    n2 = len(st.truncation_positions(a, 2))
+    n3 = len(st.truncation_positions(a, 3))
     assert 3.2 <= n3 / n2 <= 4.8
     with pytest.raises(ValueError):
-        st.truncation_set(a, a.j_max + 1)
+        st.truncation_positions(a, a.j_max + 1)
 
 
 def test_truncation_positions_match(haar_atlas_j3):
     a = haar_atlas_j3
     pos = st.truncation_positions(a, 1)
-    assert [a.gamma[i] for i in pos] == st.truncation_set(a, 1)
+    assert [a.gamma[i] for i in pos] == [g for g in a.gamma if g.scale <= 1]
 
 
 def test_dilation_convention():
