@@ -1,9 +1,9 @@
 """Sparse-angle tomographic reconstruction over compactly supported wavelet
 dictionaries, with numerical certification of the recovery machinery."""
 
-from .weights import (CoefficientVector, SparseApproxResult, WeightVector,
-                      best_sparse_approx_bruteforce, quasi_best_sparse_approx,
-                      stechkin_bound, weighted_norm, weighted_size)
+from .weights import (SparseApproxResult, WeightVector, best_sparse_approx_bruteforce,
+                      quasi_best_sparse_approx, stechkin_bound, weighted_norm,
+                      weighted_size)
 from .wavelets import (AtomIndex, DictionaryAtlas, GridSpec, WaveletFilter,
                        analysis, build_atlas, build_filter, discrete_gram,
                        synthesis, truncation_positions)

@@ -357,13 +357,17 @@ def delta_star_montecarlo(system: SampledSystem, cert: GramCertificate,
                        samples_m=system.m)
 
 
+def recovery_rule_m(c0: float, s: int, j0: int, gamma: float = 0.1) -> int:
+    """The linear-in-s sample count c0 s max(j0 log^3 s, log(1/gamma))."""
+    return int(np.ceil(c0 * s * max(j0 * np.log(s) ** 3, np.log(1.0 / gamma))))
+
+
 def sample_complexity(cert: GramCertificate, s: float, M: int, gamma: float,
-                      variant: str, C0: float = 1.0, zeta: float = 1.0,
-                      j0: int | None = None,
+                      variant: str, zeta: float = 1.0, j0: int | None = None,
                       omega: WeightVector | None = None) -> int:
     """Number of samples prescribed by one of the supported sample-count
     rules, with all measured constants taken from the certificate and the
-    universal constant supplied as configuration.
+    universal constant set to 1.
 
     conditioning:        worst-case rule through the window conditioning,
                          tau = B^2 ||G^-1||^4 ||G||^2 s
@@ -386,17 +390,17 @@ def sample_complexity(cert: GramCertificate, s: float, M: int, gamma: float,
     log_gamma = np.log(1.0 / gamma)
     if variant == "conditioning":
         tau = cert.coherence_B ** 2 * cert.inv_norm ** 4 * cert.sigma_max ** 2 * s
-        m = C0 * tau * max(np.log(tau) ** 3 * np.log(M), log_gamma)
+        m = tau * max(np.log(tau) ** 3 * np.log(M), log_gamma)
     elif variant == "relative_coherence":
         js = np.arange(len(cert.d_exponents))
         maxfac = float(np.max(cert.d_exponents ** -2.0 * 2.0 ** (2.0 * b * js)))
         tau = cert.coherence_B ** 2 * maxfac * 2.0 ** (2.0 * (1.0 - zeta) * b * j0) * s
-        m = C0 * tau * max(np.log(tau) ** 3 * np.log(M), log_gamma)
+        m = tau * max(np.log(tau) ** 3 * np.log(M), log_gamma)
     elif variant == "window":
         tau = 2.0 ** j0 * s
-        m = C0 * tau * max(j0 * np.log(tau) ** 3, log_gamma)
+        m = tau * max(j0 * np.log(tau) ** 3, log_gamma)
     elif variant == "sparsity":
-        m = C0 * s * max(j0 * np.log(s) ** 3, log_gamma)
+        return recovery_rule_m(1.0, s, j0, gamma)
     else:
         raise ValueError(f"unknown variant {variant!r}")
     return int(np.ceil(m))
@@ -445,10 +449,10 @@ def truncation_residual(system: SampledSystem, model, x_full,
 
 
 def rnsp_witness_search(system: SampledSystem, cert: GramCertificate,
-                        omega: WeightVector, s: float, rho: float = 0.5,
-                        kappa: float | None = None, n_trials: int = 10000,
+                        omega: WeightVector, s: float, n_trials: int = 10000,
                         seed: int = 0) -> float:
-    """Randomized search for violations of the robust null-space inequality.
+    """Randomized search for violations of the robust null-space inequality,
+    with rho = 1/2 and kappa = 3 ||G^-1|| / sqrt(2).
 
     Returns the worst margin (right side minus left side) over random
     (vector, support) pairs; a nonnegative value means no violation found.
@@ -456,8 +460,7 @@ def rnsp_witness_search(system: SampledSystem, cert: GramCertificate,
     at a time, one product with each dense chunk of A.
     """
     n = len(system.positions)
-    if kappa is None:
-        kappa = 3.0 * cert.inv_norm / np.sqrt(2.0)
+    kappa = 3.0 * cert.inv_norm / np.sqrt(2.0)
     rng = np.random.default_rng(seed)
     wsq = omega.values ** 2
     q = np.repeat(system.q_weights, system.block_dim)
@@ -480,6 +483,6 @@ def rnsp_witness_search(system: SampledSystem, cert: GramCertificate,
             block *= q[rows, None]
             P = block @ X
             qax += np.einsum("ij,ij->j", P, P)
-        rhs = rho / np.sqrt(s) * tail1 + kappa * np.sqrt(qax)
+        rhs = 0.5 / np.sqrt(s) * tail1 + kappa * np.sqrt(qax)
         worst = min(worst, float((rhs - lhs).min()))
     return float(worst)

@@ -1,7 +1,8 @@
 """Command-line harness: atlas build, certify, reconstruct, sweep, fit.
 
 Each command takes only the flags it reads.  Every flag can also come from a
-JSON config file (--config); explicit flags win over the file.  All runs are
+JSON config file (--config); explicit flags win over the file, and a file key
+the command does not read is a usage error, as such a flag is.  All runs are
 deterministic in their seeds, and outputs are plain CSV / text / PGM / flat
 binary files under --out.
 """
@@ -25,6 +26,7 @@ from .wavelets import build_atlas, build_filter, synthesis, truncation_positions
 from .weights import WeightVector
 
 MODEL_CHOICES = ("radon", "fanbeam", "fourier", "legendre")
+PHANTOM_KEYS = ("phantom", "a")    # read by _phantom_from, from a config file only
 
 
 def _load_config(config_path):
@@ -34,8 +36,12 @@ def _load_config(config_path):
         return json.load(fh)
 
 
-def _merged(config_path, **flags):
+def _merged(config_path, file_keys=(), **flags):
+    """The config file's keys, checked against the command's, under the given flags."""
     cfg = _load_config(config_path)
+    unknown = sorted(set(cfg) - set(flags) - set(file_keys))
+    if unknown:
+        raise click.UsageError(f"config keys not read by this command: {', '.join(unknown)}")
     for k, v in flags.items():
         if v is not None:
             cfg[k] = v
@@ -135,7 +141,7 @@ def certify(config_path, **flags):
 @options("model", "wavelet_order", "j0", "jmax", "s", "m", "beta", "zeta", "seed")
 def reconstruct(config_path, **flags):
     """One reconstruction: phantom, sampled angles, solve, image outputs."""
-    cfg = _merged(config_path, **flags)
+    cfg = _merged(config_path, PHANTOM_KEYS, **flags)
     kind = cfg.get("model", "radon")
     if kind not in ("radon", "fanbeam"):
         raise click.UsageError("reconstruct drives the tomographic models")
@@ -181,7 +187,7 @@ def reconstruct(config_path, **flags):
 @options("model", "wavelet_order", "j0", "jmax", "s", "m", "zeta", "gamma", "seed")
 def sweep(config_path, betas, ms, seeds, **flags):
     """Recovery sweep over (beta, m, seed) cells; writes records.csv."""
-    cfg = _merged(config_path, betas=_csv(betas, float), ms=_csv(ms, int),
+    cfg = _merged(config_path, PHANTOM_KEYS, betas=_csv(betas, float), ms=_csv(ms, int),
                   seeds=_csv(seeds, int), **flags)
     out = cfg.get("out_dir") or "."
     os.makedirs(out, exist_ok=True)

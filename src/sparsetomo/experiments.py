@@ -10,13 +10,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import io as stio
-from .certify import (compute_gram, delta_star_montecarlo, sample_complexity)
+from .certify import (compute_gram, delta_star_montecarlo, recovery_rule_m,
+                      sample_complexity)
 from .models import (FanBeamModel, FourierWaveletModel, LegendrePointModel,
                      RadonModel, assemble_system, draw_samples)
 from .phantoms import PhantomSpec, make_phantom
 from .solve import SolveConfig, solve_constrained_l1
 from .wavelets import build_filter, build_atlas, image_norm, synthesis, truncation_positions
 from .weights import WeightVector
+
+FIT_MIN_POINTS = 4      # axis values in the narrowest window a scaling fit reads
+FIT_R2_TARGET = 0.9     # fit quality a window must reach to pass
 
 
 @dataclass
@@ -56,6 +60,8 @@ class ExperimentConfig:
 
 @dataclass
 class SweepRecord:
+    """One sweep cell; its fields, in order, are the columns of records.csv."""
+
     beta: float
     m: int
     j0: int
@@ -71,10 +77,9 @@ class SweepRecord:
     eta: float = float("nan")     # the solve's radius, beta + tail_residual
 
 
-def j0_for_beta(beta: float, a: float, b: float = 0.5, cap: int = 4,
-                offset: int = 0) -> int:
+def j0_for_beta(beta: float, a: float, cap: int = 4, offset: int = 0) -> int:
     """Window scale balancing the noise and truncation contributions:
-    j0 = floor(log2(1/beta) / (a + b)) + offset, capped at desk scale.
+    j0 = floor(log2(1/beta) / (a + 1/2)) + offset, capped at desk scale.
 
     Along this ladder both error contributions scale like the same power of
     the noise level for any fixed offset (the rule's log base is a free
@@ -82,7 +87,7 @@ def j0_for_beta(beta: float, a: float, b: float = 0.5, cap: int = 4,
     range without touching the exponent under test."""
     if beta <= 0:
         return cap
-    j = int(np.floor(np.log2(1.0 / beta) / (a + b))) + offset
+    j = int(np.floor(np.log2(1.0 / beta) / (a + 0.5))) + offset
     return int(min(max(j, 0), cap))
 
 
@@ -97,20 +102,24 @@ def noise_matched_m_rule(beta: float, a: float, p: float, c0: float,
     return int(np.clip(int(np.floor(m)), m_min, m_cap))
 
 
-@functools.cache
 def build_model(kind: str, order: int = 1, j_max: int = 3, s_step: float = 1.0 / 32,
                 n_freq: int | None = None, max_degree: int = 30):
-    """Model factory covering all four measurement families, memoised: the
-    same arguments return the same (shared, read-only) model.  The
+    """Model factory covering all four measurement families, memoised on the
+    argument values: they return the same (shared, read-only) model.  The
     tomographic models carry their atlas as `model.atlas`."""
+    return _build_model(kind, order, j_max, s_step, n_freq, max_degree)
+
+
+@functools.cache
+def _build_model(kind, order, j_max, s_step, n_freq, max_degree):
     if kind in ("radon", "fanbeam"):
         atlas = build_atlas(build_filter(order), j_max)
         if kind == "radon":
             return RadonModel(atlas, s_step=s_step)
         return FanBeamModel(atlas, alpha_step=s_step / 3.0)   # s_step / rho at rho = 3
-    if kind in ("fourier", "fourier_wavelet"):
+    if kind == "fourier":
         return FourierWaveletModel(build_filter(order), j_max=j_max, n_freq=n_freq)
-    if kind in ("legendre", "legendre_point"):
+    if kind == "legendre":
         return LegendrePointModel(max_degree=max_degree)
     raise ValueError(f"unknown model kind {kind!r}")
 
@@ -208,11 +217,10 @@ def fit_scaling(records, x_axis: str):
     return slope, intercept, r2
 
 
-def fit_scaling_windowed(records, x_axis: str, min_points: int = 4,
-                         r2_target: float = 0.9):
+def fit_scaling_windowed(records, x_axis: str):
     """Fit over the contiguous axis window where the power law holds best.
 
-    Candidate windows need at least min_points axis values; among those
+    Candidate windows need at least FIT_MIN_POINTS axis values; among those
     reaching the target fit quality the one with the highest quality wins
     (width breaks ties).  A slow crossover into a flattened regime can keep
     the global fit above the quality bar while masking the asymptotic law,
@@ -220,15 +228,15 @@ def fit_scaling_windowed(records, x_axis: str, min_points: int = 4,
     r2, window, flagged); `flagged` marks a fit that missed the target in
     every window (the best one is still reported)."""
     values = sorted(set(getattr(r, x_axis) for r in records))
-    if len(values) < min_points:
+    if len(values) < FIT_MIN_POINTS:
         raise ValueError("not enough distinct axis values")
     best = None           # (passes_target, r2, width, result, window)
     for lo in range(len(values)):
-        for hi in range(lo + min_points, len(values) + 1):
+        for hi in range(lo + FIT_MIN_POINTS, len(values) + 1):
             window = set(values[lo:hi])
             sub = [r for r in records if getattr(r, x_axis) in window]
             res = fit_scaling(sub, x_axis)
-            cand = (res[2] >= r2_target, res[2], hi - lo, res, tuple(sorted(window)))
+            cand = (res[2] >= FIT_R2_TARGET, res[2], hi - lo, res, tuple(sorted(window)))
             if best is None or cand[:3] > best[:3]:
                 best = cand
     passes, r2, _, res, window = best
@@ -236,15 +244,12 @@ def fit_scaling_windowed(records, x_axis: str, min_points: int = 4,
 
 
 def calibrate_recovery_constant(order: int = 1, s: int = 5, j0: int = 2,
-                                n_seeds: int = 20, target_successes: int | None = None,
-                                tol: float = 1e-5, m_hi_start: int = 64,
-                                s_step: float = 1.0 / 32, zeta: float = 1.0,
-                                max_m: int = 4096) -> float:
+                                n_seeds: int = 20) -> float:
     """Calibrate the universal constant of the m >= C0 s j0 log^3 s rule on a
-    pilot: bisect to the smallest sample count where noiseless exactly sparse
-    signals are recovered across the seed battery, and freeze the ratio."""
-    target = n_seeds if target_successes is None else target_successes
-    model = build_model("radon", order=order, j_max=j0 + 1, s_step=s_step)
+    pilot: bisect, from m = 64 up to 4096, to the smallest sample count where
+    every seed's noiseless exactly sparse signal is recovered to relative
+    error 1e-5, and freeze the ratio."""
+    model = build_model("radon", order=order, j_max=j0 + 1)
     atlas = model.atlas
 
     def success_count(m):
@@ -253,29 +258,25 @@ def calibrate_recovery_constant(order: int = 1, s: int = 5, j0: int = 2,
             spec = PhantomSpec("sparse", s=s, seed=seed)
             _, x_full, meta = make_phantom(atlas, spec, j0)
             rec = run_recovery_cell(atlas, model, j0, x_full, 0.0, m, seed,
-                                    zeta, SolveConfig(max_iters=20000), record_meta=meta)
+                                    1.0, SolveConfig(max_iters=20000), record_meta=meta)
             nrm = float(np.linalg.norm(x_full))
-            if nrm > 0 and rec.err_l2 / nrm <= tol:
+            if nrm > 0 and rec.err_l2 / nrm <= 1e-5:
                 good += 1
         return good
 
-    hi = m_hi_start
-    while success_count(hi) < target:
+    hi = 64
+    while success_count(hi) < n_seeds:
         hi *= 2
-        if hi > max_m:
+        if hi > 4096:
             raise RuntimeError("calibration failed to reach the success target")
     lo = max(hi // 2, 1)
     while hi - lo > max(2, hi // 16):
         mid = (lo + hi) // 2
-        if success_count(mid) >= target:
+        if success_count(mid) >= n_seeds:
             hi = mid
         else:
             lo = mid
     return hi / (s * j0 * np.log(s) ** 3)
-
-
-def recovery_rule_m(c0: float, s: int, j0: int, gamma: float = 0.1) -> int:
-    return int(np.ceil(c0 * s * max(j0 * np.log(s) ** 3, np.log(1.0 / gamma))))
 
 
 def run_certification_report(cfg: ExperimentConfig, out_dir: str,

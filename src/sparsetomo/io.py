@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import asdict
+from dataclasses import fields
 
 import numpy as np
 
@@ -183,34 +183,28 @@ def write_trace_csv(path: str, trace):
 
 
 def write_records_csv(path: str, records):
+    from .experiments import SweepRecord   # experiments imports this module
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    fields = ["beta", "m", "j0", "s", "err_l2", "err_img", "residual",
-              "wall_time", "seed", "status", "iterations", "gap", "eta"]
+    names = [f.name for f in fields(SweepRecord)]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
-        w.writerow(fields)
+        w.writerow(names)
         for r in records:
-            d = asdict(r)
-            w.writerow([_fmt(d[f]) for f in fields])
+            w.writerow([_fmt(getattr(r, f)) for f in names])
 
 
 def read_records_csv(path: str):
-    """Records of a records.csv; files written before the iterations, gap
-    and eta columns existed read with those fields at their defaults (eta
-    NaN)."""
+    """Records of a records.csv, each column read by its field's type; a
+    column the file lacks (iterations, gap and eta in files written before
+    they existed) reads as the field's default."""
     from .experiments import SweepRecord
+    conv = {"int": int, "float": float, "str": str}
     out = []
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
-            extra = {k: conv(row[k])
-                     for k, conv in (("iterations", int), ("gap", float), ("eta", float))
-                     if row.get(k) is not None}
-            out.append(SweepRecord(
-                beta=float(row["beta"]), m=int(row["m"]), j0=int(row["j0"]),
-                s=int(row["s"]), err_l2=float(row["err_l2"]),
-                err_img=float(row["err_img"]), residual=float(row["residual"]),
-                wall_time=float(row["wall_time"]), seed=int(row["seed"]),
-                status=row["status"], **extra))
+            values = {f.name: conv[f.type](row[f.name])
+                      for f in fields(SweepRecord) if row.get(f.name) is not None}
+            out.append(SweepRecord(**values))
     return out
 
 

@@ -233,13 +233,12 @@ class RadonModel(AtlasModel):
     s-offset grid with trapezoid weight s_step.
     """
 
-    kind = "radon"
     smoothing_exponent = 0.5
 
-    def __init__(self, atlas: DictionaryAtlas, s_step: float | None = None, s_pad: float = 0.05):
+    def __init__(self, atlas: DictionaryAtlas, s_step: float | None = None):
         self.atlas = atlas
         self.s_step = atlas.grid.h if s_step is None else float(s_step)
-        smax = atlas.support_radius + s_pad
+        smax = atlas.support_radius + 0.05   # the grid runs a margin past every atom
         n = int(np.ceil(smax / self.s_step))
         self.s_grid = self.s_step * np.arange(-n, n + 1)
         self.block_dim = len(self.s_grid)
@@ -366,7 +365,6 @@ class FanBeamModel(AtlasModel):
     orders, whose atoms (radius 3.54 and up) need rho above the default.
     """
 
-    kind = "fanbeam"
     smoothing_exponent = 0.5
 
     def __init__(self, atlas: DictionaryAtlas, rho: float = 3.0, d: float | None = None,
@@ -516,19 +514,16 @@ class FourierWaveletModel(MeasurementModel):
     R^2).
     """
 
-    kind = "fourier_wavelet"
     block_dim = 2
 
-    def __init__(self, filt: WaveletFilter, j_max: int, n_freq: int | None = None,
-                 grid_level: int | None = None):
+    def __init__(self, filt: WaveletFilter, j_max: int, n_freq: int | None = None):
         self.filter = filt
         self.j_max = int(j_max)
         self.n_freq = int(2 ** (j_max + 3)) if n_freq is None else int(n_freq)
-        K = j_max + 3 if grid_level is None else grid_level
         # the rasterization grid must comfortably exceed the bandwidth, or the
         # tabulated coefficients alias
         K_min = int(np.ceil(np.log2(4 * self.n_freq)))
-        self.n_grid = 2 ** max(K, j_max + 3, K_min)
+        self.n_grid = 2 ** max(j_max + 3, K_min)
         self._labels: list[PeriodicAtomIndex] = []
         self._samples = {}
         self._build_atoms()
@@ -610,8 +605,6 @@ class LegendrePointModel(MeasurementModel):
     probability measure on [-1, 1]; degree index i = 1.. has sup-norm
     sqrt(2i - 1), which is also the natural weight vector."""
 
-    kind = "legendre_point"
-
     def __init__(self, max_degree: int):
         self.max_degree = int(max_degree)
 
@@ -622,12 +615,12 @@ class LegendrePointModel(MeasurementModel):
         i = np.arange(1, self.max_degree + 2)
         return np.sqrt(2.0 * i - 1.0)
 
-    def evaluate(self, t, max_index: int | None = None) -> np.ndarray:
-        """Values p_i(t), i = 1..max_index, via the three-term recurrence of
-        the classical polynomials, normalized to unit L2(w) norm."""
+    def evaluate(self, t) -> np.ndarray:
+        """Values p_i(t), i = 1..max_degree + 1, via the three-term recurrence
+        of the classical polynomials, normalized to unit L2(w) norm."""
         if np.any(np.asarray(t) < -1.0) or np.any(np.asarray(t) > 1.0):
             raise ValueError("evaluation points must lie in [-1, 1]")
-        m = self.max_degree + 1 if max_index is None else max_index
+        m = self.max_degree + 1
         t = np.atleast_1d(np.asarray(t, float))
         P = np.empty((m, len(t)))
         P[0] = 1.0
@@ -660,8 +653,6 @@ class SyntheticDiagonalModel(MeasurementModel):
     under the uniform angle distribution.  The population normal matrix is
     exactly diag(4^(-b j_i)); sampled systems still fluctuate, which makes the
     model a useful ground truth for restricted-isometry estimators."""
-
-    kind = "synthetic_diagonal"
 
     def __init__(self, scale_list, b: float = 0.5):
         self._scales = np.asarray(scale_list, dtype=int)

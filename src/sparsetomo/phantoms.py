@@ -26,16 +26,14 @@ class PhantomSpec:
     s: int = 0
     a: float = 0.5
     seed: int = 0
-    amplitude: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("sparse", "cartoon", "tail"):
             raise ValueError(f"unknown phantom kind {self.kind!r}")
 
 
-def sparse_phantom(atlas: DictionaryAtlas, j0: int, s: int, seed: int = 0,
-                   amplitude: float = 1.0):
-    """Exactly s-sparse coefficients on the scale <= j0 window."""
+def sparse_phantom(atlas: DictionaryAtlas, j0: int, s: int, seed: int = 0):
+    """Exactly s-sparse unit-magnitude coefficients on the scale <= j0 window."""
     window = truncation_positions(atlas, j0)
     if s > len(window):
         raise ValueError(f"s={s} exceeds window size {len(window)}")
@@ -43,14 +41,13 @@ def sparse_phantom(atlas: DictionaryAtlas, j0: int, s: int, seed: int = 0,
     x = np.zeros(len(atlas))
     if s > 0:
         pos = rng.choice(window, size=s, replace=False)
-        x[pos] = amplitude * rng.choice([-1.0, 1.0], size=s)
+        x[pos] = rng.choice([-1.0, 1.0], size=s)
     return x
 
 
-def tail_phantom(atlas: DictionaryAtlas, a: float, seed: int = 0,
-                 amplitude: float = 1.0):
+def tail_phantom(atlas: DictionaryAtlas, a: float, seed: int = 0):
     """Random-sign coefficients whose scale-j layer carries total energy
-    amplitude^2 * 4^-(a j), so the out-of-window norm decays like 2^-(a j0).
+    4^-(a j), so the out-of-window norm decays like 2^-(a j0).
 
     On an ideal dictionary the per-scale population is 4^j and the per-atom
     magnitude reduces to 2^-(a+1) j; the boundary-trimmed populations here
@@ -58,7 +55,7 @@ def tail_phantom(atlas: DictionaryAtlas, a: float, seed: int = 0,
     rng = np.random.default_rng(seed)
     counts = atlas.scale_counts().astype(float)
     js = atlas.scales.astype(float)
-    mag = amplitude * 2.0 ** (-a * js) / np.sqrt(counts[atlas.scales])
+    mag = 2.0 ** (-a * js) / np.sqrt(counts[atlas.scales])
     return mag * rng.choice([-1.0, 1.0], size=len(atlas))
 
 
@@ -86,11 +83,11 @@ def cartoon_phantom(atlas: DictionaryAtlas):
 def make_phantom(atlas: DictionaryAtlas, spec: PhantomSpec, j0: int):
     """(image, coefficients over the whole atlas, metadata dict)."""
     if spec.kind == "sparse":
-        x = sparse_phantom(atlas, j0, spec.s, seed=spec.seed, amplitude=spec.amplitude)
+        x = sparse_phantom(atlas, j0, spec.s, seed=spec.seed)
         img = synthesis(atlas, x)
         meta = {"s": spec.s, "kind": "sparse"}
     elif spec.kind == "tail":
-        x = tail_phantom(atlas, spec.a, seed=spec.seed, amplitude=spec.amplitude)
+        x = tail_phantom(atlas, spec.a, seed=spec.seed)
         img = synthesis(atlas, x)
         meta = {"a": spec.a, "kind": "tail"}
     else:

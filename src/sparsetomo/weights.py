@@ -50,46 +50,16 @@ class WeightVector:
 
 
 @dataclass(frozen=True)
-class CoefficientVector:
-    """Real coefficients over the same finite index set as a WeightVector.
-
-    An entry belongs to the support iff it is exactly nonzero; no epsilon
-    thresholding happens here (that policy belongs to callers).
-    """
-
-    entries: np.ndarray
-    index_labels: tuple | None = None
-
-    def __post_init__(self):
-        v = np.atleast_1d(np.asarray(self.entries, dtype=float))
-        if v.ndim != 1:
-            raise ValueError("coefficients must be one-dimensional")
-        object.__setattr__(self, "entries", v)
-        if self.index_labels is not None and len(self.index_labels) != len(v):
-            raise DimensionMismatch("index_labels length mismatch")
-
-    def __len__(self):
-        return len(self.entries)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.flatnonzero(self.entries != 0.0))
-
-
-@dataclass(frozen=True)
 class SparseApproxResult:
-    """A support, the coefficients restricted to it, and the tail norms."""
+    """A support, its weighted size, and the tail norms outside it."""
 
     support: tuple[int, ...]
-    approximation: CoefficientVector
     error_p1: float
     error_p2: float
     weighted_size: float
 
 
 def _coef(x) -> np.ndarray:
-    if isinstance(x, CoefficientVector):
-        return x.entries
     return np.atleast_1d(np.asarray(x, dtype=float))
 
 
@@ -136,13 +106,9 @@ def _tail_norms(xv, wv, support):
 
 def _result(xv, wv, support) -> SparseApproxResult:
     support = tuple(sorted(int(i) for i in support))
-    approx = np.zeros_like(xv)
-    if support:
-        approx[list(support)] = xv[list(support)]
     e1, e2 = _tail_norms(xv, wv, support)
     return SparseApproxResult(
         support=support,
-        approximation=CoefficientVector(approx),
         error_p1=e1,
         error_p2=e2,
         weighted_size=weighted_size(support, WeightVector(wv)),

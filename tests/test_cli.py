@@ -99,6 +99,27 @@ def test_config_file_merging(tmp_path, runner):
     assert (tmp_path / "atlas_order1_j2.bin").exists()
 
 
+def test_config_file_rejects_keys_it_does_not_read(tmp_path, runner):
+    # a file key the command does not read is a usage error, as such a flag is
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"m": 64, "betas": [0.1], "jmx": 5}))
+    res = runner.invoke(main, ["atlas", "build", "--jmax", "1", "--config", str(cfg_path),
+                               "--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert "betas, jmx, m" in res.output
+    assert not list(tmp_path.glob("*.bin"))
+
+
+def test_config_file_phantom_keys(tmp_path, runner):
+    # phantom and a come from the file only; reconstruct and sweep read them
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"phantom": "tail", "a": 0.5}))
+    res = runner.invoke(main, ["reconstruct", "--j0", "1", "--jmax", "2", "--m", "16",
+                               "--config", str(cfg_path), "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert (tmp_path / "reconstruction.pgm").exists()
+
+
 def test_sweep_rerun_identical(tmp_path, runner):
     args = ["sweep", "--j0", "1", "--jmax", "2", "--s", "2",
             "--betas", "0.1", "--ms", "16", "--seeds", "0"]

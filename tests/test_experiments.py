@@ -152,6 +152,9 @@ def test_certification_report_contents(tmp_path):
 def test_build_model_is_memoised():
     model = build_model("radon", order=1, j_max=2, s_step=1.0 / 16)
     assert build_model("radon", order=1, j_max=2, s_step=1.0 / 16) is model
+    # the cache keys on the values, not on how they are spelled
+    assert build_model("radon", 1, 2, 1.0 / 16) is model
+    assert build_model("radon", j_max=2, s_step=1.0 / 16) is model
     assert build_model("fanbeam", order=1, j_max=2, s_step=1.0 / 16) is not model
 
 
