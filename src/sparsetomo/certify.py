@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import (AtlasModel, MeasurementModel, SampledSystem, population_gram_matrix,
+from .models import (MeasurementModel, SampledSystem, _population_pass, population_gram_matrix,
                      uniform_bound_probe)
 from .weights import WeightVector
 
@@ -127,59 +127,6 @@ def _coherence_report(norms, density, sc, b, omega):
     return per_scale, d, B, rel
 
 
-def _norms_from_rows(model) -> bool:
-    """Whether the model's atom_norms are the norms of its rows (and not a
-    shortcut of its own, such as the Radon group profiles)."""
-    return type(model).atom_norms in (MeasurementModel.atom_norms, AtlasModel.atom_norms)
-
-
-def _population_pass(model, positions, rules, norm_nodes=()):
-    """Gram matrices of several quadrature rules, and the row norms at
-    norm_nodes, from the rows of each distinct node, computed once: the
-    row kernel takes _CHUNK nodes per call, and their rows are scattered
-    into one dense block at a time.
-
-    Nodes are visited in the order of the first (finest) rule.  A later rule
-    whose nodes all appear in the visit, in the rule's own order, joins it;
-    otherwise its nodes are visited on their own after.  Either way each
-    Gram adds its own nodes' w * quad_weight * R R^T terms in its own order,
-    so it is bit for bit population_gram_matrix under that rule.  Returns
-    the Grams and the (node, row norms) pairs.
-    """
-    order, users, index = [], [], {}
-
-    def visit(t):
-        index[float(t)] = len(order)
-        order.append(t)
-        users.append([])
-        return len(order) - 1
-
-    for g, (nodes, wts) in enumerate(rules):
-        at = [index.get(float(t)) for t in nodes]
-        if None in at or any(b <= a for a, b in zip(at, at[1:])):
-            at = [visit(t) for t in nodes]
-        for i, w in zip(at, wts):
-            users[i].append((g, w))
-    wanted = set()
-    for t in norm_nodes:
-        i = index.get(float(t))
-        wanted.add(visit(t) if i is None else i)
-
-    n = len(positions)
-    grams = [np.zeros((n, n)) for _ in rules]
-    term = np.empty((n, n))
-    norms = []
-    for i, (t, use, R) in enumerate(zip(order, users, model.rows_at(positions, order))):
-        if use:
-            RRt = R @ R.T
-            for g, w in use:
-                grams[g] += np.multiply(w * model.quad_weight, RRt, out=term)
-        if i in wanted:
-            # the base MeasurementModel.atom_norms of these rows
-            norms.append((t, np.sqrt((R * R).sum(axis=1) * model.quad_weight)))
-    return grams, norms
-
-
 def compute_gram(model, positions, n_quad: int | None = None,
                  omega: WeightVector | None = None,
                  check_convergence: bool = False,
@@ -193,14 +140,15 @@ def compute_gram(model, positions, n_quad: int | None = None,
     injectivity failure) and anything more negative treated as a quadrature
     inconsistency.
 
-    One pass over the quadrature nodes serves every consumer: the n_quad
-    Gram, the 2 n_quad Gram of check_convergence, and the coherence norms at
-    min(n_quad, 64) nodes.  The uniform rules of the tomographic models are
-    nested (the n-node rule is every other node of the 2n-node rule, bit for
-    bit), so the rows at each distinct angle are computed once and each
-    Gram equals population_gram_matrix under its own rule.  Row norms stand
-    in for atom_norms only when those are the norms of the rows; the Radon
-    model keeps its profile norms.  FourierWaveletModel.population_nodes
+    One pass over the quadrature nodes (models._population_pass) serves
+    every consumer: the n_quad Gram, the 2 n_quad Gram of check_convergence,
+    and the coherence norms at min(n_quad, 64) nodes.  The uniform rules of
+    the tomographic models are nested (the n-node rule is every other node
+    of the 2n-node rule, bit for bit), so the runs at each distinct angle are
+    computed once; each Gram takes SampledSystem.gram's hit-row products and
+    equals population_gram_matrix under its own rule.  Row norms stand in for
+    atom_norms only when those are the norms of the rows; the Radon model
+    keeps its profile norms.  FourierWaveletModel.population_nodes
     ignores n, so its doubling check compares the same exact quadrature and
     its shift is 0 by construction.
     """
@@ -211,7 +159,7 @@ def compute_gram(model, positions, n_quad: int | None = None,
     if check_convergence:
         rules.insert(0, model.population_nodes(2 * n_quad))
     coh_nodes, _ = model.population_nodes(min(n_quad, 64))
-    from_rows = _norms_from_rows(model)
+    from_rows = type(model).atom_norms is MeasurementModel.atom_norms
     grams, norms = _population_pass(model, positions, rules, coh_nodes if from_rows else ())
     if not from_rows:
         norms = list(zip(coh_nodes, model.atom_norms(positions, coh_nodes)))
@@ -260,11 +208,8 @@ def compute_gram(model, positions, n_quad: int | None = None,
 class RipEstimate:
     """Estimated restricted-isometry constant over weighted-sparse vectors."""
 
-    lambda_budget: float
     delta_star: float
-    method: str
     trials_or_supports: int
-    samples_m: int
 
     def __post_init__(self):
         if self.delta_star < 0:
@@ -325,9 +270,7 @@ def delta_star_bruteforce(system: SampledSystem, cert: GramCertificate,
             continue
         count += 1
         best = max(best, _support_delta(M, cert.normal, S))
-    return RipEstimate(lambda_budget=float(lam), delta_star=best,
-                       method="bruteforce", trials_or_supports=count,
-                       samples_m=system.m)
+    return RipEstimate(delta_star=best, trials_or_supports=count)
 
 
 def delta_star_montecarlo(system: SampledSystem, cert: GramCertificate,
@@ -352,9 +295,7 @@ def delta_star_montecarlo(system: SampledSystem, cert: GramCertificate,
             continue
         seen.add(key)
         best = max(best, _support_delta(M, cert.normal, S))
-    return RipEstimate(lambda_budget=float(lam), delta_star=best,
-                       method="montecarlo", trials_or_supports=trials,
-                       samples_m=system.m)
+    return RipEstimate(delta_star=best, trials_or_supports=trials)
 
 
 def recovery_rule_m(c0: float, s: int, j0: int, gamma: float = 0.1) -> int:

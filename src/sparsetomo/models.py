@@ -14,11 +14,11 @@ higher orders.  Both cut every run to the span where the row is nonzero.
 A system of random samples is assembled a chunk of samples at a time and
 keeps its stacked operator A as those runs, with quadrature weights and
 1/sqrt(m) folded in, so plain Euclidean norms of stacked vectors equal the
-(1/m)-averaged measurement-space norms.  Every consumer reads A from the
-runs: the solver through its Gram, streamed a chunk of samples at a time,
-and its matvec, the certification path through the q-normal matrix,
-streamed the same way, and A.bin one dense chunk of samples at a time; the
-whole dense A is built only for a short system's solve and for tests.
+(1/m)-averaged measurement-space norms.  One kernel, _HitGram, multiplies
+the rows a chunk of runs touches as one dense block for every Gram: the
+solver's and the q-normal matrix by samples, the population Gram by
+quadrature nodes.  A.bin and the witness search take A one dense chunk of
+samples at a time; the whole dense A is built only for short solves and tests.
 """
 
 from __future__ import annotations
@@ -79,12 +79,11 @@ class MeasurementModel:
         return 2.0 * np.pi * np.arange(n) / n, np.full(n, 1.0 / n)
 
     def atom_norms(self, positions, t) -> np.ndarray:
-        """Per-atom measurement norms at parameter t; for a vector t, one row
-        per parameter, each the one-parameter call's bit for bit."""
-        ts = np.atleast_1d(np.asarray(t, float))
-        out = np.empty((len(ts), len(positions)))
-        for k, R in enumerate(self.rows_at(positions, ts)):
-            out[k] = np.sqrt((R * R).sum(axis=1) * self.quad_weight)
+        """Per-atom measurement norms at parameter t, from the support runs;
+        for a vector t, one row per parameter, each the one-parameter call's
+        bit for bit."""
+        out = np.array([self._row_norms(len(positions), *cells) for cells in
+                        self._node_cells(positions, np.atleast_1d(np.asarray(t, float)))])
         return out if np.ndim(t) else out[0]
 
     def measure(self, positions, x, t) -> np.ndarray:
@@ -112,22 +111,23 @@ class MeasurementModel:
             atom, col = np.indices(R.shape)
             yield np.full(R.size, k), atom.ravel(), col.ravel(), R.ravel()
 
-    def rows_at(self, positions, ts):
-        """rows(positions, t) for each t of ts in turn, one dense block at a
-        time, scattered from one _runs call per _CHUNK parameters."""
+    def _node_cells(self, positions, ts):
+        """(row, column, value) arrays of the runs at each parameter of ts in
+        turn, from one _runs call per _CHUNK parameters."""
         positions = np.asarray(positions, dtype=int)
-        ts = np.asarray(ts, float)
         for k0 in range(0, len(ts), _CHUNK):
             chunk = ts[k0:k0 + _CHUNK]
-            runs = [(np.searchsorted(k, np.arange(len(chunk) + 1)).tolist(), atom, col, val)
-                    for k, atom, col, val in self._runs(positions, chunk)]
-            for a in range(len(chunk)):
-                R = np.zeros((len(positions), self.block_dim))
-                for ends, atom, col, val in runs:
-                    if ends[a] < ends[a + 1]:
-                        cut = slice(ends[a], ends[a + 1])
-                        R[atom[cut], col[cut]] = val[cut]
-                yield R
+            k, atom, col, val = map(np.concatenate, zip(*self._runs(positions, chunk)))
+            by = np.argsort(k, kind="stable")
+            cuts = np.searchsorted(k[by], np.arange(1, len(chunk)))
+            yield from zip(*(np.split(x[by], cuts) for x in (atom, col, val)))
+
+    def _row_norms(self, n, atom, col, val) -> np.ndarray:
+        """Norms of n rows from their runs at one parameter, summed in one
+        dense block: numpy's pairwise sum rounds by where the nonzeros sit."""
+        sq = np.zeros((n, self.block_dim))
+        sq[atom, col] = val * val
+        return np.sqrt(sq.sum(axis=1) * self.quad_weight)
 
 
 class AtlasModel(MeasurementModel):
@@ -137,9 +137,8 @@ class AtlasModel(MeasurementModel):
     orientation) group, the nonzero entries of the group's rows at a batch of
     angles as (angle, row, column, value) arrays in angle order; an atom's
     nonzeros at one angle form one run of the block, in column order.
-    `rows_at` scatters each angle's runs into a dense block, `rows` is its
-    one-angle view, `measure` sums them _CHUNK angles at a time and
-    `assemble_system` keeps them.
+    `rows` scatters one angle's runs into a dense block, `measure` sums them
+    _CHUNK angles at a time and `assemble_system` keeps them.
     """
 
     atlas: DictionaryAtlas
@@ -152,17 +151,11 @@ class AtlasModel(MeasurementModel):
 
     def rows(self, positions, t) -> np.ndarray:
         """Measurement rows (len(positions), block_dim) at one angle, dense,
-        from the atoms' support runs."""
-        return next(self.rows_at(positions, [t]))
-
-    def atom_norms(self, positions, t) -> np.ndarray:
-        """Per-atom measurement norms at t, from one (scale, orientation)
-        group's rows at a time, so only that group's rows are held."""
-        positions = np.asarray(positions, dtype=int)
-        out = np.empty(np.shape(t) + (len(positions),))
-        for _, _, sel in self._groups(positions):
-            out[..., sel] = super().atom_norms(positions[sel], t)
-        return out
+        scattered from the atoms' support runs."""
+        R = np.zeros((len(positions), self.block_dim))
+        for _, atom, col, val in self._runs(np.asarray(positions, dtype=int), [t]):
+            R[atom, col] = val
+        return R
 
     def _groups(self, positions):
         """(scale, orientation, rows) of each atom group among positions."""
@@ -686,7 +679,34 @@ def draw_samples(model, m: int, seed: int) -> np.ndarray:
     return model.sample(m, np.random.default_rng(seed))
 
 
-_CHUNK = 16      # parameters per batch of _runs, samples per dense block of a SampledSystem
+_CHUNK = 16      # parameters per batch of _runs, samples or nodes per _HitGram product
+
+
+class _HitGram:
+    """The one Gram kernel over support runs: add(H, n_rows, row, atom, val)
+    adds C^T C to H, C the rows of a chunk of n_rows rows that some cell of
+    its runs touches (the others add nothing), scattered into the head of one
+    reused zero block, grown to the most rows a chunk has touched.  With y,
+    the chunk's data, add also returns C^T y over the same rows."""
+
+    def __init__(self, n: int):
+        self.block = np.zeros((0, n))
+
+    def add(self, H, n_rows, row, atom, val, y=None):
+        hit = np.zeros(n_rows, dtype=bool)
+        hit[row] = True
+        k = np.count_nonzero(hit)
+        if len(self.block) < k:
+            self.block = None               # freed before its successor is made
+            self.block = np.zeros((k, len(H)))
+        C = self.block[:k]
+        flat = C.reshape(-1)
+        cell = (np.cumsum(hit) - 1)[row] * len(H) + atom    # in C, whose rows are the hit rows
+        flat[cell] = val
+        H += C.T @ C
+        Cty = None if y is None else C.T @ y[hit]
+        flat[cell] = 0.0
+        return Cty
 
 
 class SampledSystem:
@@ -697,11 +717,12 @@ class SampledSystem:
     A is held as support runs: per (sample, atom), the first row of the
     atom's run in the sample's block and the run's length, and per chunk of
     _CHUNK samples the runs' values, sample by sample and atom by atom.
-    Every reader of A reads the runs: `gram`, `matvec` and `q_normal_matrix`
-    stream them, and `dense_chunks` gives the dense rows of one chunk at a
-    time, for A.bin and for `matrix`, the dense (m * block_dim,
-    len(positions)) A that only short solves and tests ask for.  A dense
-    `matrix` passed in is held as runs that each cover a whole block.
+    Every reader of A reads the runs: `gram` and `q_normal_matrix` through
+    _HitGram, `matvec` by sums, and `dense_chunks` gives the dense rows of
+    one chunk at a time, for A.bin, the witness search and `matrix`, the
+    dense (m * block_dim, len(positions)) A that only short solves and tests
+    ask for.  A dense `matrix` passed in is held as runs that each cover a
+    whole block.
     """
 
     def __init__(self, model, positions, samples, q_weights, y, noise_bound,
@@ -720,6 +741,7 @@ class SampledSystem:
             runs = (np.zeros_like(cells), cells,
                     [blocks[k0:k0 + _CHUNK].ravel() for k0 in range(0, self.m, _CHUNK)])
         self._start, self._len, self._vals = runs
+        self._q_normal = None
 
     @property
     def m(self) -> int:
@@ -763,23 +785,13 @@ class SampledSystem:
         return A
 
     def gram(self, col: np.ndarray, y: np.ndarray):
-        """(col A^T A col, col A^T y), accumulated _CHUNK samples at a time:
-        the rows of each chunk that some run touches are scattered into one
-        dense block C, and C^T C and C^T y are BLAS products, so A is never
-        held dense.  The rows no run touches add nothing and are left out."""
+        """(col A^T A col, col A^T y), accumulated _CHUNK samples at a time
+        by _HitGram, so A is never held dense."""
         n = self.shape[1]
         H, b = np.zeros((n, n)), np.zeros(n)
-        buf = np.zeros((min(_CHUNK, self.m) * self.block_dim, n))
-        flat = buf.reshape(-1)
+        kernel = _HitGram(n)
         for rows, row, atom, val in self._cells():
-            hit = np.zeros(rows.stop - rows.start, dtype=bool)
-            hit[row] = True
-            cell = (np.cumsum(hit) - 1)[row] * n + atom    # in C, whose rows are the hit rows
-            C = buf[:np.count_nonzero(hit)]
-            flat[cell] = val
-            H += C.T @ C
-            b += C.T @ y[rows][hit]
-            flat[cell] = 0.0
+            b += kernel.add(H, rows.stop - rows.start, row, atom, val, y[rows])
         H *= col[:, None]
         H *= col[None, :]
         return H, col * b
@@ -792,13 +804,15 @@ class SampledSystem:
         return out
 
     def q_normal_matrix(self) -> np.ndarray:
-        """A^T Q^2 A, Q = q_weights on each sample's block: the normal matrix
-        of the density-normalized operator, summed one dense chunk at a time."""
-        H, q = np.zeros((self.shape[1],) * 2), np.repeat(self.q_weights, self.block_dim)
-        for rows, block in self.dense_chunks():
-            block *= q[rows, None]
-            H += block.T @ block
-        return H
+        """A^T Q^2 A, Q = q_weights on each sample's block, by _HitGram with
+        q folded into the values; kept after the first call (a system does not
+        change after assembly), so callers must not write to it."""
+        if self._q_normal is None:
+            n, q = self.shape[1], np.repeat(self.q_weights, self.block_dim)
+            self._q_normal, kernel = np.zeros((n, n)), _HitGram(n)
+            for rows, row, atom, val in self._cells():
+                kernel.add(self._q_normal, rows.stop - rows.start, row, atom, val * q[rows][row])
+        return self._q_normal
 
     def residual_norm(self, x: np.ndarray) -> float:
         return float(np.linalg.norm(self.matvec(x) - self.y))
@@ -872,19 +886,63 @@ def assemble_system(model, positions, samples, x_full=None, beta: float = 0.0,
                          tail_residual=tail_res, runs=(start, length, vals))
 
 
+def _population_pass(model, positions, rules, norm_nodes=()):
+    """Gram matrices of several quadrature rules, and the row norms at
+    norm_nodes, from the runs of each distinct node, computed once (_CHUNK
+    nodes per _runs call); the Grams are _HitGram products, so they never
+    hold a node's dense rows.
+
+    Nodes are visited in the order of the first (finest) rule.  A later rule
+    whose nodes all appear in the visit, in the rule's own order, joins it;
+    otherwise its nodes are visited on their own after.  Either way each rule
+    takes its Gram from its own nodes only, _CHUNK of them per product in its
+    own order, with run values scaled by sqrt(w * quad_weight); a coarser
+    nested rule holds its nodes' runs until it has a chunk.  So each Gram is
+    bit for bit population_gram_matrix, the one-rule pass, under its rule.
+    Returns the Grams and the (node, row norms) pairs.
+    """
+    order, users, index, last = [], [], {}, []
+
+    def visit(t):
+        index[float(t)] = len(order)
+        order.append(t)
+        users.append([])
+        return len(order) - 1
+
+    for g, (nodes, wts) in enumerate(rules):
+        at = [index.get(float(t)) for t in nodes]
+        if None in at or any(b <= a for a, b in zip(at, at[1:])):
+            at = [visit(t) for t in nodes]
+        for i, w in zip(at, wts):
+            users[i].append((g, w))
+        last.append(at[-1])
+    wanted = set()
+    for t in norm_nodes:
+        i = index.get(float(t))
+        wanted.add(visit(t) if i is None else i)
+
+    n, bd = len(positions), model.block_dim
+    grams = [np.zeros((n, n)) for _ in rules]
+    kernel = _HitGram(n)
+    held = [[] for _ in rules]      # each rule's cells since its last product
+    norms = []
+    for i, (atom, col, val) in enumerate(model._node_cells(positions, order)):
+        for g, w in users[i]:
+            cells = held[g]
+            cells.append((len(cells) * bd + col, atom, val * np.sqrt(w * model.quad_weight)))
+            if len(cells) == _CHUNK or i == last[g]:
+                row, a, v = map(np.concatenate, zip(*cells))
+                kernel.add(grams[g], len(cells) * bd, row, a, v)
+                cells.clear()
+        if i in wanted:
+            norms.append((order[i], model._row_norms(n, atom, col, val)))
+    return grams, norms
+
+
 def population_gram_matrix(model, positions, n_quad: int) -> np.ndarray:
     """The normal operator <F phi_i, F phi_j> over the measurement family,
-    by quadrature over the parameter space.  The single-rule reference:
-    certify.compute_gram's one pass over several rules equals it bit for bit
-    under each rule."""
-    positions = np.asarray(positions, dtype=int)
-    nodes, wts = model.population_nodes(n_quad)
-    n = len(positions)
-    G = np.zeros((n, n))
-    for t, w in zip(nodes, wts):
-        R = model.rows(positions, t)
-        G += w * model.quad_weight * (R @ R.T)
-    return G
+    by quadrature over the parameter space: the one-rule _population_pass."""
+    return _population_pass(model, positions, [model.population_nodes(n_quad)])[0][0]
 
 
 def uniform_bound_probe(model, positions, n_angles: int = 64, seed: int = 0) -> float:

@@ -1,6 +1,7 @@
 """Independent oracles the tests check the package against: an image-domain
-Radon transform, a Lagrangian (penalized-path) solver and the fitted tail
-decay of a coefficient field.  None of them is on a pipeline's path."""
+Radon transform, a Lagrangian (penalized-path) solver, the fitted tail
+decay of a coefficient field and the population Gram from dense rows.  None
+of them is on a pipeline's path."""
 
 from __future__ import annotations
 
@@ -108,3 +109,16 @@ def tail_decay_exponent(atlas: DictionaryAtlas, x) -> float:
     ys = np.asarray(ys)
     jc = js - js.mean()
     return float(-(jc @ (ys - ys.mean())) / (jc @ jc))
+
+
+def dense_population_gram(model, positions, n_quad: int) -> np.ndarray:
+    """The population Gram sum_t w_t quad_weight R_t R_t^T by quadrature,
+    one node's dense rows R_t = model.rows(positions, t) at a time."""
+    positions = np.asarray(positions, dtype=int)
+    nodes, wts = model.population_nodes(n_quad)
+    n = len(positions)
+    G = np.zeros((n, n))
+    for t, w in zip(nodes, wts):
+        R = model.rows(positions, t)
+        G += w * model.quad_weight * (R @ R.T)
+    return G

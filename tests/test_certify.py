@@ -4,7 +4,9 @@ import pytest
 import sparsetomo as st
 from sparsetomo.certify import NumericalConsistencyError, _greedy_support, _support_delta
 from sparsetomo.experiments import build_model
-from sparsetomo.models import _CHUNK, population_gram_matrix
+from sparsetomo.models import _CHUNK, _population_pass, population_gram_matrix
+
+from oracles import dense_population_gram
 
 
 def all_positions(model):
@@ -104,6 +106,28 @@ def test_gram_pass_matches_single_rule_oracles(kind, haar_atlas_j2):
         assert len(calls) == 2 * n
     if kind == "fourier":   # population_nodes ignores n: the same quadrature
         assert cert.sigma_min_shift == 0.0
+
+
+@pytest.mark.parametrize("kind", list(PASS_MODELS) + ["synthetic"])
+def test_gram_pass_matches_dense_oracle(kind, haar_atlas_j2, synthetic_model):
+    # the hit-row products give the Gram of the dense per-node loop, and the
+    # pass's row norms are the dense rows' norms, up to summation order
+    model = synthetic_model if kind == "synthetic" else PASS_MODELS[kind](haar_atlas_j2)
+    w = np.arange(model.dictionary_size())
+    cert = st.compute_gram(model, w)
+    n = cert.n_quad
+    expect = dense_population_gram(model, w, n)
+    for G in (cert.normal, population_gram_matrix(model, w, n)):
+        assert np.linalg.norm(G - expect) <= 1e-14 * np.linalg.norm(expect)
+    nodes, _ = model.population_nodes(min(n, 64))
+    _, norms = _population_pass(model, w, [model.population_nodes(n)], nodes)
+    assert [t for t, _ in norms] == list(nodes)
+    got = np.array([nr for _, nr in norms])
+    dense = np.array([np.sqrt((R * R).sum(axis=1) * model.quad_weight)
+                      for R in (model.rows(w, t) for t in nodes)])
+    assert np.linalg.norm(got - dense) <= 1e-14 * np.linalg.norm(dense)
+    if kind != "radon":     # the Radon coherence reads its profile norms
+        assert np.linalg.norm(model.atom_norms(w, nodes) - dense) <= 1e-14 * np.linalg.norm(dense)
 
 
 def test_quasi_diag_synthetic_exact(synthetic_cert):
@@ -209,6 +233,17 @@ def test_delta_star_montecarlo_peak_memory():
         tracemalloc.stop()
     assert est.delta_star > 0.0
     assert peak <= 0.25 * m * model.block_dim * len(w) * 8
+
+
+def test_q_normal_matrix_computed_once_per_system(synthetic_model, synthetic_cert):
+    # the estimates at every lambda read one q-normal matrix per system
+    system = small_system(synthetic_model, 4, seed=3)
+    omega = st.WeightVector.ones(6)
+    calls, cells = [], system._cells
+    system._cells = lambda: calls.append(1) or cells()
+    for lam in (2.0, 4.0):
+        st.delta_star_montecarlo(system, synthetic_cert, omega, lam, trials=8, seed=0)
+    assert len(calls) == 1
 
 
 def test_delta_star_montecarlo_deterministic(synthetic_model, synthetic_cert):
