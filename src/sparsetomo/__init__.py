@@ -1,19 +1,16 @@
 """Sparse-angle tomographic reconstruction over compactly supported wavelet
 dictionaries, with numerical certification of the recovery machinery."""
 
-from .weights import (SparseApproxResult, WeightVector, best_sparse_approx_bruteforce,
-                      quasi_best_sparse_approx, stechkin_bound, weighted_norm,
-                      weighted_size)
+from .weights import (SparseApproxResult, WeightVector, quasi_best_sparse_approx,
+                      stechkin_bound, weighted_norm, weighted_size)
 from .wavelets import (AtomIndex, DictionaryAtlas, GridSpec, WaveletFilter,
                        analysis, build_atlas, build_filter, discrete_gram,
                        synthesis, truncation_positions)
 from .models import (FanBeamModel, FourierWaveletModel, LegendrePointModel,
-                     RadonModel, SampledSystem, SyntheticDiagonalModel,
-                     assemble_system, draw_samples, population_gram_matrix)
+                     RadonModel, SampledSystem, assemble_system, draw_samples,
+                     population_gram_matrix)
 from .certify import (GramCertificate, RipEstimate, compute_gram,
-                      delta_star_bruteforce, delta_star_montecarlo,
-                      rnsp_witness_search, sample_complexity, scale_decay_fit,
-                      truncation_residual)
+                      delta_star_montecarlo, sample_complexity)
 from .solve import SolveConfig, SolveResult, solve_constrained_l1
 from .phantoms import PhantomSpec, make_phantom
 from .experiments import (ExperimentConfig, SweepRecord,

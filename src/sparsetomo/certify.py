@@ -2,9 +2,11 @@
 
 Builds the window Gram matrix and its square root, measures coherence and
 quasi-diagonalization constants, estimates the restricted-isometry constant
-of a sampled system (exactly on small windows, by randomized support search
-otherwise), evaluates sample-complexity rules, and bounds the contribution of
-coefficients outside the reconstruction window.
+of a sampled system by randomized support search, and evaluates
+sample-complexity rules.  The exact enumeration of the restricted constant,
+the null-space witness search and the truncation residual are test oracles
+(tests/oracles.py); the pipeline's truncation residual is the system's
+tail_residual.
 """
 
 from __future__ import annotations
@@ -13,12 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import (MeasurementModel, SampledSystem, _population_pass, population_gram_matrix,
-                     uniform_bound_probe)
+from .models import MeasurementModel, SampledSystem, _population_pass
+# bound here so that perfbench/tracing.py can time it as certify's Gram layer
+from .models import population_gram_matrix  # noqa: F401
 from .weights import WeightVector
-
-BRUTEFORCE_MAX_WINDOW = 16
-_TRIALS = 256       # witness-search trials per pass over A's chunks
 
 
 class NumericalConsistencyError(RuntimeError):
@@ -88,23 +88,6 @@ def _decay_fit(scales, log2_sq_norms, fallback: float) -> float:
     y = np.asarray(log2_sq_norms, float)[mask]
     xc = x - x.mean()
     return float(-0.5 * (xc @ (y - y.mean())) / (xc @ xc))
-
-
-def scale_decay_fit(model, positions=None, n_angles: int = 64) -> float:
-    """Decay exponent of angle-averaged squared measurement norms per atom,
-    computed from per-atom norms only (no Gram matrix needed)."""
-    if positions is None:
-        positions = np.arange(model.dictionary_size())
-    positions = np.asarray(positions, int)
-    scales = model.scales()
-    if scales is None:
-        raise ValueError("scale decay needs a multiscale dictionary")
-    nodes, wts = model.population_nodes(n_angles)
-    avg = np.zeros(len(positions))
-    for w, nr in zip(wts, model.atom_norms(positions, nodes)):
-        avg += w * nr * nr
-    return _decay_fit(scales[positions], np.log2(np.maximum(avg, 1e-300)),
-                      model.smoothing_exponent)
 
 
 def _coherence_report(norms, density, sc, b, omega):
@@ -242,37 +225,6 @@ def _difference_matrix(system: SampledSystem, cert: GramCertificate) -> np.ndarr
     return 0.5 * (M + M.T)
 
 
-def delta_star_bruteforce(system: SampledSystem, cert: GramCertificate,
-                          omega: WeightVector, lam: float) -> RipEstimate:
-    """Exact restricted constant by enumeration of admissible supports.
-
-    For each support S with weighted size <= lam, the extreme generalized
-    eigenvalue of the normal-matrix difference against the window Gram gives
-    the support's contribution; only supports maximal under the budget can
-    attain the overall maximum.
-    """
-    n = len(system.positions)
-    if n > BRUTEFORCE_MAX_WINDOW:
-        raise ValueError(f"brute force limited to windows of {BRUTEFORCE_MAX_WINDOW}")
-    wsq = omega.values ** 2
-    if len(wsq) != n:
-        raise ValueError("weight length does not match window")
-    M = _difference_matrix(system, cert)
-    best = 0.0
-    count = 0
-    for mask in range(1, 1 << n):
-        S = [i for i in range(n) if mask >> i & 1]
-        wS = wsq[S].sum()
-        if wS > lam:
-            continue
-        # skip if extendable: some superset also fits the budget
-        if any((mask >> i & 1) == 0 and wS + wsq[i] <= lam for i in range(n)):
-            continue
-        count += 1
-        best = max(best, _support_delta(M, cert.normal, S))
-    return RipEstimate(delta_star=best, trials_or_supports=count)
-
-
 def delta_star_montecarlo(system: SampledSystem, cert: GramCertificate,
                           omega: WeightVector, lam: float, trials: int,
                           seed: int = 0) -> RipEstimate:
@@ -345,85 +297,3 @@ def sample_complexity(cert: GramCertificate, s: float, M: int, gamma: float,
     else:
         raise ValueError(f"unknown variant {variant!r}")
     return int(np.ceil(m))
-
-
-@dataclass
-class TruncationReport:
-    residual: float        # measured ||Q A P_window^perp x||
-    bound: float           # measured-constant side of the comparison
-    tail_norm: float       # r = ||P_window^perp x||_2
-    tail_opnorm: float     # forward-map operator norm on the stored tail; nan without a cert
-    tail_truncated: bool   # the tail only covers scales up to the atlas j_max
-
-
-def truncation_residual(system: SampledSystem, model, x_full,
-                        cert: GramCertificate | None = None,
-                        c_uniform: float | None = None) -> TruncationReport:
-    """Measured energy the sampled operator picks up from coefficients outside
-    the reconstruction window, against the certificate-side bound.
-
-    The out-of-window operator norm is itself truncated at the dictionary's
-    finest built scale, which is flagged in the report.
-    """
-    x_full = np.asarray(x_full, float)
-    if len(x_full) != model.dictionary_size():
-        raise ValueError(f"x_full has {len(x_full)} coefficients, the dictionary "
-                         f"{model.dictionary_size()}")
-    tail = np.setdiff1d(np.arange(len(x_full)), system.positions)
-    x_tail = x_full[tail]
-    r = float(np.linalg.norm(x_tail))
-    scale = np.sqrt(model.quad_weight / system.m)
-    supp = tail[np.flatnonzero(x_tail)]
-    stacked = (system.q_weights * scale)[:, None] * model.measure(supp, x_full[supp],
-                                                                  system.samples)
-    residual = float(np.linalg.norm(stacked))
-    tail_opnorm = bound = float("nan")
-    if cert is not None:   # the tail Gram only feeds the bound
-        tail_opnorm = 0.0
-        if len(tail):
-            tail_normal = population_gram_matrix(model, tail, default_quadrature(model, tail))
-            tail_opnorm = float(np.sqrt(max(np.linalg.eigvalsh(tail_normal).max(), 0.0)))
-        cF = c_uniform if c_uniform is not None else uniform_bound_probe(model, system.positions)
-        bound = cF * model.c_nu ** -0.5 * (tail_opnorm * cert.inv_norm + 1.0) * r
-    return TruncationReport(residual=residual, bound=bound, tail_norm=r,
-                            tail_opnorm=tail_opnorm, tail_truncated=True)
-
-
-def rnsp_witness_search(system: SampledSystem, cert: GramCertificate,
-                        omega: WeightVector, s: float, n_trials: int = 10000,
-                        seed: int = 0) -> float:
-    """Randomized search for violations of the robust null-space inequality,
-    with rho = 1/2 and kappa = 3 ||G^-1|| / sqrt(2).
-
-    Returns the worst margin (right side minus left side) over random
-    (vector, support) pairs; a nonnegative value means no violation found.
-    The trials are drawn one by one; ||Q A x|| is taken for _TRIALS of them
-    at a time, one product with each dense chunk of A.
-    """
-    n = len(system.positions)
-    kappa = 3.0 * cert.inv_norm / np.sqrt(2.0)
-    rng = np.random.default_rng(seed)
-    wsq = omega.values ** 2
-    q = np.repeat(system.q_weights, system.block_dim)
-    worst = np.inf
-    for b0 in range(0, n_trials, _TRIALS):
-        X = np.empty((n, min(_TRIALS, n_trials - b0)))
-        lhs, tail1 = np.empty(X.shape[1]), np.empty(X.shape[1])
-        for j in range(X.shape[1]):
-            x = rng.standard_normal(n)
-            if rng.random() < 0.5:
-                k = rng.integers(1, n + 1)
-                x[rng.choice(n, size=n - k, replace=False)] = 0.0
-            X[:, j] = x
-            mask = np.zeros(n, dtype=bool)
-            mask[_greedy_support(rng.permutation(n), wsq, s)] = True
-            lhs[j] = np.linalg.norm(x[mask])
-            tail1[j] = np.sum(np.abs(x[~mask]) * omega.values[~mask])
-        qax = np.zeros(X.shape[1])          # ||Q A x||^2 of each trial
-        for rows, block in system.dense_chunks():
-            block *= q[rows, None]
-            P = block @ X
-            qax += np.einsum("ij,ij->j", P, P)
-        rhs = 0.5 / np.sqrt(s) * tail1 + kappa * np.sqrt(qax)
-        worst = min(worst, float((rhs - lhs).min()))
-    return float(worst)

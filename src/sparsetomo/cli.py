@@ -54,17 +54,32 @@ def _phantom_from(cfg) -> PhantomSpec:
                        a=float(cfg.get("a", 0.5)), seed=int(cfg.get("seed", 0)))
 
 
-def _experiment(cfg, **fields) -> ExperimentConfig:
-    """The ExperimentConfig of certify and sweep: the fields they share, read
-    from the merged flags, plus the command's own."""
-    return ExperimentConfig(
-        model=cfg.get("model", "radon"),
-        wavelet_order=int(cfg.get("wavelet_order", 1)),
-        j0=int(cfg.get("j0", 2)),
-        j_max=int(cfg["jmax"]) if cfg.get("jmax") is not None else None,
-        gamma=float(cfg.get("gamma", 0.1)),
-        zeta=float(cfg.get("zeta", 1.0)),
-        **fields)
+def _inputs(cfg, **fields):
+    """A command's ExperimentConfig, its model and its window.
+
+    The config holds the fields the commands share, read from the merged
+    flags, plus the command's own.  The window is the scale <= j0 atoms of a
+    tomographic model's atlas (None for the others).  build_model is
+    memoised, so the run reuses this model.  A ValueError raised here
+    (GeometryError and ConfigurationError among them) comes from the inputs,
+    so it is reported as a usage error; errors of the run itself propagate.
+    """
+    try:
+        exp = ExperimentConfig(
+            model=cfg.get("model", "radon"),
+            wavelet_order=int(cfg.get("wavelet_order", 1)),
+            j0=int(cfg.get("j0", 2)),
+            j_max=int(cfg["jmax"]) if cfg.get("jmax") is not None else None,
+            gamma=float(cfg.get("gamma", 0.1)),
+            zeta=float(cfg.get("zeta", 1.0)),
+            **fields)
+        model = build_model(exp.model, order=exp.wavelet_order, j_max=exp.j_max,
+                            s_step=exp.s_step)
+        window = (truncation_positions(model.atlas, exp.j0)
+                  if exp.model in ("radon", "fanbeam") else None)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
+    return exp, model, window
 
 
 def _csv(text, conv):
@@ -128,9 +143,9 @@ def atlas_build(config_path, **flags):
 def certify(config_path, **flags):
     """Gram certificate, coherence table, restricted-constant estimates."""
     cfg = _merged(config_path, **flags)
+    exp, _, _ = _inputs(cfg)
     out = cfg.get("out_dir") or "."
-    cert, _, table = run_certification_report(_experiment(cfg), out,
-                                              seed=int(cfg.get("seed", 0)))
+    cert, _, table = run_certification_report(exp, out, seed=int(cfg.get("seed", 0)))
     click.echo(f"sigma_min {cert.sigma_min!r} sigma_max {cert.sigma_max!r}")
     click.echo(f"b_fit {cert.b_fit!r} B {cert.coherence_B!r}")
     click.echo("sample complexity " + " ".join(f"{k}={v}" for k, v in table.items()))
@@ -142,26 +157,20 @@ def certify(config_path, **flags):
 def reconstruct(config_path, **flags):
     """One reconstruction: phantom, sampled angles, solve, image outputs."""
     cfg = _merged(config_path, PHANTOM_KEYS, **flags)
-    kind = cfg.get("model", "radon")
-    if kind not in ("radon", "fanbeam"):
+    if cfg.get("model", "radon") not in ("radon", "fanbeam"):
         raise click.UsageError("reconstruct drives the tomographic models")
+    exp, model, window = _inputs(cfg)
     out = cfg.get("out_dir") or "."
     os.makedirs(out, exist_ok=True)
-    order = int(cfg.get("wavelet_order", 1))
-    j0 = int(cfg.get("j0", 2))
-    j_max = int(cfg.get("jmax", j0 + 1))
     seed = int(cfg.get("seed", 0))
     beta = float(cfg.get("beta", 0.0))
     m = int(cfg.get("m", 64))
-    model = build_model(kind, order=order, j_max=j_max)
     a = model.atlas
-    window = truncation_positions(a, j0)
-    _, x_full, _ = make_phantom(a, _phantom_from(cfg), j0)
+    _, x_full, _ = make_phantom(a, _phantom_from(cfg), exp.j0)
     samples = draw_samples(model, m, seed=seed)
     system = assemble_system(model, window, samples, x_full=x_full, beta=beta,
                              noise_seed=seed + 1)
-    sc = SolveConfig(zeta=float(cfg.get("zeta", 1.0)),
-                     eta=beta + system.tail_residual)
+    sc = SolveConfig(zeta=exp.zeta, eta=beta + system.tail_residual)
     res = solve_constrained_l1(system, WeightVector.ones(len(window)), sc)
     stio.write_trace_csv(os.path.join(out, "trace.csv"), res.trace)
     x_hat = np.zeros(len(a))
@@ -190,8 +199,7 @@ def sweep(config_path, betas, ms, seeds, **flags):
     cfg = _merged(config_path, PHANTOM_KEYS, betas=_csv(betas, float), ms=_csv(ms, int),
                   seeds=_csv(seeds, int), **flags)
     out = cfg.get("out_dir") or "."
-    os.makedirs(out, exist_ok=True)
-    exp = _experiment(
+    exp, _, _ = _inputs(
         cfg,
         phantom=_phantom_from(cfg),
         betas=tuple(cfg.get("betas", [0.0])),
@@ -202,6 +210,7 @@ def sweep(config_path, betas, ms, seeds, **flags):
         seeds=tuple(cfg.get("seeds", [0, 1, 2, 3, 4])),
         out_dir=out,
     )
+    os.makedirs(out, exist_ok=True)
     records = run_recovery_sweep(exp)
     ok = sum(1 for r in records if r.status == "optimal")
     click.echo(f"{len(records)} cells, {ok} optimal; wrote {out}/records.csv")

@@ -17,8 +17,8 @@ keeps its stacked operator A as those runs, with quadrature weights and
 (1/m)-averaged measurement-space norms.  One kernel, _HitGram, multiplies
 the rows a chunk of runs touches as one dense block for every Gram: the
 solver's and the q-normal matrix by samples, the population Gram by
-quadrature nodes.  A.bin and the witness search take A one dense chunk of
-samples at a time; the whole dense A is built only for short solves and tests.
+quadrature nodes.  A.bin takes A one dense chunk of samples at a time; the
+whole dense A is built only for short solves and tests.
 """
 
 from __future__ import annotations
@@ -637,37 +637,6 @@ class LegendrePointModel(MeasurementModel):
 
 
 # ---------------------------------------------------------------------------
-# synthetic model with an exactly diagonal normal operator
-
-
-class SyntheticDiagonalModel(MeasurementModel):
-    """Abstract dictionary whose forward map acts diagonally: the i-th element
-    measures as 2^(-b j_i) sqrt(2) cos((i+1) t), a bounded orthonormal family
-    under the uniform angle distribution.  The population normal matrix is
-    exactly diag(4^(-b j_i)); sampled systems still fluctuate, which makes the
-    model a useful ground truth for restricted-isometry estimators."""
-
-    def __init__(self, scale_list, b: float = 0.5):
-        self._scales = np.asarray(scale_list, dtype=int)
-        self.smoothing_exponent = float(b)
-
-    def labels(self):
-        return list(range(len(self._scales)))
-
-    def scales(self) -> np.ndarray:
-        return self._scales
-
-    def population_nodes(self, n: int):
-        # exact for these harmonics
-        return super().population_nodes(max(n, 2 * (len(self._scales) + 2)))
-
-    def rows(self, positions, t) -> np.ndarray:
-        positions = np.asarray(positions, int)
-        amp = 2.0 ** (-self.smoothing_exponent * self._scales[positions])
-        return (amp * np.sqrt(2.0) * np.cos((positions + 1) * float(t)))[:, None]
-
-
-# ---------------------------------------------------------------------------
 # sampling and assembly
 
 
@@ -719,9 +688,9 @@ class SampledSystem:
     _CHUNK samples the runs' values, sample by sample and atom by atom.
     Every reader of A reads the runs: `gram` and `q_normal_matrix` through
     _HitGram, `matvec` by sums, and `dense_chunks` gives the dense rows of
-    one chunk at a time, for A.bin, the witness search and `matrix`, the
-    dense (m * block_dim, len(positions)) A that only short solves and tests
-    ask for.  A dense `matrix` passed in is held as runs that each cover a
+    one chunk at a time, for A.bin and `matrix`, the dense
+    (m * block_dim, len(positions)) A that only short solves and tests ask
+    for.  A dense `matrix` passed in is held as runs that each cover a
     whole block.
     """
 
@@ -943,10 +912,3 @@ def population_gram_matrix(model, positions, n_quad: int) -> np.ndarray:
     """The normal operator <F phi_i, F phi_j> over the measurement family,
     by quadrature over the parameter space: the one-rule _population_pass."""
     return _population_pass(model, positions, [model.population_nodes(n_quad)])[0][0]
-
-
-def uniform_bound_probe(model, positions, n_angles: int = 64, seed: int = 0) -> float:
-    """Measured uniform bound: max over random parameters and window atoms of
-    the per-atom measurement norm (atom norms are 1)."""
-    ts = model.sample(n_angles, np.random.default_rng(seed))
-    return float(model.atom_norms(positions, ts).max(initial=0.0))

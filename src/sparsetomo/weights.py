@@ -3,26 +3,19 @@
 All vectors are real (tomography signals are real-valued); weights are >= 1
 entrywise.  The quasi-best approximation keeps the maximal prefix of the
 non-increasing rearrangement of |x_i| / w_i whose weighted size fits the
-budget; the brute-force variant enumerates supports and is meant as a test
-oracle on small index sets.
+budget.  The exact (brute-force) minimizer it is checked against is a test
+oracle (tests/oracles.py).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
-
-BRUTEFORCE_MAX_INDICES = 20
 
 
 class DimensionMismatch(ValueError):
     """Index sets of the operands disagree."""
-
-
-class CapacityError(ValueError):
-    """Instance too large for an exponential-cost oracle."""
 
 
 @dataclass(frozen=True)
@@ -136,42 +129,6 @@ def quasi_best_sparse_approx(x, w, s: float, p: float = 1.0) -> SparseApproxResu
     keep = int(np.searchsorted(csum, s, side="right"))
     kept = [int(i) for i in order[:keep] if xv[i] != 0.0]  # zeros add nothing
     return _result(xv, wv, kept)
-
-
-def best_sparse_approx_bruteforce(x, w, s: float, p: float = 1.0) -> SparseApproxResult:
-    """Exact minimizer of the weighted l^p tail over supports with w(S) <= s.
-
-    Exponential enumeration; guarded to index sets of size <= 20.  Only
-    supports that cannot be enlarged within the budget need checking, since
-    growing a support never increases the tail norm.
-    """
-    xv, wv = _coef(x), _wvec(w)
-    if len(xv) != len(wv):
-        raise DimensionMismatch(f"coefficient length {len(xv)} != weight length {len(wv)}")
-    if len(xv) > BRUTEFORCE_MAX_INDICES:
-        raise CapacityError(f"brute force limited to {BRUTEFORCE_MAX_INDICES} indices")
-    if not (0.0 < p <= 2.0):
-        raise ValueError(f"p must lie in (0, 2], got {p}")
-    n = len(xv)
-    wsq = wv ** 2
-    contrib = np.abs(xv) ** p * wv ** (2.0 - p)
-    total = contrib.sum()
-    best_tail = np.inf
-    best_support: tuple[int, ...] = ()
-    for k in range(0, n + 1):
-        found_any = False
-        for S in combinations(range(n), k):
-            wS = wsq[list(S)].sum() if S else 0.0
-            if wS > s:
-                continue
-            found_any = True
-            tail = total - (contrib[list(S)].sum() if S else 0.0)
-            if tail < best_tail - 1e-15 * max(1.0, total):
-                best_tail = tail
-                best_support = S
-        if not found_any and k > 0:
-            break
-    return _result(xv, wv, best_support)
 
 
 def stechkin_bound(x, w, s: float, p: float, q: float) -> float:

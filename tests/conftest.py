@@ -3,6 +3,8 @@ import pytest
 
 import sparsetomo as st
 
+from oracles import SyntheticDiagonalModel
+
 
 @pytest.fixture(scope="session")
 def haar_atlas_j2():
@@ -32,7 +34,7 @@ def db2_atlas_j2():
 @pytest.fixture(scope="session")
 def synthetic_model():
     # scales 0,0,1,1,2,2 with halving decay per scale
-    return st.SyntheticDiagonalModel([0, 0, 1, 1, 2, 2], b=0.5)
+    return SyntheticDiagonalModel([0, 0, 1, 1, 2, 2], b=0.5)
 
 
 @pytest.fixture(scope="session")

@@ -1,15 +1,35 @@
-"""Independent oracles the tests check the package against: an image-domain
-Radon transform, a Lagrangian (penalized-path) solver, the fitted tail
-decay of a coefficient field and the population Gram from dense rows.  None
-of them is on a pipeline's path."""
+"""Independent oracles and checks the tests hold the package against.  None
+of them is on a pipeline's path:
+
+- an image-domain Radon transform, a Lagrangian (penalized-path) solver, the
+  fitted tail decay of a coefficient field and the population Gram from
+  dense rows;
+- exact enumerations: the best weighted-sparse approximation and the
+  restricted constant over admissible supports, the references of
+  quasi_best_sparse_approx and delta_star_montecarlo;
+- SyntheticDiagonalModel, a model whose population normal matrix is
+  exactly diagonal;
+- the robust null-space witness search, and the truncation residual with
+  its certificate-side bound and the uniform-bound probe it takes."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from itertools import combinations
+
 import numpy as np
 
+from sparsetomo.certify import (GramCertificate, RipEstimate, _difference_matrix,
+                                _greedy_support, _support_delta, default_quadrature)
+from sparsetomo.models import MeasurementModel, SampledSystem, population_gram_matrix
 from sparsetomo.solve import SolveResult, _column_scaling
 from sparsetomo.wavelets import DictionaryAtlas
-from sparsetomo.weights import WeightVector
+from sparsetomo.weights import (DimensionMismatch, SparseApproxResult, WeightVector, _coef,
+                                _result, _wvec)
+
+BRUTEFORCE_MAX_INDICES = 20
+BRUTEFORCE_MAX_WINDOW = 16
+_TRIALS = 256       # witness-search trials per pass over A's chunks
 
 
 def radon_image(image: np.ndarray, grid, theta: float, s_grid: np.ndarray,
@@ -122,3 +142,202 @@ def dense_population_gram(model, positions, n_quad: int) -> np.ndarray:
         R = model.rows(positions, t)
         G += w * model.quad_weight * (R @ R.T)
     return G
+
+
+# ---------------------------------------------------------------------------
+# weighted sparse approximation
+
+
+class CapacityError(ValueError):
+    """Instance too large for an exponential-cost oracle."""
+
+
+def best_sparse_approx_bruteforce(x, w, s: float, p: float = 1.0) -> SparseApproxResult:
+    """Exact minimizer of the weighted l^p tail over supports with w(S) <= s.
+
+    Exponential enumeration; guarded to index sets of size <= 20.  Only
+    supports that cannot be enlarged within the budget need checking, since
+    growing a support never increases the tail norm.
+    """
+    xv, wv = _coef(x), _wvec(w)
+    if len(xv) != len(wv):
+        raise DimensionMismatch(f"coefficient length {len(xv)} != weight length {len(wv)}")
+    if len(xv) > BRUTEFORCE_MAX_INDICES:
+        raise CapacityError(f"brute force limited to {BRUTEFORCE_MAX_INDICES} indices")
+    if not (0.0 < p <= 2.0):
+        raise ValueError(f"p must lie in (0, 2], got {p}")
+    n = len(xv)
+    wsq = wv ** 2
+    contrib = np.abs(xv) ** p * wv ** (2.0 - p)
+    total = contrib.sum()
+    best_tail = np.inf
+    best_support: tuple[int, ...] = ()
+    for k in range(0, n + 1):
+        found_any = False
+        for S in combinations(range(n), k):
+            wS = wsq[list(S)].sum() if S else 0.0
+            if wS > s:
+                continue
+            found_any = True
+            tail = total - (contrib[list(S)].sum() if S else 0.0)
+            if tail < best_tail - 1e-15 * max(1.0, total):
+                best_tail = tail
+                best_support = S
+        if not found_any and k > 0:
+            break
+    return _result(xv, wv, best_support)
+
+
+# ---------------------------------------------------------------------------
+# synthetic model with an exactly diagonal normal operator
+
+
+class SyntheticDiagonalModel(MeasurementModel):
+    """Abstract dictionary whose forward map acts diagonally: the i-th element
+    measures as 2^(-b j_i) sqrt(2) cos((i+1) t), a bounded orthonormal family
+    under the uniform angle distribution.  The population normal matrix is
+    exactly diag(4^(-b j_i)); sampled systems still fluctuate, which makes the
+    model a useful ground truth for restricted-isometry estimators."""
+
+    def __init__(self, scale_list, b: float = 0.5):
+        self._scales = np.asarray(scale_list, dtype=int)
+        self.smoothing_exponent = float(b)
+
+    def labels(self):
+        return list(range(len(self._scales)))
+
+    def scales(self) -> np.ndarray:
+        return self._scales
+
+    def population_nodes(self, n: int):
+        # exact for these harmonics
+        return super().population_nodes(max(n, 2 * (len(self._scales) + 2)))
+
+    def rows(self, positions, t) -> np.ndarray:
+        positions = np.asarray(positions, int)
+        amp = 2.0 ** (-self.smoothing_exponent * self._scales[positions])
+        return (amp * np.sqrt(2.0) * np.cos((positions + 1) * float(t)))[:, None]
+
+
+# ---------------------------------------------------------------------------
+# restricted constants, null-space witnesses and truncation
+
+
+def delta_star_bruteforce(system: SampledSystem, cert: GramCertificate,
+                          omega: WeightVector, lam: float) -> RipEstimate:
+    """Exact restricted constant by enumeration of admissible supports.
+
+    For each support S with weighted size <= lam, the extreme generalized
+    eigenvalue of the normal-matrix difference against the window Gram gives
+    the support's contribution; only supports maximal under the budget can
+    attain the overall maximum.
+    """
+    n = len(system.positions)
+    if n > BRUTEFORCE_MAX_WINDOW:
+        raise ValueError(f"brute force limited to windows of {BRUTEFORCE_MAX_WINDOW}")
+    wsq = omega.values ** 2
+    if len(wsq) != n:
+        raise ValueError("weight length does not match window")
+    M = _difference_matrix(system, cert)
+    best = 0.0
+    count = 0
+    for mask in range(1, 1 << n):
+        S = [i for i in range(n) if mask >> i & 1]
+        wS = wsq[S].sum()
+        if wS > lam:
+            continue
+        # skip if extendable: some superset also fits the budget
+        if any((mask >> i & 1) == 0 and wS + wsq[i] <= lam for i in range(n)):
+            continue
+        count += 1
+        best = max(best, _support_delta(M, cert.normal, S))
+    return RipEstimate(delta_star=best, trials_or_supports=count)
+
+
+def rnsp_witness_search(system: SampledSystem, cert: GramCertificate,
+                        omega: WeightVector, s: float, n_trials: int = 10000,
+                        seed: int = 0) -> float:
+    """Randomized search for violations of the robust null-space inequality,
+    with rho = 1/2 and kappa = 3 ||G^-1|| / sqrt(2).
+
+    Returns the worst margin (right side minus left side) over random
+    (vector, support) pairs; a nonnegative value means no violation found.
+    The trials are drawn one by one; ||Q A x|| is taken for _TRIALS of them
+    at a time, one product with each dense chunk of A.
+    """
+    n = len(system.positions)
+    kappa = 3.0 * cert.inv_norm / np.sqrt(2.0)
+    rng = np.random.default_rng(seed)
+    wsq = omega.values ** 2
+    q = np.repeat(system.q_weights, system.block_dim)
+    worst = np.inf
+    for b0 in range(0, n_trials, _TRIALS):
+        X = np.empty((n, min(_TRIALS, n_trials - b0)))
+        lhs, tail1 = np.empty(X.shape[1]), np.empty(X.shape[1])
+        for j in range(X.shape[1]):
+            x = rng.standard_normal(n)
+            if rng.random() < 0.5:
+                k = rng.integers(1, n + 1)
+                x[rng.choice(n, size=n - k, replace=False)] = 0.0
+            X[:, j] = x
+            mask = np.zeros(n, dtype=bool)
+            mask[_greedy_support(rng.permutation(n), wsq, s)] = True
+            lhs[j] = np.linalg.norm(x[mask])
+            tail1[j] = np.sum(np.abs(x[~mask]) * omega.values[~mask])
+        qax = np.zeros(X.shape[1])          # ||Q A x||^2 of each trial
+        for rows, block in system.dense_chunks():
+            block *= q[rows, None]
+            P = block @ X
+            qax += np.einsum("ij,ij->j", P, P)
+        rhs = 0.5 / np.sqrt(s) * tail1 + kappa * np.sqrt(qax)
+        worst = min(worst, float((rhs - lhs).min()))
+    return float(worst)
+
+
+@dataclass
+class TruncationReport:
+    residual: float        # measured ||Q A P_window^perp x||
+    bound: float           # measured-constant side of the comparison
+    tail_norm: float       # r = ||P_window^perp x||_2
+    tail_opnorm: float     # forward-map operator norm on the stored tail; nan without a cert
+    tail_truncated: bool   # the tail only covers scales up to the atlas j_max
+
+
+def truncation_residual(system: SampledSystem, model, x_full,
+                        cert: GramCertificate | None = None,
+                        c_uniform: float | None = None) -> TruncationReport:
+    """Measured energy the sampled operator picks up from coefficients outside
+    the reconstruction window, against the certificate-side bound.
+
+    The out-of-window operator norm is itself truncated at the dictionary's
+    finest built scale, which is flagged in the report.
+    """
+    x_full = np.asarray(x_full, float)
+    if len(x_full) != model.dictionary_size():
+        raise ValueError(f"x_full has {len(x_full)} coefficients, the dictionary "
+                         f"{model.dictionary_size()}")
+    tail = np.setdiff1d(np.arange(len(x_full)), system.positions)
+    x_tail = x_full[tail]
+    r = float(np.linalg.norm(x_tail))
+    scale = np.sqrt(model.quad_weight / system.m)
+    supp = tail[np.flatnonzero(x_tail)]
+    stacked = (system.q_weights * scale)[:, None] * model.measure(supp, x_full[supp],
+                                                                  system.samples)
+    residual = float(np.linalg.norm(stacked))
+    tail_opnorm = bound = float("nan")
+    if cert is not None:   # the tail Gram only feeds the bound
+        tail_opnorm = 0.0
+        if len(tail):
+            tail_normal = population_gram_matrix(model, tail, default_quadrature(model, tail))
+            tail_opnorm = float(np.sqrt(max(np.linalg.eigvalsh(tail_normal).max(), 0.0)))
+        cF = c_uniform if c_uniform is not None else uniform_bound_probe(model, system.positions)
+        bound = cF * model.c_nu ** -0.5 * (tail_opnorm * cert.inv_norm + 1.0) * r
+    return TruncationReport(residual=residual, bound=bound, tail_norm=r,
+                            tail_opnorm=tail_opnorm, tail_truncated=True)
+
+
+def uniform_bound_probe(model, positions, n_angles: int = 64, seed: int = 0) -> float:
+    """Measured uniform bound: max over random parameters and window atoms of
+    the per-atom measurement norm (atom norms are 1)."""
+    ts = model.sample(n_angles, np.random.default_rng(seed))
+    return float(model.atom_norms(positions, ts).max(initial=0.0))

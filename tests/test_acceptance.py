@@ -11,13 +11,15 @@ import numpy as np
 import pytest
 
 import sparsetomo as st
-from sparsetomo.certify import _support_delta, scale_decay_fit
+from sparsetomo.certify import _support_delta
 from sparsetomo.experiments import (ExperimentConfig, build_model,
                                     calibrate_recovery_constant,
                                     recovery_rule_m, run_recovery_cell)
 from sparsetomo.phantoms import make_phantom
 from sparsetomo.solve import SolveConfig, solve_constrained_l1_matrix
 from sparsetomo.wavelets import dilation
+
+from oracles import best_sparse_approx_bruteforce, delta_star_bruteforce
 
 
 def report(num, name, ok, detail):
@@ -42,11 +44,11 @@ def test_criterion_01_weighted_sparsity_oracles():
         s = float(rng.random() * st.weighted_size(range(n), w))
         if s <= 0:
             s = 1.0
-        brute1 = st.best_sparse_approx_bruteforce(x, w, s, 1.0)
+        brute1 = best_sparse_approx_bruteforce(x, w, s, 1.0)
         quasi = st.quasi_best_sparse_approx(x, w, s, 1.0)
         if brute1.error_p1 > quasi.error_p1 + 1e-12:
             violations += 1
-        brute2 = st.best_sparse_approx_bruteforce(x, w, s, 2.0)
+        brute2 = best_sparse_approx_bruteforce(x, w, s, 2.0)
         bound = st.stechkin_bound(x, w, s, 1.0, 2.0)
         if brute2.error_p2 > bound + 1e-12:
             violations += 1
@@ -147,15 +149,15 @@ def test_criterion_05_restricted_constant_oracles(synthetic_model, synthetic_cer
     # population limit: quadrature-node samples reproduce the window Gram
     nodes, _ = synthetic_model.population_nodes(16)
     pop = st.assemble_system(synthetic_model, np.arange(n), nodes)
-    pop_delta = st.delta_star_bruteforce(pop, synthetic_cert, omega, 2.0).delta_star
+    pop_delta = delta_star_bruteforce(pop, synthetic_cert, omega, 2.0).delta_star
 
     system = st.assemble_system(synthetic_model, np.arange(n),
                                 st.draw_samples(synthetic_model, 3, seed=1))
-    full = st.delta_star_bruteforce(system, synthetic_cert, omega, float(n))
+    full = delta_star_bruteforce(system, synthetic_cert, omega, float(n))
     spec_norm = _support_delta(system.q_normal_matrix() - synthetic_cert.normal,
                                synthetic_cert.normal, range(n))
     mc = st.delta_star_montecarlo(system, synthetic_cert, omega, 3.0, trials=64, seed=0)
-    brute = st.delta_star_bruteforce(system, synthetic_cert, omega, 3.0)
+    brute = delta_star_bruteforce(system, synthetic_cert, omega, 3.0)
 
     rng = np.random.default_rng(4)
     z = 0.5 + rng.random(n)
@@ -166,7 +168,7 @@ def test_criterion_05_restricted_constant_oracles(synthetic_model, synthetic_cer
     cert_scaled = dataclasses.replace(
         synthetic_cert, G=synthetic_cert.G @ np.diag(z),
         normal=np.diag(z) @ synthetic_cert.normal @ np.diag(z))
-    inv = st.delta_star_bruteforce(scaled, cert_scaled, omega, 3.0)
+    inv = delta_star_bruteforce(scaled, cert_scaled, omega, 3.0)
     dt = time.time() - t0
     report(5, "restricted-constant oracles",
            pop_delta <= 1e-8

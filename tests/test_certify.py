@@ -6,7 +6,9 @@ from sparsetomo.certify import NumericalConsistencyError, _greedy_support, _supp
 from sparsetomo.experiments import build_model
 from sparsetomo.models import _CHUNK, _population_pass, population_gram_matrix
 
-from oracles import dense_population_gram
+import oracles
+from oracles import (SyntheticDiagonalModel, delta_star_bruteforce, dense_population_gram,
+                     rnsp_witness_search, truncation_residual)
 
 
 def all_positions(model):
@@ -18,7 +20,7 @@ def all_positions(model):
 
 
 def test_gram_identity_for_isometry():
-    model = st.SyntheticDiagonalModel([0, 0, 0, 0], b=0.0)
+    model = SyntheticDiagonalModel([0, 0, 0, 0], b=0.0)
     cert = st.compute_gram(model, all_positions(model))
     assert np.abs(cert.G - np.eye(4)).max() < 1e-10
     assert cert.sigma_min == pytest.approx(1.0, abs=1e-10)
@@ -156,7 +158,7 @@ def test_delta_star_population_limit(synthetic_model, synthetic_cert):
     nodes, _ = synthetic_model.population_nodes(16)
     system = st.assemble_system(synthetic_model, all_positions(synthetic_model), nodes)
     omega = st.WeightVector.ones(6)
-    est = st.delta_star_bruteforce(system, synthetic_cert, omega, 2.0)
+    est = delta_star_bruteforce(system, synthetic_cert, omega, 2.0)
     assert est.delta_star <= 1e-8
 
 
@@ -164,7 +166,7 @@ def test_delta_star_bruteforce_matches_random_inner_search(synthetic_model, synt
     system = small_system(synthetic_model, 2, seed=5)
     omega = st.WeightVector.ones(6)
     lam = 2.0
-    est = st.delta_star_bruteforce(system, synthetic_cert, omega, lam)
+    est = delta_star_bruteforce(system, synthetic_cert, omega, lam)
     # randomized inner oracle: dense sampling of the constraint set
     M = system.q_normal_matrix() - synthetic_cert.normal
     GG = synthetic_cert.normal
@@ -186,7 +188,7 @@ def test_delta_star_bruteforce_matches_random_inner_search(synthetic_model, synt
 def test_delta_star_unrestricted_is_spectral_norm(synthetic_model, synthetic_cert):
     system = small_system(synthetic_model, 3, seed=1)
     omega = st.WeightVector.ones(6)
-    est = st.delta_star_bruteforce(system, synthetic_cert, omega, 6.0)
+    est = delta_star_bruteforce(system, synthetic_cert, omega, 6.0)
     spec = _support_delta(system.q_normal_matrix() - synthetic_cert.normal,
                           synthetic_cert.normal, range(6))
     assert est.delta_star == pytest.approx(spec, abs=1e-10)
@@ -197,7 +199,7 @@ def test_delta_star_monotone_in_budget(synthetic_model, synthetic_cert):
     omega = st.WeightVector.ones(6)
     prev = 0.0
     for lam in (1.0, 2.0, 4.0, 6.0):
-        cur = st.delta_star_bruteforce(system, synthetic_cert, omega, lam).delta_star
+        cur = delta_star_bruteforce(system, synthetic_cert, omega, lam).delta_star
         assert cur >= prev - 1e-12
         prev = cur
 
@@ -205,7 +207,7 @@ def test_delta_star_monotone_in_budget(synthetic_model, synthetic_cert):
 def test_delta_star_montecarlo_bounds_bruteforce(synthetic_model, synthetic_cert):
     system = small_system(synthetic_model, 2, seed=3)
     omega = st.WeightVector.ones(6)
-    brute = st.delta_star_bruteforce(system, synthetic_cert, omega, 3.0)
+    brute = delta_star_bruteforce(system, synthetic_cert, omega, 3.0)
     mc = st.delta_star_montecarlo(system, synthetic_cert, omega, 3.0, trials=50, seed=0)
     assert mc.delta_star <= brute.delta_star + 1e-10
     # exhaustive trials on a tiny instance reach the brute-force value
@@ -259,7 +261,7 @@ def test_delta_star_diagonal_invariance(synthetic_model, synthetic_cert):
     # restricted constant unchanged (conjugated eigenproblems)
     system = small_system(synthetic_model, 3, seed=11)
     omega = st.WeightVector.ones(6)
-    base = st.delta_star_bruteforce(system, synthetic_cert, omega, 2.0)
+    base = delta_star_bruteforce(system, synthetic_cert, omega, 2.0)
     rng = np.random.default_rng(4)
     z = 0.5 + rng.random(6)
     scaled = st.SampledSystem(model=synthetic_model, positions=system.positions,
@@ -273,7 +275,7 @@ def test_delta_star_diagonal_invariance(synthetic_model, synthetic_cert):
         scale_coherence_max=synthetic_cert.scale_coherence_max,
         relative_coherence=1.0, fbi_flag=False, scales=synthetic_cert.scales,
         positions=synthetic_cert.positions, n_quad=synthetic_cert.n_quad)
-    scaled_est = st.delta_star_bruteforce(scaled, cert_scaled, omega, 2.0)
+    scaled_est = delta_star_bruteforce(scaled, cert_scaled, omega, 2.0)
     assert scaled_est.delta_star == pytest.approx(base.delta_star, rel=1e-10)
 
 
@@ -282,7 +284,7 @@ def test_delta_star_capacity_guard(haar_atlas_j2, radon_j2):
     system = st.assemble_system(radon_j2, w, st.draw_samples(radon_j2, 3, 0))
     cert = st.compute_gram(radon_j2, w)
     with pytest.raises(ValueError):
-        st.delta_star_bruteforce(system, cert, st.WeightVector.ones(len(w)), 2.0)
+        delta_star_bruteforce(system, cert, st.WeightVector.ones(len(w)), 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +299,7 @@ def test_sample_complexity_sparsity_rule_formula(synthetic_cert):
 
 
 def test_sample_complexity_conditioning_isometry():
-    model = st.SyntheticDiagonalModel([0, 0, 0, 0, 0], b=0.0)
+    model = SyntheticDiagonalModel([0, 0, 0, 0, 0], b=0.0)
     cert = st.compute_gram(model, np.arange(5))
     assert cert.sigma_min == pytest.approx(1.0, abs=1e-10)
     assert cert.sigma_max == pytest.approx(1.0, abs=1e-10)
@@ -345,7 +347,7 @@ def test_truncation_residual_zero_inside_window(haar_atlas_j2, radon_j2):
     x_full[w[3]] = 1.0
     system = st.assemble_system(radon_j2, w, st.draw_samples(radon_j2, 4, 0),
                                 x_full=x_full)
-    rep = st.truncation_residual(system, radon_j2, x_full)
+    rep = truncation_residual(system, radon_j2, x_full)
     assert rep.residual == 0.0
     assert rep.tail_norm == 0.0
 
@@ -359,7 +361,7 @@ def test_truncation_residual_single_tail_atom(haar_atlas_j2, radon_j2):
     x_full[tail_pos] = 0.7
     system = st.assemble_system(radon_j2, w, st.draw_samples(radon_j2, 6, 1),
                                 x_full=x_full)
-    rep = st.truncation_residual(system, radon_j2, x_full, cert=cert)
+    rep = truncation_residual(system, radon_j2, x_full, cert=cert)
     assert rep.tail_norm == pytest.approx(0.7)
     assert 0.0 < rep.residual <= rep.bound
     assert rep.tail_truncated
@@ -374,7 +376,7 @@ def test_truncation_residual_linear_in_tail(haar_atlas_j2, radon_j2):
     vals = []
     for r in (0.5, 1.0, 2.0):
         system = st.assemble_system(radon_j2, w, samples, x_full=r * tail_dir)
-        rep = st.truncation_residual(system, radon_j2, r * tail_dir)
+        rep = truncation_residual(system, radon_j2, r * tail_dir)
         vals.append(rep.residual / r)
     assert np.ptp(vals) < 1e-10
 
@@ -387,7 +389,7 @@ def test_truncation_residual_matches_dense_rows(haar_atlas_j3, radon_j3):
     assert len(tail) > 100
     samples = st.draw_samples(radon_j3, 5, 3)
     system = st.assemble_system(radon_j3, w, samples, x_full=x_full)
-    rep = st.truncation_residual(system, radon_j3, x_full)
+    rep = truncation_residual(system, radon_j3, x_full)
     scale = np.sqrt(radon_j3.quad_weight / len(samples))
     dense = np.concatenate([q * scale * (radon_j3.rows(tail, t).T @ x_full[tail])
                             for t, q in zip(samples, system.q_weights)])
@@ -412,11 +414,11 @@ def test_truncation_residual_tail_gram_only_with_cert(haar_atlas_j2, radon_j2, m
         calls.append(len(positions))
         return population_gram_matrix(model, positions, n_quad)
 
-    monkeypatch.setattr(certify, "population_gram_matrix", counted)
-    bare = st.truncation_residual(system, radon_j2, x_full)
+    monkeypatch.setattr(oracles, "population_gram_matrix", counted)
+    bare = truncation_residual(system, radon_j2, x_full)
     assert calls == []
     assert np.isnan(bare.tail_opnorm) and np.isnan(bare.bound)
-    rep = st.truncation_residual(system, radon_j2, x_full, cert=cert, c_uniform=1.5)
+    rep = truncation_residual(system, radon_j2, x_full, cert=cert, c_uniform=1.5)
     assert calls == [len(tail)]
     G = population_gram_matrix(radon_j2, tail, certify.default_quadrature(radon_j2, tail))
     opnorm = float(np.sqrt(np.linalg.eigvalsh(G).max()))
@@ -430,7 +432,7 @@ def test_truncation_residual_rejects_x_full_of_window_length(haar_atlas_j2, rado
     w = np.flatnonzero(radon_j2.scales() == 1)
     system = st.assemble_system(radon_j2, w, st.draw_samples(radon_j2, 3, 0))
     with pytest.raises(ValueError, match="dictionary"):
-        st.truncation_residual(system, radon_j2, np.ones(len(w)))
+        truncation_residual(system, radon_j2, np.ones(len(w)))
 
 
 def dense_rnsp_margin(system, cert, omega, s, rho=0.5, kappa=None, n_trials=10000, seed=0):
@@ -468,7 +470,7 @@ def test_rnsp_witness_matches_dense_oracle():
     system = st.assemble_system(model, positions, st.draw_samples(model, 2 * _CHUNK + 5, 3))
     assert np.ptp(system.q_weights) > 0
     omega = st.WeightVector(model.natural_weights()[positions])
-    margin = st.rnsp_witness_search(system, cert, omega, s=3.0, n_trials=300, seed=2)
+    margin = rnsp_witness_search(system, cert, omega, s=3.0, n_trials=300, seed=2)
     expect = dense_rnsp_margin(system, cert, omega, s=3.0, n_trials=300, seed=2)
     assert abs(margin - expect) <= 1e-12 * abs(expect)
 
@@ -477,8 +479,8 @@ def test_rnsp_witness_no_violation(synthetic_model, synthetic_cert):
     nodes, _ = synthetic_model.population_nodes(64)
     system = st.assemble_system(synthetic_model, all_positions(synthetic_model), nodes)
     omega = st.WeightVector.ones(6)
-    margin = st.rnsp_witness_search(system, synthetic_cert, omega, s=2.0,
-                                    n_trials=2000, seed=0)
+    margin = rnsp_witness_search(system, synthetic_cert, omega, s=2.0,
+                                 n_trials=2000, seed=0)
     assert margin >= 0.0
 
 

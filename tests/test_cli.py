@@ -41,6 +41,22 @@ def test_command_rejects_flags_it_does_not_read(tmp_path, runner, args):
     assert "No such option" in res.output
 
 
+@pytest.mark.parametrize("args, message", [
+    (["certify", "--model", "fanbeam", "--wavelet-order", "2", "--j0", "1", "--jmax", "2"],
+     "need 0 < d < rho"),
+    (["certify", "--wavelet-order", "9"], "unsupported filter order 9"),
+    (["certify", "--j0", "4", "--jmax", "2"], "j0 must be <= j_max"),
+    (["reconstruct", "--j0", "4", "--jmax", "2", "--m", "8"], "j0 must be <= j_max"),
+    (["sweep", "--betas", "1.5", "--ms", "8"], "beta values must lie in [0, 1)"),
+])
+def test_input_errors_are_usage_errors(tmp_path, runner, args, message):
+    # inputs the model or the config rejects end in a usage error, not a traceback
+    res = runner.invoke(main, args + ["--out", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_reconstruct_outputs(tmp_path, runner):
     res = runner.invoke(main, ["reconstruct", "--j0", "1", "--jmax", "2",
                                "--s", "2", "--m", "24", "--seed", "3",

@@ -8,7 +8,7 @@ from sparsetomo.experiments import build_model
 from sparsetomo.models import _CHUNK, GeometryError
 from sparsetomo.wavelets import GridSpec, dilation
 
-from oracles import radon_image
+from oracles import radon_image, uniform_bound_probe
 
 
 def brute_radon_atom(atlas, idx, theta, s_grid, step):
@@ -857,7 +857,6 @@ def test_synthetic_diagonal_population_gram(synthetic_model):
 
 def test_uniform_bound_stable_under_refinement():
     # the measured operator bound moves < 10% when the raster grid halves
-    from sparsetomo.models import uniform_bound_probe
     vals = []
     for h in (2.0 ** -5, 2.0 ** -6):
         a = st.build_atlas(st.build_filter(1), 2, grid_resolution=h)
