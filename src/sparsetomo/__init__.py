@@ -13,8 +13,8 @@ from .certify import (GramCertificate, RipEstimate, compute_gram,
                       delta_star_montecarlo, sample_complexity)
 from .solve import SolveConfig, SolveResult, solve_constrained_l1
 from .phantoms import PhantomSpec, make_phantom
-from .experiments import (ExperimentConfig, SweepRecord,
-                          calibrate_recovery_constant, fit_scaling,
+from .io import SweepRecord
+from .experiments import (ExperimentConfig, calibrate_recovery_constant, fit_scaling,
                           fit_scaling_windowed, j0_for_beta,
                           recovery_rule_m, run_certification_report,
                           run_recovery_sweep)

@@ -1,24 +1,28 @@
-"""Command-line harness: atlas build, certify, reconstruct, sweep, fit.
+"""Command-line harness, the package's one entry point: atlas build,
+certify, reconstruct, sweep, fit and exact-recovery.
 
 Each command takes only the flags it reads.  Every flag can also come from a
 JSON config file (--config); explicit flags win over the file, and a file key
-the command does not read is a usage error, as such a flag is.  All runs are
-deterministic in their seeds, and outputs are plain CSV / text / PGM / flat
-binary files under --out.
+the command does not read is a usage error, as such a flag is.  One table,
+KEYS, maps each key to the ExperimentConfig field it sets; an unset key keeps
+that field's default.  All runs are deterministic in their seeds, and
+outputs are plain CSV / text / PGM / flat binary files under --out.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 
 import click
 import numpy as np
 
 from . import io as stio
-from .experiments import (ExperimentConfig, build_model, fit_scaling,
-                          fit_scaling_windowed, run_certification_report,
-                          run_recovery_sweep)
+from .certify import recovery_rule_m
+from .experiments import (ExperimentConfig, build_model, calibrate_recovery_constant,
+                          fit_scaling, fit_scaling_windowed, run_certification_report,
+                          run_recovery_cell, run_recovery_sweep)
 from .models import assemble_system, draw_samples
 from .phantoms import PhantomSpec, make_phantom
 from .solve import SolveConfig, solve_constrained_l1
@@ -26,19 +30,34 @@ from .wavelets import build_atlas, build_filter, synthesis, truncation_positions
 from .weights import WeightVector
 
 MODEL_CHOICES = ("radon", "fanbeam", "fourier", "legendre")
-PHANTOM_KEYS = ("phantom", "a")    # read by _phantom_from, from a config file only
 
-
-def _load_config(config_path):
-    if not config_path:
-        return {}
-    with open(config_path) as fh:
-        return json.load(fh)
+# config key -> (ExperimentConfig field, converter); "phantom." and "solver."
+# name a field of that member.  ms comes after m, so it wins.
+KEYS = {
+    "model": ("model", str), "wavelet_order": ("wavelet_order", int),
+    "j0": ("j0", int), "jmax": ("j_max", int),
+    "m": ("ms", lambda v: (int(v),)), "ms": ("ms", lambda v: tuple(int(x) for x in v)),
+    "betas": ("betas", lambda v: tuple(float(x) for x in v)),
+    "seeds": ("seeds", lambda v: tuple(int(x) for x in v)),
+    "m_rule": ("m_rule", str), "m_rule_c0": ("m_rule_c0", float),
+    "m_rule_p": ("m_rule_p", float), "m_cap": ("m_cap", int), "m_min": ("m_min", int),
+    "j0_rule": ("j0_rule", bool), "j0_cap": ("j0_cap", int), "j0_offset": ("j0_offset", int),
+    "gamma": ("gamma", float), "zeta": ("zeta", float),
+    "phantom": ("phantom.kind", str), "s": ("phantom.s", int), "a": ("phantom.a", float),
+    "seed": ("phantom.seed", int),
+    "max_iters": ("solver.max_iters", int), "tol_gap": ("solver.tol_gap", float),
+}
+PHANTOM_KEYS = ("phantom", "a")    # keys a config file sets and no flag does
+SWEEP_KEYS = PHANTOM_KEYS + ("m_rule_p", "m_cap", "m_min", "j0_cap", "j0_offset",
+                             "max_iters", "tol_gap")
 
 
 def _merged(config_path, file_keys=(), **flags):
     """The config file's keys, checked against the command's, under the given flags."""
-    cfg = _load_config(config_path)
+    cfg = {}
+    if config_path:
+        with open(config_path) as fh:
+            cfg = json.load(fh)
     unknown = sorted(set(cfg) - set(flags) - set(file_keys))
     if unknown:
         raise click.UsageError(f"config keys not read by this command: {', '.join(unknown)}")
@@ -48,38 +67,31 @@ def _merged(config_path, file_keys=(), **flags):
     return cfg
 
 
-def _phantom_from(cfg) -> PhantomSpec:
-    kind = cfg.get("phantom", "sparse")
-    return PhantomSpec(kind=kind, s=int(cfg.get("s", 5)),
-                       a=float(cfg.get("a", 0.5)), seed=int(cfg.get("seed", 0)))
-
-
-def _inputs(cfg, **fields):
-    """A command's ExperimentConfig, its model and its window.
-
-    The config holds the fields the commands share, read from the merged
-    flags, plus the command's own.  The window is the scale <= j0 atoms of a
-    tomographic model's atlas (None for the others).  build_model is
-    memoised, so the run reuses this model.  A ValueError raised here
-    (GeometryError and ConfigurationError among them) comes from the inputs,
-    so it is reported as a usage error; errors of the run itself propagate.
+def _inputs(cfg, tomographic=False, **fields):
+    """A command's ExperimentConfig, from the keys of KEYS that the merged
+    flags and file set (its defaults fill the rest), and its model, which
+    build_model memoises for the run.  A ValueError raised here
+    (GeometryError and ConfigurationError among them) or a non-tomographic
+    model where the command needs one comes from the inputs, so it is a usage
+    error; errors of the run itself propagate.
     """
+    members = {"phantom": {}, "solver": {}}
+    for key, (name, conv) in KEYS.items():
+        if cfg.get(key) is not None:
+            member, _, attr = name.rpartition(".")
+            (members[member] if member else fields)[attr] = conv(cfg[key])
     try:
-        exp = ExperimentConfig(
-            model=cfg.get("model", "radon"),
-            wavelet_order=int(cfg.get("wavelet_order", 1)),
-            j0=int(cfg.get("j0", 2)),
-            j_max=int(cfg["jmax"]) if cfg.get("jmax") is not None else None,
-            gamma=float(cfg.get("gamma", 0.1)),
-            zeta=float(cfg.get("zeta", 1.0)),
-            **fields)
+        exp = ExperimentConfig(**fields)
+        exp.phantom = replace(exp.phantom, **members["phantom"])
+        exp.solver = replace(exp.solver, **members["solver"])
+        if tomographic and exp.model not in ("radon", "fanbeam"):
+            raise click.UsageError(f"{click.get_current_context().info_name} drives the "
+                                   f"tomographic models (radon, fanbeam), not {exp.model}")
         model = build_model(exp.model, order=exp.wavelet_order, j_max=exp.j_max,
                             s_step=exp.s_step)
-        window = (truncation_positions(model.atlas, exp.j0)
-                  if exp.model in ("radon", "fanbeam") else None)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    return exp, model, window
+    return exp, model
 
 
 def _csv(text, conv):
@@ -143,7 +155,7 @@ def atlas_build(config_path, **flags):
 def certify(config_path, **flags):
     """Gram certificate, coherence table, restricted-constant estimates."""
     cfg = _merged(config_path, **flags)
-    exp, _, _ = _inputs(cfg)
+    exp, _ = _inputs(cfg)
     out = cfg.get("out_dir") or "."
     cert, _, table = run_certification_report(exp, out, seed=int(cfg.get("seed", 0)))
     click.echo(f"sigma_min {cert.sigma_min!r} sigma_max {cert.sigma_max!r}")
@@ -157,16 +169,15 @@ def certify(config_path, **flags):
 def reconstruct(config_path, **flags):
     """One reconstruction: phantom, sampled angles, solve, image outputs."""
     cfg = _merged(config_path, PHANTOM_KEYS, **flags)
-    if cfg.get("model", "radon") not in ("radon", "fanbeam"):
-        raise click.UsageError("reconstruct drives the tomographic models")
-    exp, model, window = _inputs(cfg)
+    exp, model = _inputs(cfg, tomographic=True)
     out = cfg.get("out_dir") or "."
     os.makedirs(out, exist_ok=True)
-    seed = int(cfg.get("seed", 0))
+    seed = exp.phantom.seed          # it also draws the angles and the noise
     beta = float(cfg.get("beta", 0.0))
-    m = int(cfg.get("m", 64))
+    m = exp.ms[0] if exp.ms else 64
     a = model.atlas
-    _, x_full, _ = make_phantom(a, _phantom_from(cfg), exp.j0)
+    window = truncation_positions(a, exp.j0)
+    _, x_full, _ = make_phantom(a, exp.phantom, exp.j0)
     samples = draw_samples(model, m, seed=seed)
     system = assemble_system(model, window, samples, x_full=x_full, beta=beta,
                              noise_seed=seed + 1)
@@ -193,27 +204,40 @@ def reconstruct(config_path, **flags):
 @click.option("--m-rule", type=click.Choice(["fixed", "noise_matched"]), default=None)
 @click.option("--m-rule-c0", type=float, default=None)
 @click.option("--j0-rule/--no-j0-rule", default=None)
-@options("model", "wavelet_order", "j0", "jmax", "s", "m", "zeta", "gamma", "seed")
+@options("model", "wavelet_order", "j0", "jmax", "s", "m", "zeta", "seed")
 def sweep(config_path, betas, ms, seeds, **flags):
     """Recovery sweep over (beta, m, seed) cells; writes records.csv."""
-    cfg = _merged(config_path, PHANTOM_KEYS, betas=_csv(betas, float), ms=_csv(ms, int),
+    cfg = _merged(config_path, SWEEP_KEYS, betas=_csv(betas, float), ms=_csv(ms, int),
                   seeds=_csv(seeds, int), **flags)
     out = cfg.get("out_dir") or "."
-    exp, _, _ = _inputs(
-        cfg,
-        phantom=_phantom_from(cfg),
-        betas=tuple(cfg.get("betas", [0.0])),
-        ms=tuple(cfg["ms"]) if cfg.get("ms") else (int(cfg["m"]),) if cfg.get("m") else None,
-        m_rule=cfg.get("m_rule", "fixed"),
-        m_rule_c0=float(cfg.get("m_rule_c0", 1.0)),
-        j0_rule=bool(cfg.get("j0_rule", False)),
-        seeds=tuple(cfg.get("seeds", [0, 1, 2, 3, 4])),
-        out_dir=out,
-    )
-    os.makedirs(out, exist_ok=True)
+    exp, _ = _inputs(cfg, tomographic=True, out_dir=out)
     records = run_recovery_sweep(exp)
     ok = sum(1 for r in records if r.status == "optimal")
     click.echo(f"{len(records)} cells, {ok} optimal; wrote {out}/records.csv")
+
+
+@main.command("exact-recovery")
+@click.option("--s", type=int, default=5)
+@click.option("--j0", type=int, default=3)
+@click.option("--pilot-j0", type=int, default=2)
+@click.option("--gamma", type=float, default=0.1)
+@click.option("--n-seeds", type=int, default=20)
+def exact_recovery(s, j0, pilot_j0, gamma, n_seeds):
+    """Calibrate the sample rule on the pilot window, then recover noiseless
+    s-sparse signals on the scale <= j0 Radon window, one per seed."""
+    c0 = calibrate_recovery_constant(order=1, s=s, j0=pilot_j0, n_seeds=n_seeds)
+    m = recovery_rule_m(c0, s, j0, gamma=gamma)
+    click.echo(f"calibrated C0 = {c0:.4f}; rule gives m = {m} at j0 = {j0}")
+    model = build_model("radon", order=1, j_max=j0 + 1)
+    good = 0
+    for seed in range(n_seeds):
+        _, x_full, meta = make_phantom(model.atlas, PhantomSpec("sparse", s=s, seed=seed), j0)
+        rec = run_recovery_cell(model.atlas, model, j0, x_full, 0.0, m, seed, 1.0,
+                                SolveConfig(max_iters=20000), record_meta=meta)
+        rel = rec.err_l2 / np.linalg.norm(x_full)
+        good += bool(rel <= 1e-5)
+        click.echo(f"seed {seed}: rel err {rel:.2e} {'ok' if rel <= 1e-5 else 'MISS'}")
+    click.echo(f"{good}/{n_seeds} exact recoveries")
 
 
 @main.command()

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import io as stio
+from .io import SweepRecord
 from .certify import (compute_gram, delta_star_montecarlo, recovery_rule_m,
                       sample_complexity)
 from .models import (FanBeamModel, FourierWaveletModel, LegendrePointModel,
@@ -54,27 +55,10 @@ class ExperimentConfig:
             raise ValueError("beta values must lie in [0, 1)")
         if self.ms is not None and any(m < 1 for m in self.ms):
             raise ValueError("m values must be >= 1")
+        if self.j0 < 0:
+            raise ValueError("j0 must be >= 0")
         if self.j0 > self.j_max:
             raise ValueError("j0 must be <= j_max")
-
-
-@dataclass
-class SweepRecord:
-    """One sweep cell; its fields, in order, are the columns of records.csv."""
-
-    beta: float
-    m: int
-    j0: int
-    s: int
-    err_l2: float
-    err_img: float
-    residual: float
-    wall_time: float
-    seed: int
-    status: str
-    iterations: int = 0           # solver iterations; 0 when none ran
-    gap: float = float("inf")     # the reported iterate's duality gap
-    eta: float = float("nan")     # the solve's radius, beta + tail_residual
 
 
 def j0_for_beta(beta: float, a: float, cap: int = 4, offset: int = 0) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -182,8 +182,26 @@ def write_trace_csv(path: str, trace):
         w.writerows(trace)
 
 
+@dataclass
+class SweepRecord:
+    """One sweep cell; its fields, in order, are the columns of records.csv."""
+
+    beta: float
+    m: int
+    j0: int
+    s: int
+    err_l2: float
+    err_img: float
+    residual: float
+    wall_time: float
+    seed: int
+    status: str
+    iterations: int = 0           # solver iterations; 0 when none ran
+    gap: float = float("inf")     # the reported iterate's duality gap
+    eta: float = float("nan")     # the solve's radius, beta + tail_residual
+
+
 def write_records_csv(path: str, records):
-    from .experiments import SweepRecord   # experiments imports this module
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     names = [f.name for f in fields(SweepRecord)]
     with open(path, "w", newline="") as fh:
@@ -197,7 +215,6 @@ def read_records_csv(path: str):
     """Records of a records.csv, each column read by its field's type; a
     column the file lacks (iterations, gap and eta in files written before
     they existed) reads as the field's default."""
-    from .experiments import SweepRecord
     conv = {"int": int, "float": float, "str": str}
     out = []
     with open(path, newline="") as fh:

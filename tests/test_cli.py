@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,9 @@ from click.testing import CliRunner
 
 from sparsetomo import io as stio
 from sparsetomo.cli import main
+from sparsetomo.experiments import ExperimentConfig, run_recovery_sweep
+from sparsetomo.phantoms import PhantomSpec
+from sparsetomo.solve import SolveConfig
 
 
 @pytest.fixture()
@@ -48,6 +52,12 @@ def test_command_rejects_flags_it_does_not_read(tmp_path, runner, args):
     (["certify", "--j0", "4", "--jmax", "2"], "j0 must be <= j_max"),
     (["reconstruct", "--j0", "4", "--jmax", "2", "--m", "8"], "j0 must be <= j_max"),
     (["sweep", "--betas", "1.5", "--ms", "8"], "beta values must lie in [0, 1)"),
+    (["reconstruct", "--j0", "1", "--jmax", "2", "--m", "0"], "m values must be >= 1"),
+    (["sweep", "--j0", "1", "--jmax", "2", "--m", "0"], "m values must be >= 1"),
+    (["sweep", "--model", "fourier", "--ms", "8", "--j0", "1", "--jmax", "2"],
+     "sweep drives the tomographic models (radon, fanbeam), not fourier"),
+    (["certify", "--model", "fourier", "--j0", "-1"], "j0 must be >= 0"),
+    (["sweep", "--gamma", "0.3", "--ms", "8"], "No such option"),
 ])
 def test_input_errors_are_usage_errors(tmp_path, runner, args, message):
     # inputs the model or the config rejects end in a usage error, not a traceback
@@ -134,6 +144,36 @@ def test_config_file_phantom_keys(tmp_path, runner):
                                "--config", str(cfg_path), "--out", str(tmp_path)])
     assert res.exit_code == 0, res.output
     assert (tmp_path / "reconstruction.pgm").exists()
+
+
+def test_sweep_config_file_keys(tmp_path, runner):
+    # the noise sweep as a config file: every file-only key reaches the
+    # ExperimentConfig that a direct run_recovery_sweep call builds
+    keys = {"m_rule_p": 0.5, "m_cap": 32, "m_min": 12, "j0_cap": 1, "j0_offset": -2}
+    cfg = dict(keys, phantom="tail", a=0.5, betas=[0.25, 0.0625], m_rule="noise_matched",
+               m_rule_c0=0.5, j0_rule=True, seeds=[0], max_iters=500, tol_gap=1e-5)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    res = runner.invoke(main, ["sweep", "--config", str(cfg_path), "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    want = run_recovery_sweep(ExperimentConfig(
+        phantom=PhantomSpec("tail", a=0.5), betas=(0.25, 0.0625), m_rule="noise_matched",
+        m_rule_c0=0.5, j0_rule=True, seeds=(0,),
+        solver=SolveConfig(max_iters=500, tol_gap=1e-5), **keys))
+    got = stio.read_records_csv(str(tmp_path / "records.csv"))
+    assert [r.j0 for r in got] == [0, 1]      # the j0 rule ran, under its cap
+    assert [replace(r, wall_time=0.0) for r in got] == [replace(r, wall_time=0.0)
+                                                        for r in want]
+
+
+def test_exact_recovery_reports_its_count(runner):
+    res = runner.invoke(main, ["exact-recovery", "--s", "3", "--j0", "1", "--pilot-j0", "1",
+                               "--n-seeds", "2"])
+    assert res.exit_code == 0, res.output
+    lines = res.output.splitlines()
+    assert lines[0].startswith("calibrated C0 = ")
+    assert len(lines) == 4 and lines[-1] in ("0/2 exact recoveries", "1/2 exact recoveries",
+                                             "2/2 exact recoveries")
 
 
 def test_sweep_rerun_identical(tmp_path, runner):

@@ -1,5 +1,5 @@
 """src/ holds the pipeline: every public module-level function or class of the
-package is run by a CLI command, a script or the benchmark, or is named below
+package is run by a CLI command or the benchmark, or is named below
 with the reason it stays.  Test-only oracles belong in tests/oracles.py."""
 
 import ast
@@ -7,7 +7,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "sparsetomo"
-CALLERS = (ROOT / "src", ROOT / "scripts", ROOT / "perfbench")
+CALLERS = (ROOT / "src", ROOT / "perfbench")
 
 ALLOWED = {
     "read_image_binary": "reads the reconstruction.bin that reconstruct writes",
