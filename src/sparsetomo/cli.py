@@ -21,8 +21,8 @@ import numpy as np
 from . import io as stio
 from .certify import recovery_rule_m
 from .experiments import (ExperimentConfig, build_model, calibrate_recovery_constant,
-                          fit_scaling, fit_scaling_windowed, run_certification_report,
-                          run_recovery_cell, run_recovery_sweep)
+                          fit_scaling, fit_scaling_windowed, recovery_cells,
+                          run_certification_report, run_recovery_cell, run_recovery_sweep)
 from .models import assemble_system, draw_samples
 from .phantoms import PhantomSpec, make_phantom
 from .solve import SolveConfig, solve_constrained_l1
@@ -69,8 +69,10 @@ def _merged(config_path, file_keys=(), **flags):
 
 def _inputs(cfg, tomographic=False, **fields):
     """A command's ExperimentConfig, from the keys of KEYS that the merged
-    flags and file set (its defaults fill the rest), and its model, which
-    build_model memoises for the run.  A ValueError raised here
+    flags and file set (fields, then its defaults, fill the rest), and its
+    model, which build_model memoises for the run.  A tomographic command's
+    cells are checked too (recovery_cells): each needs a sample count and a
+    window that holds the sparse phantom.  A ValueError raised here
     (GeometryError and ConfigurationError among them) or a non-tomographic
     model where the command needs one comes from the inputs, so it is a usage
     error; errors of the run itself propagate.
@@ -89,6 +91,8 @@ def _inputs(cfg, tomographic=False, **fields):
                                    f"tomographic models (radon, fanbeam), not {exp.model}")
         model = build_model(exp.model, order=exp.wavelet_order, j_max=exp.j_max,
                             s_step=exp.s_step)
+        if tomographic:
+            recovery_cells(exp)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     return exp, model
@@ -169,12 +173,12 @@ def certify(config_path, **flags):
 def reconstruct(config_path, **flags):
     """One reconstruction: phantom, sampled angles, solve, image outputs."""
     cfg = _merged(config_path, PHANTOM_KEYS, **flags)
-    exp, model = _inputs(cfg, tomographic=True)
+    exp, model = _inputs(cfg, tomographic=True, ms=(64,))
     out = cfg.get("out_dir") or "."
     os.makedirs(out, exist_ok=True)
     seed = exp.phantom.seed          # it also draws the angles and the noise
     beta = float(cfg.get("beta", 0.0))
-    m = exp.ms[0] if exp.ms else 64
+    m = exp.ms[0]
     a = model.atlas
     window = truncation_positions(a, exp.j0)
     _, x_full, _ = make_phantom(a, exp.phantom, exp.j0)
@@ -217,14 +221,17 @@ def sweep(config_path, betas, ms, seeds, **flags):
 
 
 @main.command("exact-recovery")
-@click.option("--s", type=int, default=5)
-@click.option("--j0", type=int, default=3)
-@click.option("--pilot-j0", type=int, default=2)
-@click.option("--gamma", type=float, default=0.1)
-@click.option("--n-seeds", type=int, default=20)
+@click.option("--s", type=click.IntRange(min=2), default=5)
+@click.option("--j0", type=click.IntRange(min=0), default=3)
+@click.option("--pilot-j0", type=click.IntRange(min=1), default=2)
+@click.option("--gamma", type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True),
+              default=0.1)
+@click.option("--n-seeds", type=click.IntRange(min=1), default=20)
 def exact_recovery(s, j0, pilot_j0, gamma, n_seeds):
     """Calibrate the sample rule on the pilot window, then recover noiseless
-    s-sparse signals on the scale <= j0 Radon window, one per seed."""
+    s-sparse signals on the scale <= j0 Radon window, one per seed.  The
+    calibration divides by s j0 log^3 s, so s and the pilot j0 start above
+    the values that make it 0."""
     c0 = calibrate_recovery_constant(order=1, s=s, j0=pilot_j0, n_seeds=n_seeds)
     m = recovery_rule_m(c0, s, j0, gamma=gamma)
     click.echo(f"calibrated C0 = {c0:.4f}; rule gives m = {m} at j0 = {j0}")

@@ -145,14 +145,16 @@ def run_recovery_cell(atlas, model, j0: int, x_full: np.ndarray, beta: float,
                        iterations=int(res.iterations), gap=float(res.gap), eta=float(eta))
 
 
-def run_recovery_sweep(cfg: ExperimentConfig):
-    """All (beta, m, seed) cells of a configuration, deterministic per seed.
+def recovery_cells(cfg: ExperimentConfig) -> list:
+    """(beta, j0, model, m) of each noise level of a recovery run, in order.
 
-    Infeasible solves are recorded with their status and the sweep continues.
+    Raises ValueError before any cell runs when the configuration cannot
+    run one: a non-tomographic model, a beta with no sample count, or an
+    s-sparse phantom with more nonzeros than its window has atoms.
     """
     if cfg.model not in ("radon", "fanbeam"):
         raise ValueError(f"sweeps support radon/fanbeam, got {cfg.model!r}")
-    records = []
+    cells = []
     for bi, beta in enumerate(cfg.betas):
         a = cfg.phantom.a if cfg.phantom.kind == "tail" else 0.5
         j0 = (j0_for_beta(beta, a, cap=cfg.j0_cap, offset=cfg.j0_offset)
@@ -160,9 +162,22 @@ def run_recovery_sweep(cfg: ExperimentConfig):
         j_max = j0 + 1 if cfg.j0_rule else cfg.j_max
         model = build_model(cfg.model, order=cfg.wavelet_order, j_max=j_max,
                             s_step=cfg.s_step)
+        size = len(truncation_positions(model.atlas, j0))
+        if cfg.phantom.kind == "sparse" and cfg.phantom.s > size:
+            raise ValueError(f"s={cfg.phantom.s} exceeds window size {size}")
+        cells.append((beta, j0, model, _cell_m(cfg, beta, bi)))
+    return cells
+
+
+def run_recovery_sweep(cfg: ExperimentConfig):
+    """All (beta, m, seed) cells of a configuration, deterministic per seed.
+
+    Infeasible solves are recorded with their status and the sweep continues.
+    """
+    records = []
+    for beta, j0, model, m in recovery_cells(cfg):
         atlas = model.atlas
         _, x_full, meta = make_phantom(atlas, cfg.phantom, j0)
-        m = _cell_m(cfg, beta, bi)
         for seed in cfg.seeds:
             rec = run_recovery_cell(atlas, model, j0, x_full, beta, m, seed,
                                     cfg.zeta, cfg.solver, record_meta=meta)

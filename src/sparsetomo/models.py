@@ -8,9 +8,11 @@ its dictionary, its sampling density, and how to produce the measurement
 block of a batch of dictionary elements at one parameter value, also as the
 support runs of its rows at a batch of parameter values.  The Radon model
 computes each group's profile for a chunk of angles in one pass; the
-fan-beam model takes a group's rays over a chunk of angles at once, as exact
-chord-length line integrals for Haar atoms and by sampling each ray for
-higher orders.  Both cut every run to the span where the row is nonzero.
+fan-beam model finds the rays that meet each support box, and for Haar atoms
+their chords through its cells, once per dilation and chunk of angles for
+all the groups on those boxes, then takes each group's values from them:
+exact chord-length line integrals for Haar atoms, sampled rays for higher
+orders.  Both cut every run to the span where the row is nonzero.
 A system of random samples is assembled a chunk of samples at a time and
 keeps its stacked operator A as those runs, with quadrature weights and
 1/sqrt(m) folded in, so plain Euclidean norms of stacked vectors equal the
@@ -23,6 +25,7 @@ whole dense A is built only for short solves and tests.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,16 +176,23 @@ def _run_cells(first, cnt):
     return owner, index
 
 
+def _nonzero_span(owner, val, n):
+    """(first, count) of the cells of each of n owners' runs from its first
+    to its last nonzero value (count 0 if it has none); owner is sorted."""
+    nz = np.flatnonzero(val)
+    o = owner[nz]
+    head, tail = np.diff(o, prepend=-1) != 0, np.diff(o, append=n) != 0
+    lo, hi = np.zeros(n, dtype=int), np.full(n, -1)
+    lo[o[head]], hi[o[tail]] = nz[head], nz[tail]
+    return lo, hi + 1 - lo
+
+
 def _nonzero_core(owner, val):
     """Mask of the cells of each owner's run from its first to its last
     nonzero value; owner is sorted."""
-    nz = np.flatnonzero(val)
-    o = owner[nz]
-    head, tail = np.diff(o, prepend=-1) != 0, np.diff(o, append=owner[-1] + 1) != 0
-    lo, hi = np.full(owner[-1] + 1, len(val)), np.full(owner[-1] + 1, -1)
-    lo[o[head]], hi[o[tail]] = nz[head], nz[tail]
-    i = np.arange(len(val))
-    return (lo[owner] <= i) & (i <= hi[owner])
+    first, cnt = _nonzero_span(owner, val, owner[-1] + 1)
+    i = np.arange(len(val)) - first[owner]
+    return (0 <= i) & (i < cnt[owner])
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +362,12 @@ class FanBeamModel(AtlasModel):
 
     The support of every dictionary atom must fit inside the ball of radius
     d < rho.  Defaults put the source at rho = 3 and take d just large enough
-    to contain the dictionary.  Rows are computed for one (scale,
-    orientation) group of atoms and a chunk of angles at a time: exact
-    chord-length line integrals for Haar atoms, sampled rays for higher
-    orders, whose atoms (radius 3.54 and up) need rho above the default.
+    to contain the dictionary.  The ray geometry of a chunk of angles is
+    computed once per dilation over the distinct support boxes of its atoms,
+    which a scale's orientations share; rows then come one (scale,
+    orientation) group at a time: exact chord-length line integrals for Haar
+    atoms, sampled rays for higher orders, whose atoms (radius 3.54 and up)
+    need rho above the default.
     """
 
     smoothing_exponent = 0.5
@@ -380,50 +392,82 @@ class FanBeamModel(AtlasModel):
         """(angle, atom, ray, value) arrays of ray integrals, one (scale,
         orientation) group at a time over the whole batch of angles.
 
-        The rays that may meet an atom's box are a run of the ray grid, those
-        within its circumscribed circle's angular half-width (plus one ray
-        step) of the ray through its center.  All (angle, atom, ray)
-        candidates of a group take their values in one step: exact line
-        integrals for Haar atoms (filter order 1, _haar_chords), sampled rays
-        for higher orders (_sampled_rays).  Each run is then cut to its
+        The geometry takes one pass per dilation over the distinct support
+        boxes of its atoms: a scale's three orientations, and scale 0's
+        scaling atoms with scale 1's, sit on the same boxes.  The rays that
+        may meet a box are a run of the ray grid, those within its
+        circumscribed circle's angular half-width (plus one ray step) of the
+        ray through its center.  Each (angle, box) pair's candidates take
+        the exact test, their directions and, for Haar atoms, their chords
+        through the box's 2 x 2 cells (_haar_chords) once.  Each group then
+        reads its atoms' runs from their boxes and applies its own values:
+        the cells' profile samples for Haar atoms (filter order 1), sampled
+        rays for higher orders (_sampled_rays).  Each run is then cut to its
         nonzero span, which drops the candidates whose ray misses the box."""
         a, grid = self.atlas, self.alpha_grid
-        values = self._haar_chords if a.filter.regularity_order == 1 else self._sampled_rays
+        haar = a.filter.regularity_order == 1
         thetas = np.atleast_1d(np.asarray(thetas, float))
         # one angle at a time: the source rounds as in a one-angle call
         src = np.array([self.rho * np.array([np.cos(t), np.sin(t)]) for t in thetas])
-        for scale, orient, sel in self._groups(positions):
-            d, w = dilation(scale), a.filter.support_length
-            n = np.stack([a.n1[positions[sel]], a.n2[positions[sel]]], axis=1)
+        w, n_all = a.filter.support_length, np.stack([a.n1[positions], a.n2[positions]], axis=1)
+        for d, groups in itertools.groupby(self._groups(positions), lambda g: dilation(g[0])):
+            groups = list(groups)
+            n, box_of = _distinct_rows(n_all[np.concatenate([sel for *_, sel in groups])])
             lo = n / d                                        # box corners; every side is w/d
             to_c = (0.5 * (lo + (n + w) / d) - src[:, None]).reshape(-1, 2)   # source -> center
-            th = np.repeat(thetas, len(sel))                  # per (angle, atom)
+            th = np.repeat(thetas, len(n))                    # per (angle, box)
             # the batched dot product rounds as np.linalg.norm of a 2-vector
             dist = np.sqrt((to_c[:, None, :] @ to_c[:, :, None])[:, 0, 0])
             phi_abs = np.arctan2(to_c[:, 1], to_c[:, 0])
-            # the atom sits at negative ray parameter, so the ray angles that
-            # meet it cluster around the direction opposite to source->atom
+            # the box sits at negative ray parameter, so the ray angles that
+            # meet it cluster around the direction opposite to source->box
             alpha_c = (phi_abs - th) % (2.0 * np.pi) - np.pi
             rad = 0.5 * np.hypot(w / d, w / d)
             half = np.arcsin(np.minimum(1.0, rad / dist)) + self.alpha_step
-            # an atom's hit rays are a run of the grid: take the run with one
+            # a box's hit rays are a run of the grid: take the run with one
             # index of margin, then apply the exact test
             first = np.maximum(np.searchsorted(grid, alpha_c - half) - 1, 0)
             stop = np.minimum(np.searchsorted(grid, alpha_c + half, "right") + 1, len(grid))
             pair, ray = _run_cells(first, stop - first)
             hit = np.abs(grid[ray] - alpha_c[pair]) <= half[pair]
             pair, ray = pair[hit], ray[hit]
-            angle, atom = np.divmod(pair, len(sel))
+            angle, box = np.divmod(pair, len(n))
             alphas, theta = grid[ray], thetas[angle]
             dirs = np.stack([np.cos(theta + alphas), np.sin(theta + alphas)])
-            t_mid = dist[pair] * np.cos(phi_abs[pair] - theta - alphas)
-            val = values(scale, orient, src.T[:, angle], dirs, lo.T[:, atom], t_mid, rad)
-            if not val.all():       # rays that miss the box end the runs
-                keep = _nonzero_core(pair, val)
-                angle, atom, ray, val = angle[keep], atom[keep], ray[keep], val[keep]
-            # int32 indices: assembly holds a chunk of angles' runs at once
-            yield (angle.astype(np.int32), sel[atom].astype(np.int32),
-                   ray.astype(np.int32), val)
+            src_c, corner = src.T[:, angle], lo.T[:, box]
+            if haar:
+                chord = _haar_chords(w / d, src_c, dirs, corner)
+                # a ray that misses the box has four zero chords and a zero
+                # value in every group: each box's run starts and ends on a
+                # ray that meets it
+                start, cnt = _nonzero_span(pair, chord.any(axis=(0, 1)), len(to_c))
+            else:
+                t_mid = dist[pair] * np.cos(phi_abs[pair] - theta - alphas)
+                cnt = np.bincount(pair, minlength=len(to_c))
+                start = np.cumsum(cnt) - cnt
+            ends = np.cumsum([len(sel) for *_, sel in groups])
+            for (scale, orient, sel), gbox in zip(groups, np.split(box_of, ends[:-1])):
+                # the (angle, box) pair of each of the group's (angle, atom)
+                # pairs, angle by angle; owner numbers the latter
+                bp = (gbox + len(n) * np.arange(len(thetas))[:, None]).ravel()
+                owner, cell = _run_cells(start[bp], cnt[bp])
+                if haar:
+                    fx, fy = (a.profile(scale, kind) for kind in a.profile_kinds(orient))
+                    samples = [0, (len(fx) - 1) // 2]            # the cells' values at 0 and W/2
+                    value = np.outer(fx[samples], fy[samples])
+                    # a sum of rows, not a BLAS product: each cell's value
+                    # rounds alike whatever its place in the batch
+                    val = (value[:, :, None] * chord).sum(axis=(0, 1))[cell]
+                else:
+                    val = self._sampled_rays(scale, orient, src_c[:, cell], dirs[:, cell],
+                                             corner[:, cell], t_mid[cell], rad)
+                if not val.all():       # a zero value may still end a run
+                    keep = _nonzero_core(owner, val)
+                    owner, cell, val = owner[keep], cell[keep], val[keep]
+                ga, atom = np.divmod(owner, len(sel))
+                # int32 indices: assembly holds a chunk of angles' runs at once
+                yield (ga.astype(np.int32), sel[atom].astype(np.int32),
+                       ray[cell].astype(np.int32), val)
 
     def _sampled_rays(self, scale, orient, src, dirs, corner, t_mid, rad):
         """Ray integrals by sampling: each ray src + t dirs at step h/2 over
@@ -448,40 +492,42 @@ class FanBeamModel(AtlasModel):
             out[cut] = v.sum(axis=1) * step
         return out
 
-    def _haar_chords(self, scale, orient, src, dirs, corner, t_mid, rad):
-        """Exact ray integrals of Haar atoms: value x chord length summed over
-        the atom's 2 x 2 constant sub-rectangles.
 
-        Along each axis the box side W is cut at W/2, and a factor takes its
-        profile's samples f[0] and f[W/2] on the two cells (equal for a 'c'
-        factor).  The ray src + t dirs crosses the cell [e0, e1) of axis i
-        for t between (e0 - src_i) / u and (e1 - src_i) / u, u its direction
-        component (slab clipping).  The edges are exact (dyadic corners and
-        sides), so each difference rounds once, and a near-axis ray along an
-        edge stays on the right side of it.  A ray parallel to the axis
-        (u = 0) lies in the cell for every t when e0 <= src_i < e1, the cells'
-        half-open convention, and for no t otherwise.  A sub-rectangle's
-        chord is the overlap of its two axes' t-intervals."""
-        a = self.atlas
-        W = a.filter.support_length / dilation(scale)
-        e = corner[:, None] + np.array([0.0, W / 2.0, W])[:, None]   # (axis, edge, pair)
-        p = src[:, None]
-        flat = dirs == 0.0
-        t = (e - p) / np.where(flat, 1.0, dirs)[:, None]
-        enter, leave = np.minimum(t[:, :-1], t[:, 1:]), np.maximum(t[:, :-1], t[:, 1:])
-        if flat.any():
-            inside = (e[:, :-1] <= p) & (p < e[:, 1:])
-            enter = np.where(flat[:, None], np.where(inside, -np.inf, np.inf), enter)
-            leave = np.where(flat[:, None], -enter, leave)
-        chord = (np.minimum(leave[0][:, None], leave[1][None, :])
-                 - np.maximum(enter[0][:, None], enter[1][None, :]))   # (x cell, y cell, pair)
-        np.maximum(chord, 0.0, out=chord)
-        fx, fy = (a.profile(scale, kind) for kind in a.profile_kinds(orient))
-        cell = [0, (len(fx) - 1) // 2]                # samples at 0 and W/2
-        value = np.outer(fx[cell], fy[cell])
-        # a sum of rows, not a BLAS product: each pair's value rounds alike
-        # whatever its place in the batch
-        return (value[:, :, None] * chord).sum(axis=(0, 1))
+def _distinct_rows(n):
+    """The distinct rows of an (k, 2) integer array, ordered by one integer
+    key per row, and the index of each row of n among them."""
+    off = n - n.min(axis=0)
+    _, first, inverse = np.unique(off[:, 0] * (off[:, 1].max() + 1) + off[:, 1],
+                                  return_index=True, return_inverse=True)
+    return n[first], inverse
+
+
+def _haar_chords(W, src, dirs, corner):
+    """Chord lengths (x cell, y cell, pair) of the rays src + t dirs
+    through the 2 x 2 constant cells of boxes of side W with lower-left
+    corner `corner`; src, dirs and corner are (2, pairs).
+
+    Along each axis the box side W is cut at W/2.  The ray crosses the cell
+    [e0, e1) of axis i for t between (e0 - src_i) / u and (e1 - src_i) / u,
+    u its direction component (slab clipping).  The edges are exact (dyadic
+    corners and sides), so each difference rounds once, and a near-axis ray
+    along an edge stays on the right side of it.  A ray parallel to the axis
+    (u = 0) lies in the cell for every t when e0 <= src_i < e1, the cells'
+    half-open convention, and for no t otherwise.  A cell's chord is the
+    overlap of its two axes' t-intervals; a Haar atom's ray integral is its
+    cell values times these chords, summed."""
+    e = corner[:, None] + np.array([0.0, W / 2.0, W])[:, None]   # (axis, edge, pair)
+    p = src[:, None]
+    flat = dirs == 0.0
+    t = (e - p) / np.where(flat, 1.0, dirs)[:, None]
+    enter, leave = np.minimum(t[:, :-1], t[:, 1:]), np.maximum(t[:, :-1], t[:, 1:])
+    if flat.any():
+        inside = (e[:, :-1] <= p) & (p < e[:, 1:])
+        enter = np.where(flat[:, None], np.where(inside, -np.inf, np.inf), enter)
+        leave = np.where(flat[:, None], -enter, leave)
+    chord = (np.minimum(leave[0][:, None], leave[1][None, :])
+             - np.maximum(enter[0][:, None], enter[1][None, :]))
+    return np.maximum(chord, 0.0, out=chord)
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,35 @@ def test_q_normal_matrix_computed_once_per_system(synthetic_model, synthetic_cer
     assert len(calls) == 1
 
 
+def one_support_delta(M, normal, S):
+    """Reference: the restricted constant of one support, one matrix at a
+    time."""
+    W = normal[np.ix_(S, S)]
+    evals, evecs = np.linalg.eigh(W)
+    evals = np.clip(evals, evals.max() * 1e-14, None)
+    Wih = (evecs / np.sqrt(evals)) @ evecs.T
+    sym = Wih @ M[np.ix_(S, S)] @ Wih
+    sym = 0.5 * (sym + sym.T)
+    return float(np.max(np.abs(np.linalg.eigvalsh(sym))))
+
+
+def test_support_delta_stack_matches_one_support_calls():
+    # the Monte Carlo search evaluates a stack of supports of one size at a
+    # time; each value is the one-support computation's, bit for bit
+    model = build_model("fanbeam", j_max=2)
+    w = st.truncation_positions(model.atlas, 1)
+    cert = st.compute_gram(model, w, n_quad=64)
+    system = st.assemble_system(model, w, st.draw_samples(model, 16, seed=1))
+    M = system.q_normal_matrix() - cert.normal
+    M = 0.5 * (M + M.T)
+    rng = np.random.default_rng(4)
+    for size in (1, 2, 4, 7):
+        stack = np.array([rng.choice(len(w), size, replace=False) for _ in range(9)])
+        one = [one_support_delta(M, cert.normal, list(S)) for S in stack]
+        assert np.array_equal(_support_delta(M, cert.normal, stack), one)
+        assert [_support_delta(M, cert.normal, list(S)) for S in stack] == one
+
+
 def test_delta_star_montecarlo_deterministic(synthetic_model, synthetic_cert):
     system = small_system(synthetic_model, 4, seed=2)
     omega = st.WeightVector.ones(6)

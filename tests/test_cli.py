@@ -58,6 +58,11 @@ def test_command_rejects_flags_it_does_not_read(tmp_path, runner, args):
      "sweep drives the tomographic models (radon, fanbeam), not fourier"),
     (["certify", "--model", "fourier", "--j0", "-1"], "j0 must be >= 0"),
     (["sweep", "--gamma", "0.3", "--ms", "8"], "No such option"),
+    (["reconstruct", "--j0", "1", "--jmax", "2", "--s", "500"], "s=500 exceeds window size 64"),
+    (["sweep", "--j0", "1", "--jmax", "2", "--s", "500", "--ms", "8"],
+     "s=500 exceeds window size 64"),
+    (["sweep", "--j0", "1", "--jmax", "2", "--seeds", "0"],
+     "explicit ms required unless m_rule is noise_matched"),
 ])
 def test_input_errors_are_usage_errors(tmp_path, runner, args, message):
     # inputs the model or the config rejects end in a usage error, not a traceback
@@ -65,6 +70,15 @@ def test_input_errors_are_usage_errors(tmp_path, runner, args, message):
     assert res.exit_code == 2, res.output
     assert message in res.output
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--s", "1"), ("--n-seeds", "0"), ("--j0", "-1"),
+                                         ("--pilot-j0", "0"), ("--gamma", "0")])
+def test_exact_recovery_rejects_flags_out_of_range(runner, flag, value):
+    # s = 1 or pilot j0 = 0 would make the calibrated constant infinite
+    res = runner.invoke(main, ["exact-recovery", flag, value])
+    assert res.exit_code == 2, res.output
+    assert f"Invalid value for '{flag}'" in res.output
 
 
 def test_reconstruct_outputs(tmp_path, runner):

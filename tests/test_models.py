@@ -387,6 +387,31 @@ def test_fanbeam_rows_shuffled_positions_with_repeats(haar_atlas_j3):
     assert fan.rows(np.array([], dtype=int), 0.9).shape == (0, fan.block_dim)
 
 
+@pytest.mark.parametrize("order, j_max, rho", [(1, 3, 3.0), (2, 1, 5.0)])
+def test_fanbeam_rows_shared_boxes_match_one_atom_calls(order, j_max, rho):
+    # a dilation's groups share the geometry of their atoms' boxes; here the
+    # orientations of a scale cover different boxes, the positions are
+    # shuffled and repeat, and each atom's runs equal a one-atom call's
+    atlas = st.build_atlas(st.build_filter(order), j_max)
+    fan = st.FanBeamModel(atlas, rho=rho)
+    rng = np.random.default_rng(5)
+    top = atlas.scales == j_max
+    picks = [rng.choice(np.flatnonzero(top & (atlas.orientations == o)), 6, replace=False)
+             for o in (1, 2, 3)]
+    boxes = [{(atlas.n1[p], atlas.n2[p]) for p in pick} for pick in picks]
+    assert boxes[0] != boxes[1] or boxes[1] != boxes[2]
+    base = np.concatenate(picks + [rng.choice(np.flatnonzero(~top), 6, replace=False)])
+    positions = rng.permutation(np.concatenate([base, base[:7]]))
+    ts = np.array([0.0, np.pi / 2, 0.9, 2.6, 4.4])
+    for th in ts:
+        one = np.stack([fan.rows([p], th)[0] for p in positions])
+        assert np.array_equal(fan.rows(positions, th), one)
+    unit = np.eye(len(positions))
+    got = np.stack([fan.measure(positions, x, ts) for x in unit])
+    one = np.stack([fan.measure([p], [1.0], ts) for p in positions])
+    assert np.array_equal(got, one)
+
+
 def test_fanbeam_atom_norms_match_full_rows(haar_atlas_j3):
     # norms from one group's rows at a time equal the norms of the full rows
     fan = st.FanBeamModel(haar_atlas_j3)
