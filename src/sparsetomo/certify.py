@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import MeasurementModel, SampledSystem, _population_pass
+from .models import SampledSystem, _population_pass
 # bound here so that perfbench/tracing.py can time it as certify's Gram layer
 from .models import population_gram_matrix  # noqa: F401
 from .weights import WeightVector
@@ -125,15 +125,14 @@ def compute_gram(model, positions, n_quad: int | None = None,
 
     One pass over the quadrature nodes (models._population_pass) serves
     every consumer: the n_quad Gram, the 2 n_quad Gram of check_convergence,
-    and the coherence norms at min(n_quad, 64) nodes.  The uniform rules of
-    the tomographic models are nested (the n-node rule is every other node
+    and the coherence norms at min(n_quad, 64) nodes, which are the norms of
+    the same rows (every model's atom_norms, bit for bit).  The uniform rules
+    of the tomographic models are nested (the n-node rule is every other node
     of the 2n-node rule, bit for bit), so the runs at each distinct angle are
     computed once; each Gram takes SampledSystem.gram's hit-row products and
-    equals population_gram_matrix under its own rule.  Row norms stand in for
-    atom_norms only when those are the norms of the rows; the Radon model
-    keeps its profile norms.  FourierWaveletModel.population_nodes
-    ignores n, so its doubling check compares the same exact quadrature and
-    its shift is 0 by construction.
+    equals population_gram_matrix under its own rule.
+    FourierWaveletModel.population_nodes ignores n, so its doubling check
+    compares the same exact quadrature and its shift is 0 by construction.
     """
     positions = np.asarray(positions, dtype=int)
     if n_quad is None:
@@ -142,10 +141,7 @@ def compute_gram(model, positions, n_quad: int | None = None,
     if check_convergence:
         rules.insert(0, model.population_nodes(2 * n_quad))
     coh_nodes, _ = model.population_nodes(min(n_quad, 64))
-    from_rows = type(model).atom_norms is MeasurementModel.atom_norms
-    grams, norms = _population_pass(model, positions, rules, coh_nodes if from_rows else ())
-    if not from_rows:
-        norms = list(zip(coh_nodes, model.atom_norms(positions, coh_nodes)))
+    grams, norms = _population_pass(model, positions, rules, coh_nodes)
     normal = grams[-1]
     G, evals, fbi_flag = _matrix_sqrt(normal)
     sigma_min = float(np.sqrt(evals.min()))

@@ -144,9 +144,12 @@ def atlas_build(config_path, **flags):
     cfg = _merged(config_path, **flags)
     order = int(cfg.get("wavelet_order", 1))
     j_max = int(cfg.get("jmax", 3))
+    try:
+        a = build_atlas(build_filter(order), j_max)
+    except ValueError as exc:        # ConfigurationError: the inputs, a usage error
+        raise click.UsageError(str(exc)) from exc
     out = cfg.get("out_dir") or "."
     os.makedirs(out, exist_ok=True)
-    a = build_atlas(build_filter(order), j_max)
     path = os.path.join(out, f"atlas_order{order}_j{j_max}.bin")
     stio.write_atlas(path, a)
     counts = " ".join(str(int(c)) for c in a.scale_counts())
@@ -232,6 +235,10 @@ def exact_recovery(s, j0, pilot_j0, gamma, n_seeds):
     s-sparse signals on the scale <= j0 Radon window, one per seed.  The
     calibration divides by s j0 log^3 s, so s and the pilot j0 start above
     the values that make it 0."""
+    # both windows must hold the s-sparse phantom; the check wants some
+    # sample count, and reads none
+    for window_j0 in (pilot_j0, j0):
+        _inputs({"j0": window_j0, "s": s}, tomographic=True, ms=(1,))
     c0 = calibrate_recovery_constant(order=1, s=s, j0=pilot_j0, n_seeds=n_seeds)
     m = recovery_rule_m(c0, s, j0, gamma=gamma)
     click.echo(f"calibrated C0 = {c0:.4f}; rule gives m = {m} at j0 = {j0}")

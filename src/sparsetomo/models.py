@@ -233,7 +233,9 @@ class RadonModel(AtlasModel):
     """Line-integral measurements of atlas atoms at angles in [0, 2pi).
 
     The angle distribution is uniform, the per-angle measurement space is the
-    s-offset grid with trapezoid weight s_step.
+    s-offset grid with trapezoid weight s_step.  Rows, measurements, Grams
+    and the coherence norms (MeasurementModel.atom_norms) all read the
+    support runs of _runs.
     """
 
     smoothing_exponent = 0.5
@@ -246,17 +248,6 @@ class RadonModel(AtlasModel):
         self.s_grid = self.s_step * np.arange(-n, n + 1)
         self.block_dim = len(self.s_grid)
         self.quad_weight = self.s_step
-
-    def _group_span(self, scale: int, c, s, fine_step: float):
-        """(start, size) of the offset grid of a group's profile at each
-        angle with cosine c and sine s: its support and one fine step before
-        it, two after."""
-        w = self.atlas.filter.support_length / dilation(scale)
-        wc, ws = w * c, w * s
-        lo = np.minimum(0.0, wc) + np.minimum(0.0, ws)
-        hi = np.maximum(0.0, wc) + np.maximum(0.0, ws)
-        start, stop = lo - fine_step, hi + 2.0 * fine_step
-        return start, np.ceil((stop - start) / fine_step).astype(int)
 
     def _group_base(self, scale: int, orientation: int, theta, fine_step: float):
         """Offset grids and line-integral profiles of one (scale, orientation)
@@ -271,8 +262,13 @@ class RadonModel(AtlasModel):
         fx = self.atlas.profile(scale, kx)
         fy = self.atlas.profile(scale, ky)
         h = self.atlas.grid.h
-        start, size = self._group_span(scale, c, s, fine_step)
-        index = np.arange(size.max())
+        # each angle's grid covers the support, one fine step before it and
+        # two after
+        w = self.atlas.filter.support_length / dilation(scale)
+        wc, ws = w * c, w * s
+        start = np.minimum(0.0, wc) + np.minimum(0.0, ws) - fine_step
+        stop = np.maximum(0.0, wc) + np.maximum(0.0, ws) + 2.0 * fine_step
+        index = np.arange(np.ceil((stop - start) / fine_step).astype(int).max())
         grid = start[:, None] + index * ((start + fine_step) - start)[:, None]
         return grid, _convolved_base_row(fx, fy, c, s, h, grid)
 
@@ -327,26 +323,6 @@ class RadonModel(AtlasModel):
                 keep = _nonzero_core(pair, val)
                 angle, atom, col, val = angle[keep], atom[keep], col[keep], val[keep]
             yield angle, atom, col, val
-
-    def atom_norms(self, positions, theta) -> np.ndarray:
-        """Per-atom measurement norms at one angle, from the group profiles
-        directly (rows of one group are offset copies of the same profile).
-        For a vector of angles, one row per angle: a group's profiles take
-        one _group_base call per _CHUNK angles, and each is summed over its
-        own grid only, so every row is the one-angle call's bit for bit."""
-        positions = np.asarray(positions, dtype=int)
-        th = np.atleast_1d(np.asarray(theta, float))
-        out = np.empty((len(th), len(positions)))
-        fine = self.s_step / 2.0
-        c, s = np.cos(th), np.sin(th)
-        for scale, orient, sel in self._groups(positions):
-            _, size = self._group_span(scale, c, s, fine)
-            for k0 in range(0, len(th), _CHUNK):
-                _, base = self._group_base(scale, orient, th[k0:k0 + _CHUNK], fine)
-                for k, b in enumerate(base, k0):
-                    b = b[:size[k]]
-                    out[k, sel] = float(np.sqrt(np.sum(b * b) * fine))
-        return out if np.ndim(theta) else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -607,12 +583,6 @@ class FourierWaveletModel(MeasurementModel):
             self._fhat = np.fft.fft(S, axis=1) / self.n_grid
         return self._fhat
 
-    def fourier_row(self, t: int, position: int) -> complex:
-        """The t-th Fourier coefficient of one dictionary atom (quadrature DFT)."""
-        if abs(t) > self.n_freq:
-            raise ValueError(f"|t|={abs(t)} exceeds bandwidth N={self.n_freq}")
-        return complex(self._coefficient_table()[position, int(t) % self.n_grid])
-
     def density(self, t):
         t = np.asarray(t)
         denom = np.where(t == 0, 1.0, np.abs(t))
@@ -630,8 +600,12 @@ class FourierWaveletModel(MeasurementModel):
         return self.freqs.astype(float), np.ones(len(self.freqs))
 
     def rows(self, positions, t) -> np.ndarray:
-        tab = self._coefficient_table()
-        vals = tab[np.asarray(positions, int), int(round(float(t))) % self.n_grid]
+        """The t-th Fourier coefficients of the atoms (quadrature DFT) as
+        (real, imaginary) rows; |t| may not exceed the bandwidth."""
+        t = int(round(float(t)))
+        if abs(t) > self.n_freq:
+            raise ValueError(f"|t|={abs(t)} exceeds bandwidth N={self.n_freq}")
+        vals = self._coefficient_table()[np.asarray(positions, int), t % self.n_grid]
         return np.stack([vals.real, vals.imag], axis=1)
 
 
@@ -914,7 +888,9 @@ def _population_pass(model, positions, rules, norm_nodes=()):
     own order, with run values scaled by sqrt(w * quad_weight); a coarser
     nested rule holds its nodes' runs until it has a chunk.  So each Gram is
     bit for bit population_gram_matrix, the one-rule pass, under its rule.
-    Returns the Grams and the (node, row norms) pairs.
+    Returns the Grams and the (node, row norms) pairs; the norms at a node
+    are the model's atom_norms there, bit for bit (no model overrides
+    MeasurementModel.atom_norms).
     """
     order, users, index, last = [], [], {}, []
 

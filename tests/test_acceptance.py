@@ -283,8 +283,8 @@ def test_criterion_10_auxiliary_models():
     worst = 0.0
     for pos in range(mo.dictionary_size()):
         for t in range(1, 257):
-            worst = max(worst, abs(mo.fourier_row(t, pos)) * np.sqrt(t))
-    dc = max(abs(mo.fourier_row(0, p)) for p in range(mo.dictionary_size()))
+            worst = max(worst, np.hypot(*mo.rows([pos], t)[0]) * np.sqrt(t))
+    dc = max(np.hypot(*mo.rows([p], 0)[0]) for p in range(mo.dictionary_size()))
 
     leg = st.LegendrePointModel(max_degree=30)
     ts = np.linspace(-1.0, 1.0, 4001)

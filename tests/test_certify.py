@@ -128,8 +128,15 @@ def test_gram_pass_matches_dense_oracle(kind, haar_atlas_j2, synthetic_model):
     dense = np.array([np.sqrt((R * R).sum(axis=1) * model.quad_weight)
                       for R in (model.rows(w, t) for t in nodes)])
     assert np.linalg.norm(got - dense) <= 1e-14 * np.linalg.norm(dense)
-    if kind != "radon":     # the Radon coherence reads its profile norms
-        assert np.linalg.norm(model.atom_norms(w, nodes) - dense) <= 1e-14 * np.linalg.norm(dense)
+    assert np.linalg.norm(model.atom_norms(w, nodes) - dense) <= 1e-14 * np.linalg.norm(dense)
+
+
+def test_radon_shared_dilation_coherence_maxima_agree():
+    # scale 0's scaling atoms and scale 1's wavelets share dilation 2: read
+    # from the same rows, their coherence maxima are the same number
+    model = build_model("radon", j_max=2)
+    cert = st.compute_gram(model, st.truncation_positions(model.atlas, 1))
+    assert cert.scale_coherence_max[0] == cert.scale_coherence_max[1]
 
 
 def test_quasi_diag_synthetic_exact(synthetic_cert):

@@ -63,6 +63,8 @@ def test_command_rejects_flags_it_does_not_read(tmp_path, runner, args):
      "s=500 exceeds window size 64"),
     (["sweep", "--j0", "1", "--jmax", "2", "--seeds", "0"],
      "explicit ms required unless m_rule is noise_matched"),
+    (["atlas", "build", "--wavelet-order", "9"], "unsupported filter order 9"),
+    (["atlas", "build", "--jmax", "-1"], "j_max must be >= 0"),
 ])
 def test_input_errors_are_usage_errors(tmp_path, runner, args, message):
     # inputs the model or the config rejects end in a usage error, not a traceback
@@ -79,6 +81,16 @@ def test_exact_recovery_rejects_flags_out_of_range(runner, flag, value):
     res = runner.invoke(main, ["exact-recovery", flag, value])
     assert res.exit_code == 2, res.output
     assert f"Invalid value for '{flag}'" in res.output
+
+
+@pytest.mark.parametrize("pilot_j0, j0", [(1, 1), (2, 1)])
+def test_exact_recovery_phantom_must_fit_both_windows(runner, pilot_j0, j0):
+    # the sparse phantom is checked against the pilot and the main window
+    # before the calibration runs
+    res = runner.invoke(main, ["exact-recovery", "--s", "100", "--j0", str(j0),
+                               "--pilot-j0", str(pilot_j0), "--n-seeds", "1"])
+    assert res.exit_code == 2, res.output
+    assert "s=100 exceeds window size 64" in res.output
 
 
 def test_reconstruct_outputs(tmp_path, runner):

@@ -254,19 +254,7 @@ def test_radon_group_profiles_batch_matches_single():
             assert not base[k, len(b):].any()
 
 
-def test_radon_atom_norms_batch_matches_single():
-    # a many-angle atom_norms call takes each group's profiles _CHUNK angles
-    # per _group_base call; each row is the one-angle call bit for bit
-    model = build_model("radon", order=1, j_max=3)
-    positions = np.arange(len(model.atlas))
-    angles = _kernel_angles()
-    batch = model.atom_norms(positions, angles)
-    assert batch.shape == (len(angles), len(positions))
-    for k, th in enumerate(angles):
-        assert batch[k].tobytes() == model.atom_norms(positions, th).tobytes()
-
-
-@pytest.mark.parametrize("kind", ["fanbeam", "fourier", "legendre", "synthetic"])
+@pytest.mark.parametrize("kind", ["radon", "fanbeam", "fourier", "legendre", "synthetic"])
 def test_atom_norms_batch_matches_single(kind, synthetic_model):
     # every model takes a vector of parameters, one row per parameter, each
     # the one-parameter call's bit for bit; the batch crosses a chunk boundary
@@ -412,17 +400,18 @@ def test_fanbeam_rows_shared_boxes_match_one_atom_calls(order, j_max, rho):
     assert np.array_equal(got, one)
 
 
-def test_fanbeam_atom_norms_match_full_rows(haar_atlas_j3):
+@pytest.mark.parametrize("kind", ["fanbeam", "radon"])
+def test_atom_norms_match_full_rows(haar_atlas_j3, kind):
     # norms from one group's rows at a time equal the norms of the full rows
-    fan = st.FanBeamModel(haar_atlas_j3)
+    model = (st.FanBeamModel if kind == "fanbeam" else st.RadonModel)(haar_atlas_j3)
     rng = np.random.default_rng(2)
     whole = np.arange(len(haar_atlas_j3))
     shuffled = rng.permutation(np.concatenate([whole[::3], whole[:40]]))
     for positions in (whole, shuffled):
         for th in (0.0, 0.0131, 1.7, 4.4):
-            R = fan.rows(positions, th)
-            expect = np.sqrt((R * R).sum(axis=1) * fan.quad_weight)
-            assert np.array_equal(fan.atom_norms(positions, th), expect)
+            R = model.rows(positions, th)
+            expect = np.sqrt((R * R).sum(axis=1) * model.quad_weight)
+            assert np.array_equal(model.atom_norms(positions, th), expect)
 
 
 def test_fanbeam_atom_norms_peak_memory(haar_atlas_j3):
@@ -497,19 +486,18 @@ def fourier_model():
 
 
 def test_fourier_dc_coefficient_bounded(fourier_model):
-    val = fourier_model.fourier_row(0, 0)
-    assert abs(val) <= 2.0
+    assert np.hypot(*fourier_model.rows([0], 0)[0]) <= 2.0
 
 
 def test_fourier_range_guard(fourier_model):
     with pytest.raises(ValueError):
-        fourier_model.fourier_row(fourier_model.n_freq + 1, 0)
+        fourier_model.rows([0], fourier_model.n_freq + 1)
 
 
 def test_fourier_parseval_truncation(fourier_model):
     m = fourier_model
     for pos in range(0, m.dictionary_size(), 7):
-        total = sum(abs(m.fourier_row(t, pos)) ** 2 for t in m.freqs)
+        total = sum(float((m.rows([pos], t) ** 2).sum()) for t in m.freqs)
         assert total <= 1.0 + 1e-6
 
 
@@ -518,7 +506,7 @@ def test_fourier_coherence_decay(fourier_model):
     C = 2.0
     for pos in range(0, m.dictionary_size(), 5):
         for t in range(1, m.n_freq + 1):
-            assert abs(m.fourier_row(t, pos)) <= C / np.sqrt(t)
+            assert np.hypot(*m.rows([pos], t)[0]) <= C / np.sqrt(t)
 
 
 def test_fourier_density_normalized(fourier_model):
