@@ -1,12 +1,12 @@
 """Numerical certification of the recovery machinery.
 
-Builds the window Gram matrix and its square root, measures coherence and
-quasi-diagonalization constants, estimates the restricted-isometry constant
-of a sampled system by randomized support search, and evaluates
-sample-complexity rules.  The exact enumeration of the restricted constant,
-the null-space witness search and the truncation residual are test oracles
-(tests/oracles.py); the pipeline's truncation residual is the system's
-tail_residual.
+Builds the window Gram (normal) matrix and reads its conditioning and the
+quasi-diagonalization constants off its eigenvalues, measures coherence,
+estimates the restricted-isometry constant of a sampled system by randomized
+support search, and evaluates sample-complexity rules.  The exact
+enumeration of the restricted constant, the null-space witness search and
+the truncation residual are test oracles (tests/oracles.py); the pipeline's
+truncation residual is the system's tail_residual.
 """
 
 from __future__ import annotations
@@ -27,13 +27,12 @@ class NumericalConsistencyError(RuntimeError):
 
 @dataclass
 class GramCertificate:
-    """The window Gram square root and the constants measured around it."""
+    """The window's population normal matrix and the constants read off its
+    eigenvalues (compute_gram)."""
 
-    G: np.ndarray
-    normal: np.ndarray               # G^T G, the population normal matrix
+    normal: np.ndarray               # the population normal matrix <F phi_i, F phi_j>
     sigma_min: float
     sigma_max: float
-    inv_norm: float
     quasi_diag: tuple                # (b, c_hat, C_hat)
     b_fit: float
     coherence_B: float
@@ -50,16 +49,19 @@ class GramCertificate:
     def smoothing_exponent(self) -> float:
         return self.quasi_diag[0]
 
+    @property
+    def inv_norm(self) -> float:    # 1 / sigma_min, inf at 0
+        return float("inf") if self.sigma_min == 0.0 else 1.0 / self.sigma_min
 
-def _matrix_sqrt(normal: np.ndarray):
-    evals, evecs = np.linalg.eigh(normal)
-    if evals.min() < -1e-10:
+
+def _normal_spectrum(normal: np.ndarray):
+    """(sigma_min, sigma_max, fbi_flag): eigenvalues in [-1e-10, 0] read as 0
+    (a restricted injectivity failure), below -1e-10 as a quadrature error."""
+    lo, hi = np.linalg.eigvalsh(normal)[[0, -1]]
+    if lo < -1e-10:
         raise NumericalConsistencyError(
-            f"population normal matrix has eigenvalue {evals.min():.3e} < -1e-10")
-    fbi_flag = bool(evals.min() <= 0.0)
-    evals = np.clip(evals, 0.0, None)
-    G = (evecs * np.sqrt(evals)) @ evecs.T
-    return G, evals, fbi_flag
+            f"population normal matrix has eigenvalue {lo:.3e} < -1e-10")
+    return float(np.sqrt(max(lo, 0.0))), float(np.sqrt(max(hi, 0.0))), bool(lo <= 0.0)
 
 
 def default_quadrature(model, positions) -> int:
@@ -112,16 +114,15 @@ def _coherence_report(norms, density, sc, b, omega):
 
 def compute_gram(model, positions, n_quad: int | None = None,
                  omega: WeightVector | None = None,
-                 check_convergence: bool = False,
-                 quasi_diag_probes: int = 200, seed: int = 0) -> GramCertificate:
-    """Population Gram square root over a dictionary window, with measured
-    coherence and quasi-diagonalization constants.
+                 check_convergence: bool = False) -> GramCertificate:
+    """Population normal matrix over a dictionary window, with its
+    conditioning, measured coherence and quasi-diagonalization constants.
 
     The Gram entries are parameter-space quadratures of measurement-space
-    inner products; the square root comes from a symmetric eigendecomposition
-    with eigenvalues in [-1e-10, 0] clamped to zero (flagging a restricted
-    injectivity failure) and anything more negative treated as a quadrature
-    inconsistency.
+    inner products.  Every constant is an extreme eigenvalue (eigvalsh, no
+    random probes): sigma_min^2 and sigma_max^2 of the normal matrix, and
+    (c_hat, C_hat) of normal / outer(d, d) with d = 2^(-b scale), c_hat
+    clamped at 0 as sigma_min is.
 
     One pass over the quadrature nodes (models._population_pass) serves
     every consumer: the n_quad Gram, the 2 n_quad Gram of check_convergence,
@@ -143,9 +144,7 @@ def compute_gram(model, positions, n_quad: int | None = None,
     coh_nodes, _ = model.population_nodes(min(n_quad, 64))
     grams, norms = _population_pass(model, positions, rules, coh_nodes)
     normal = grams[-1]
-    G, evals, fbi_flag = _matrix_sqrt(normal)
-    sigma_min = float(np.sqrt(evals.min()))
-    sigma_max = float(np.sqrt(evals.max()))
+    sigma_min, sigma_max, fbi_flag = _normal_spectrum(normal)
     shift = None
     if check_convergence:
         s2 = float(np.sqrt(max(np.linalg.eigvalsh(grams[0]).min(), 0.0)))
@@ -159,25 +158,17 @@ def compute_gram(model, positions, n_quad: int | None = None,
     sc = np.zeros(len(positions), dtype=int) if scales is None else scales[positions]
     per_scale, d_exp, B, rel = _coherence_report(norms, model.density, sc, b, omega_v)
 
-    # quasi-diagonalization constants: ratios x^T normal x / sum 2^(-2bj) x^2
-    wgt = 2.0 ** (-2.0 * b * sc)
-    diag = np.diag(normal)
-    ratios = list(diag / wgt)
-    rng = np.random.default_rng(seed)
-    for _ in range(quasi_diag_probes):
-        x = rng.standard_normal(len(positions))
-        ratios.append(float(x @ normal @ x) / float(wgt @ (x * x)))
-    c_hat, C_hat = float(min(ratios)), float(max(ratios))
+    # quasi-diagonalization constants: the best c, C in
+    # c sum 2^(-2bj) x_j^2 <= x^T normal x <= C sum 2^(-2bj) x_j^2
+    d = 2.0 ** (-b * sc)
+    c_hat, C_hat = np.linalg.eigvalsh(normal / np.outer(d, d))[[0, -1]]
 
     # b_fit: per-atom regression of log2 ||F phi||^2 against the scale
-    b_fit = b
-    if scales is not None and sc.max() > sc.min():
-        b_fit = _decay_fit(sc, np.log2(np.maximum(diag, 1e-300)), b)
+    b_fit = _decay_fit(sc, np.log2(np.maximum(np.diag(normal), 1e-300)), b)
 
-    inv_norm = float("inf") if sigma_min == 0.0 else 1.0 / sigma_min
     return GramCertificate(
-        G=G, normal=normal, sigma_min=sigma_min, sigma_max=sigma_max,
-        inv_norm=inv_norm, quasi_diag=(b, c_hat, C_hat), b_fit=b_fit,
+        normal=normal, sigma_min=sigma_min, sigma_max=sigma_max,
+        quasi_diag=(b, float(max(c_hat, 0.0)), float(C_hat)), b_fit=b_fit,
         coherence_B=B, d_exponents=d_exp, scale_coherence_max=per_scale,
         relative_coherence=rel, fbi_flag=fbi_flag, scales=scales,
         positions=positions, n_quad=n_quad, sigma_min_shift=shift)

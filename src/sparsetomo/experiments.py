@@ -289,7 +289,7 @@ def run_certification_report(cfg: ExperimentConfig, out_dir: str,
     window = (np.arange(model.dictionary_size()) if scales is None
               else np.flatnonzero(scales <= cfg.j0))
     omega = WeightVector(model.natural_weights()[window])
-    cert = compute_gram(model, window, omega=omega, check_convergence=True, seed=seed)
+    cert = compute_gram(model, window, omega=omega, check_convergence=True)
     # the samples depend on m only, so one system serves every lambda
     delta = {}
     for m in m_grid:
@@ -299,12 +299,13 @@ def run_certification_report(cfg: ExperimentConfig, out_dir: str,
             delta[lam, m] = delta_star_montecarlo(system, cert, omega, lam,
                                                   trials=mc_trials, seed=seed).delta_star
     rows = [(lam, m, delta[lam, m]) for lam in lam_grid for m in m_grid]
+    # the rules at the smallest admissible s from min(8, M) up
     M = len(window)
-    s_ref = max(2, min(8, M))
+    s_ref = max(2, min(8, M), int(np.ceil(np.max(omega.values) ** 2 / 4.0)))
     table = {"s": s_ref}
     for variant in ("conditioning", "relative_coherence", "window", "sparsity"):
         table[variant] = sample_complexity(cert, s_ref, M, cfg.gamma, variant,
-                                           zeta=cfg.zeta, j0=cfg.j0)
+                                           zeta=cfg.zeta, j0=cfg.j0, omega=omega)
     stio.write_certificate_report(out_dir, cert, delta_rows=rows,
                                   complexity=table)
     return cert, rows, table

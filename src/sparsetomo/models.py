@@ -126,11 +126,17 @@ class MeasurementModel:
             yield from zip(*(np.split(x[by], cuts) for x in (atom, col, val)))
 
     def _row_norms(self, n, atom, col, val) -> np.ndarray:
-        """Norms of n rows from their runs at one parameter, summed in one
-        dense block: numpy's pairwise sum rounds by where the nonzeros sit."""
-        sq = np.zeros((n, self.block_dim))
-        sq[atom, col] = val * val
-        return np.sqrt(sq.sum(axis=1) * self.quad_weight)
+        """Norms of n rows from their runs at one parameter, each summed as a
+        dense row (numpy's pairwise sum rounds by where the nonzeros sit), in
+        blocks of rows of at most _NORM_ENTRIES entries."""
+        step = max(1, _NORM_ENTRIES // self.block_dim)
+        sums = np.empty(n)
+        for a0 in range(0, n, step):
+            sel = (atom >= a0) & (atom < a0 + step)
+            sq = np.zeros((min(step, n - a0), self.block_dim))
+            sq[atom[sel] - a0, col[sel]] = val[sel] * val[sel]
+            sums[a0:a0 + step] = sq.sum(axis=1)
+        return np.sqrt(sums * self.quad_weight)
 
 
 class AtlasModel(MeasurementModel):
@@ -669,6 +675,7 @@ def draw_samples(model, m: int, seed: int) -> np.ndarray:
 
 
 _CHUNK = 16      # parameters per batch of _runs, samples or nodes per _HitGram product
+_NORM_ENTRIES = 2 ** 18     # entries per dense block of rows that _row_norms sums
 
 
 class _HitGram:

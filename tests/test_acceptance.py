@@ -166,8 +166,7 @@ def test_criterion_05_restricted_constant_oracles(synthetic_model, synthetic_cer
                               q_weights=system.q_weights, y=system.y, noise_bound=0.0)
     import dataclasses
     cert_scaled = dataclasses.replace(
-        synthetic_cert, G=synthetic_cert.G @ np.diag(z),
-        normal=np.diag(z) @ synthetic_cert.normal @ np.diag(z))
+        synthetic_cert, normal=np.diag(z) @ synthetic_cert.normal @ np.diag(z))
     inv = delta_star_bruteforce(scaled, cert_scaled, omega, 3.0)
     dt = time.time() - t0
     report(5, "restricted-constant oracles",

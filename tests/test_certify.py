@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import sparsetomo as st
-from sparsetomo.certify import NumericalConsistencyError, _greedy_support, _support_delta
+from sparsetomo.certify import (NumericalConsistencyError, _greedy_support, _normal_spectrum,
+                                _support_delta)
 from sparsetomo.experiments import build_model
 from sparsetomo.models import _CHUNK, _population_pass, population_gram_matrix
 
@@ -22,26 +23,26 @@ def all_positions(model):
 def test_gram_identity_for_isometry():
     model = SyntheticDiagonalModel([0, 0, 0, 0], b=0.0)
     cert = st.compute_gram(model, all_positions(model))
-    assert np.abs(cert.G - np.eye(4)).max() < 1e-10
+    assert np.abs(cert.normal - np.eye(4)).max() < 1e-10
     assert cert.sigma_min == pytest.approx(1.0, abs=1e-10)
     assert not cert.fbi_flag
 
 
 def test_gram_diagonal_decay(synthetic_model, synthetic_cert):
     js = synthetic_model.scales()
-    expect = np.diag(2.0 ** (-0.5 * js))
-    assert np.abs(synthetic_cert.G - expect).max() < 1e-10
+    expect = np.diag(2.0 ** (-1.0 * js))
+    assert np.abs(synthetic_cert.normal - expect).max() < 1e-10
     assert synthetic_cert.sigma_min == pytest.approx(2.0 ** -1.0, abs=1e-10)
     assert synthetic_cert.inv_norm * synthetic_cert.sigma_min == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gram_diagonal_rescaling_formula(synthetic_model, synthetic_cert):
-    # ||(G Z)^-1||^2 equals the worst rescaled dyadic factor, exactly
+    # ||(G Z)^-1||^2 = 1 / lambda_min(Z normal Z) equals the worst rescaled
+    # dyadic factor, exactly
     js = synthetic_model.scales()
     rng = np.random.default_rng(0)
     z = 0.5 + rng.random(len(js))
-    GZ = synthetic_cert.G @ np.diag(z)
-    inv2 = np.linalg.norm(np.linalg.inv(GZ), 2) ** 2
+    inv2 = 1.0 / np.linalg.eigvalsh(np.diag(z) @ synthetic_cert.normal @ np.diag(z))[0]
     expect = np.max(z ** -2.0 * 2.0 ** (1.0 * js))
     assert inv2 == pytest.approx(expect, rel=1e-10)
 
@@ -49,7 +50,7 @@ def test_gram_diagonal_rescaling_formula(synthetic_model, synthetic_cert):
 def test_gram_symmetry_and_inverse_norm(radon_j2, haar_atlas_j2):
     w = st.truncation_positions(haar_atlas_j2, 1)
     cert = st.compute_gram(radon_j2, w)
-    assert np.abs(cert.G - cert.G.T).max() < 1e-10
+    assert np.abs(cert.normal - cert.normal.T).max() < 1e-10
     assert cert.inv_norm * cert.sigma_min == pytest.approx(1.0, abs=1e-12)
     assert cert.quasi_diag[1] <= cert.quasi_diag[2]
     assert not cert.fbi_flag
@@ -305,8 +306,8 @@ def test_delta_star_diagonal_invariance(synthetic_model, synthetic_cert):
                               q_weights=system.q_weights, y=system.y,
                               noise_bound=0.0)
     cert_scaled = st.GramCertificate(
-        G=synthetic_cert.G @ np.diag(z), normal=np.diag(z) @ synthetic_cert.normal @ np.diag(z),
-        sigma_min=0.0, sigma_max=0.0, inv_norm=0.0, quasi_diag=(0.5, 0, 0),
+        normal=np.diag(z) @ synthetic_cert.normal @ np.diag(z),
+        sigma_min=0.0, sigma_max=0.0, quasi_diag=(0.5, 0, 0),
         b_fit=0.5, coherence_B=1.0, d_exponents=synthetic_cert.d_exponents,
         scale_coherence_max=synthetic_cert.scale_coherence_max,
         relative_coherence=1.0, fbi_flag=False, scales=synthetic_cert.scales,
@@ -520,12 +521,17 @@ def test_rnsp_witness_no_violation(synthetic_model, synthetic_cert):
     assert margin >= 0.0
 
 
-def test_matrix_sqrt_negative_eigenvalue_guard():
-    from sparsetomo.certify import _matrix_sqrt
+def test_normal_spectrum_negative_eigenvalue_guard():
     with pytest.raises(NumericalConsistencyError):
-        _matrix_sqrt(np.diag([1.0, -1e-6]))
-    G, evals, flag = _matrix_sqrt(np.diag([1.0, -1e-12]))
-    assert flag
+        _normal_spectrum(np.diag([1.0, -1e-6]))
+    assert _normal_spectrum(np.diag([1.0, -1e-12])) == (0.0, 1.0, True)
+    assert _normal_spectrum(np.diag([4.0, 0.25])) == (0.5, 2.0, False)
+
+
+def test_inv_norm_is_reciprocal_sigma_min(synthetic_cert):
+    import dataclasses
+    assert synthetic_cert.inv_norm == 1.0 / synthetic_cert.sigma_min
+    assert dataclasses.replace(synthetic_cert, sigma_min=0.0).inv_norm == float("inf")
 
 
 def test_delta_star_mc_trend_with_samples(haar_atlas_j2, radon_j2):
@@ -560,8 +566,7 @@ def test_radon_diagonal_rescaling_sandwich(haar_atlas_j2, radon_j2):
     rng = np.random.default_rng(0)
     for _ in range(3):
         z = 0.5 + rng.random(len(w))
-        GZ = cert.G @ np.diag(z)
-        inv2 = np.linalg.norm(np.linalg.inv(GZ), 2) ** 2
+        inv2 = 1.0 / np.linalg.eigvalsh(np.diag(z) @ cert.normal @ np.diag(z))[0]
         ref = float(np.max(z ** -2.0 * 2.0 ** (2.0 * b * js)))
         assert ref / C_hat * 0.99 <= inv2 <= ref / c_hat * 1.01
 
@@ -573,19 +578,42 @@ def test_fanbeam_quasi_diag_band_of_radon():
     rad = st.RadonModel(a)
     fan = st.FanBeamModel(a)
     w = np.arange(len(a))
-    _, cR, CR = st.compute_gram(rad, w, n_quad=64, quasi_diag_probes=100).quasi_diag
-    _, cD, CD = st.compute_gram(fan, w, n_quad=64, quasi_diag_probes=100).quasi_diag
+    _, cR, CR = st.compute_gram(rad, w, n_quad=64).quasi_diag
+    _, cD, CD = st.compute_gram(fan, w, n_quad=64).quasi_diag
     lo = 1.0 / fan.rho
     hi = 1.0 / np.sqrt(fan.rho ** 2 - fan.d ** 2)
     assert cD >= cR * lo * 0.98
     assert CD <= CR * hi * 1.02
 
 
-def test_fanbeam_b_fit_matches_smoothing_exponent():
+@pytest.fixture(scope="module")
+def fan_window_cert():
+    # the certify-fan window: fan beam, j_max = 3, j0 = 2
+    model = build_model("fanbeam", j_max=3)
+    return model, st.compute_gram(model, st.truncation_positions(model.atlas, 2),
+                                  check_convergence=True)
+
+
+def test_fanbeam_b_fit_matches_smoothing_exponent(fan_window_cert):
     # on the certify-fan window the fitted decay of ||F phi||^2 per scale
     # matches the model's exponent: exact Haar rows read 0.503, rows that
     # smear each jump over one grid step read 0.545
-    model = build_model("fanbeam", j_max=3)
-    cert = st.compute_gram(model, st.truncation_positions(model.atlas, 2),
-                           check_convergence=True)
+    model, cert = fan_window_cert
     assert abs(cert.b_fit - model.smoothing_exponent) <= 0.02
+
+
+def test_quasi_diag_constants_are_extreme_eigenvalues(fan_window_cert):
+    # c_hat and C_hat are the best constants of
+    # c sum 2^(-2bj) x_j^2 <= x^T normal x <= C sum 2^(-2bj) x_j^2, the extreme
+    # eigenvalues of normal / outer(d, d) with d = 2^(-b scale); random
+    # Rayleigh quotients only reach inside them
+    model, cert = fan_window_cert
+    b, c_hat, C_hat = cert.quasi_diag
+    d = 2.0 ** (-b * model.scales()[cert.positions])
+    evals = np.linalg.eigvalsh(cert.normal / np.outer(d, d))
+    assert c_hat == pytest.approx(evals[0], rel=1e-12)
+    assert C_hat == pytest.approx(evals[-1], rel=1e-12)
+    assert 0.0 < c_hat < C_hat
+    x = np.random.default_rng(0).standard_normal((50, len(d))) / d
+    ratios = np.einsum("ki,ij,kj->k", x, cert.normal, x) / np.sum((x * d) ** 2, axis=1)
+    assert c_hat * (1 - 1e-12) <= ratios.min() and ratios.max() <= C_hat * (1 + 1e-12)

@@ -149,6 +149,22 @@ def test_certification_report_contents(tmp_path):
     assert set(table) == {"s", "conditioning", "relative_coherence", "window", "sparsity"}
 
 
+def test_certification_report_sample_rules_inside_their_domain(tmp_path):
+    # Legendre's natural weights reach ||omega||_inf^2 / 4 = 15.25, so the
+    # rules are evaluated at s = 16, the smallest admissible s from 8 up
+    cfg = ExperimentConfig(model="legendre")
+    cert, _, table = st.run_certification_report(
+        cfg, str(tmp_path), lam_grid=(2.0,), m_grid=(8,), mc_trials=4)
+    omega = st.WeightVector(build_model("legendre").natural_weights())
+    assert np.max(omega.values) ** 2 / 4.0 == pytest.approx(15.25)
+    assert table["s"] == 16
+    M = len(cert.positions)
+    for variant in ("conditioning", "relative_coherence", "window", "sparsity"):
+        assert table[variant] == st.sample_complexity(
+            cert, 16, M, cfg.gamma, variant, zeta=cfg.zeta, j0=cfg.j0, omega=omega)
+    assert "sample_complexity_s 16\n" in (tmp_path / "certificate.txt").read_text()
+
+
 def test_build_model_is_memoised():
     model = build_model("radon", order=1, j_max=2, s_step=1.0 / 16)
     assert build_model("radon", order=1, j_max=2, s_step=1.0 / 16) is model

@@ -429,6 +429,23 @@ def test_fanbeam_atom_norms_peak_memory(haar_atlas_j3):
     assert peak <= 1.5 * full_rows
 
 
+def test_radon_atom_norms_peak_memory():
+    # on the full j_max = 5 atlas at s_step = h the rows would take 114 MiB
+    # at once; the norms fill them a bounded block of rows at a time
+    import tracemalloc
+    atlas = st.build_atlas(st.build_filter(1), 5)
+    rad = st.RadonModel(atlas)
+    positions = np.arange(len(atlas))
+    full_rows = len(positions) * rad.block_dim * 8
+    tracemalloc.start()
+    try:
+        rad.atom_norms(positions, 0.0131)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * full_rows
+
+
 def test_fanbeam_reparametrization_identity(haar_atlas_j3):
     # pointwise identity on the scales the default steps fully resolve
     a = haar_atlas_j3
