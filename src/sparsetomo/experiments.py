@@ -86,25 +86,25 @@ def noise_matched_m_rule(beta: float, a: float, p: float, c0: float,
     return int(np.clip(int(np.floor(m)), m_min, m_cap))
 
 
-def build_model(kind: str, order: int = 1, j_max: int = 3, s_step: float = 1.0 / 32,
-                n_freq: int | None = None, max_degree: int = 30):
+def build_model(kind: str, order: int = 1, j_max: int = 3, s_step: float = 1.0 / 32):
     """Model factory covering all four measurement families, memoised on the
     argument values: they return the same (shared, read-only) model.  The
-    tomographic models carry their atlas as `model.atlas`."""
-    return _build_model(kind, order, j_max, s_step, n_freq, max_degree)
+    tomographic models carry their atlas as `model.atlas`; Fourier takes its
+    default bandwidth and Legendre degrees up to 30."""
+    return _build_model(kind, order, j_max, s_step)
 
 
 @functools.cache
-def _build_model(kind, order, j_max, s_step, n_freq, max_degree):
+def _build_model(kind, order, j_max, s_step):
     if kind in ("radon", "fanbeam"):
         atlas = build_atlas(build_filter(order), j_max)
         if kind == "radon":
             return RadonModel(atlas, s_step=s_step)
-        return FanBeamModel(atlas, alpha_step=s_step / 3.0)   # s_step / rho at rho = 3
+        return FanBeamModel(atlas, alpha_step=s_step / FanBeamModel.rho)
     if kind == "fourier":
-        return FourierWaveletModel(build_filter(order), j_max=j_max, n_freq=n_freq)
+        return FourierWaveletModel(build_filter(order), j_max=j_max)
     if kind == "legendre":
-        return LegendrePointModel(max_degree=max_degree)
+        return LegendrePointModel(max_degree=30)
     raise ValueError(f"unknown model kind {kind!r}")
 
 
@@ -299,13 +299,14 @@ def run_certification_report(cfg: ExperimentConfig, out_dir: str,
             delta[lam, m] = delta_star_montecarlo(system, cert, omega, lam,
                                                   trials=mc_trials, seed=seed).delta_star
     rows = [(lam, m, delta[lam, m]) for lam in lam_grid for m in m_grid]
-    # the rules at the smallest admissible s from min(8, M) up
+    # the rules at the smallest admissible s from min(8, M) up; each reads j0
+    # off the certificate's window (0 for a model without scales)
     M = len(window)
     s_ref = max(2, min(8, M), int(np.ceil(np.max(omega.values) ** 2 / 4.0)))
     table = {"s": s_ref}
     for variant in ("conditioning", "relative_coherence", "window", "sparsity"):
         table[variant] = sample_complexity(cert, s_ref, M, cfg.gamma, variant,
-                                           zeta=cfg.zeta, j0=cfg.j0, omega=omega)
+                                           zeta=cfg.zeta, omega=omega)
     stio.write_certificate_report(out_dir, cert, delta_rows=rows,
                                   complexity=table)
     return cert, rows, table

@@ -8,11 +8,11 @@ its dictionary, its sampling density, and how to produce the measurement
 block of a batch of dictionary elements at one parameter value, also as the
 support runs of its rows at a batch of parameter values.  The Radon model
 computes each group's profile for a chunk of angles in one pass; the
-fan-beam model finds the rays that meet each support box, and for Haar atoms
-their chords through its cells, once per dilation and chunk of angles for
-all the groups on those boxes, then takes each group's values from them:
-exact chord-length line integrals for Haar atoms, sampled rays for higher
-orders.  Both cut every run to the span where the row is nonzero.
+fan-beam model, which takes Haar atoms only, finds the rays that meet each
+support box and their chords through its cells once per dilation and chunk
+of angles for all the groups on those boxes, then takes each group's exact
+chord-length line integrals from them.  Both cut every run to the span
+where the row is nonzero.
 A system of random samples is assembled a chunk of samples at a time and
 keeps its stacked operator A as those runs, with quadrature weights and
 1/sqrt(m) folded in, so plain Euclidean norms of stacked vectors equal the
@@ -193,12 +193,17 @@ def _nonzero_span(owner, val, n):
     return lo, hi + 1 - lo
 
 
-def _nonzero_core(owner, val):
+def _nonzero_core(owner, cnt, val):
     """Mask of the cells of each owner's run from its first to its last
-    nonzero value; owner is sorted."""
-    first, cnt = _nonzero_span(owner, val, owner[-1] + 1)
+    nonzero value, or None when every run already starts and ends on one.
+    Run i is the cnt_i consecutive cells of val that owner numbers i."""
+    run = cnt > 0
+    stop = np.cumsum(cnt)[run]
+    if val[stop - cnt[run]].all() and val[stop - 1].all():
+        return None
+    first, n = _nonzero_span(owner, val, len(cnt))
     i = np.arange(len(val)) - first[owner]
-    return (0 <= i) & (i < cnt[owner])
+    return (0 <= i) & (i < n[owner])
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +330,8 @@ class RadonModel(AtlasModel):
                 cut = slice(ends[a], ends[a + 1])
                 val[cut] = np.interp(P[cut], grid[k], base[k], left=0.0, right=0.0)
             angle, atom = np.repeat(live, np.diff(ends)), np.repeat(np.tile(sel, len(live)), cnt)
-            if not val.all():       # an exact zero of the profile may end a run
-                keep = _nonzero_core(pair, val)
+            keep = _nonzero_core(pair, cnt, val)    # an exact zero of the profile may end a run
+            if keep is not None:
                 angle, atom, col, val = angle[keep], atom[keep], col[keep], val[keep]
             yield angle, atom, col, val
 
@@ -335,35 +340,30 @@ class RadonModel(AtlasModel):
 # fan beam
 
 
-_SAMPLED_PAIRS = 1024     # (atom, ray) pairs per block of sampled fan-beam rays
-
-
 class FanBeamModel(AtlasModel):
-    """Line integrals along rays from a source at distance rho, one source
-    angle per sample, measured over the ray-angle grid on (-pi/2, pi/2).
+    """Line integrals along rays from a source at distance rho = 3, one
+    source angle per sample, measured over the ray-angle grid on (-pi/2,
+    pi/2).
 
     The support of every dictionary atom must fit inside the ball of radius
-    d < rho.  Defaults put the source at rho = 3 and take d just large enough
-    to contain the dictionary.  The ray geometry of a chunk of angles is
-    computed once per dilation over the distinct support boxes of its atoms,
-    which a scale's orientations share; rows then come one (scale,
-    orientation) group at a time: exact chord-length line integrals for Haar
-    atoms, sampled rays for higher orders, whose atoms (radius 3.54 and up)
-    need rho above the default.
+    d < rho, here the smallest ball that contains the atlas.  Only Haar
+    atlases (filter order 1) fit; higher orders raise GeometryError.  The
+    ray geometry of a chunk of angles is computed once per dilation over the
+    distinct support boxes of its atoms, which a scale's orientations share;
+    rows then come one (scale, orientation) group at a time as exact
+    chord-length line integrals.
     """
 
     smoothing_exponent = 0.5
+    rho = 3.0       # Haar atoms reach radius 2.12, higher orders 3.54 and up
 
-    def __init__(self, atlas: DictionaryAtlas, rho: float = 3.0, d: float | None = None,
-                 alpha_step: float | None = None):
-        self.atlas = atlas
-        self.rho = float(rho)
-        self.d = atlas.support_radius * (1.0 + 1e-9) if d is None else float(d)
-        if not (0.0 < self.d < self.rho):
-            raise GeometryError(f"need 0 < d < rho, got d={self.d}, rho={self.rho}")
-        if atlas.support_radius > self.d + 1e-12:
+    def __init__(self, atlas: DictionaryAtlas, alpha_step: float | None = None):
+        if atlas.filter.regularity_order != 1:
             raise GeometryError(
-                f"atlas atoms reach radius {atlas.support_radius:.4f} > d={self.d}")
+                f"fan beam takes Haar atoms only: order-{atlas.filter.regularity_order} "
+                f"atoms reach radius {atlas.support_radius:.4f}, past rho={self.rho}")
+        self.atlas = atlas
+        self.d = atlas.support_radius * (1.0 + 1e-9)
         self.alpha_step = (atlas.grid.h / self.rho) if alpha_step is None else float(alpha_step)
         n = int(np.ceil((np.pi / 2.0) / self.alpha_step))
         self.alpha_grid = self.alpha_step * np.arange(-n, n + 1)
@@ -380,14 +380,12 @@ class FanBeamModel(AtlasModel):
         may meet a box are a run of the ray grid, those within its
         circumscribed circle's angular half-width (plus one ray step) of the
         ray through its center.  Each (angle, box) pair's candidates take
-        the exact test, their directions and, for Haar atoms, their chords
-        through the box's 2 x 2 cells (_haar_chords) once.  Each group then
-        reads its atoms' runs from their boxes and applies its own values:
-        the cells' profile samples for Haar atoms (filter order 1), sampled
-        rays for higher orders (_sampled_rays).  Each run is then cut to its
-        nonzero span, which drops the candidates whose ray misses the box."""
+        the exact test, their directions and their chords through the box's
+        2 x 2 cells (_haar_chords) once, and each box's run is cut to the
+        rays that meet it.  Each group then reads its atoms' runs from their
+        boxes and weights the chords by its cells' profile values.  Each run
+        is then cut to its nonzero span."""
         a, grid = self.atlas, self.alpha_grid
-        haar = a.filter.regularity_order == 1
         thetas = np.atleast_1d(np.asarray(thetas, float))
         # one angle at a time: the source rounds as in a one-angle call
         src = np.array([self.rho * np.array([np.cos(t), np.sin(t)]) for t in thetas])
@@ -416,63 +414,30 @@ class FanBeamModel(AtlasModel):
             angle, box = np.divmod(pair, len(n))
             alphas, theta = grid[ray], thetas[angle]
             dirs = np.stack([np.cos(theta + alphas), np.sin(theta + alphas)])
-            src_c, corner = src.T[:, angle], lo.T[:, box]
-            if haar:
-                chord = _haar_chords(w / d, src_c, dirs, corner)
-                # a ray that misses the box has four zero chords and a zero
-                # value in every group: each box's run starts and ends on a
-                # ray that meets it
-                start, cnt = _nonzero_span(pair, chord.any(axis=(0, 1)), len(to_c))
-            else:
-                t_mid = dist[pair] * np.cos(phi_abs[pair] - theta - alphas)
-                cnt = np.bincount(pair, minlength=len(to_c))
-                start = np.cumsum(cnt) - cnt
+            chord = _haar_chords(w / d, src.T[:, angle], dirs, lo.T[:, box])
+            # a ray that misses the box has four zero chords and a zero value
+            # in every group: each box's run starts and ends on a ray that
+            # meets it
+            start, cnt = _nonzero_span(pair, chord.any(axis=(0, 1)), len(to_c))
             ends = np.cumsum([len(sel) for *_, sel in groups])
             for (scale, orient, sel), gbox in zip(groups, np.split(box_of, ends[:-1])):
                 # the (angle, box) pair of each of the group's (angle, atom)
                 # pairs, angle by angle; owner numbers the latter
                 bp = (gbox + len(n) * np.arange(len(thetas))[:, None]).ravel()
                 owner, cell = _run_cells(start[bp], cnt[bp])
-                if haar:
-                    fx, fy = (a.profile(scale, kind) for kind in a.profile_kinds(orient))
-                    samples = [0, (len(fx) - 1) // 2]            # the cells' values at 0 and W/2
-                    value = np.outer(fx[samples], fy[samples])
-                    # a sum of rows, not a BLAS product: each cell's value
-                    # rounds alike whatever its place in the batch
-                    val = (value[:, :, None] * chord).sum(axis=(0, 1))[cell]
-                else:
-                    val = self._sampled_rays(scale, orient, src_c[:, cell], dirs[:, cell],
-                                             corner[:, cell], t_mid[cell], rad)
-                if not val.all():       # a zero value may still end a run
-                    keep = _nonzero_core(owner, val)
+                fx, fy = (a.profile(scale, kind) for kind in a.profile_kinds(orient))
+                samples = [0, (len(fx) - 1) // 2]            # the cells' values at 0 and W/2
+                value = np.outer(fx[samples], fy[samples])
+                # a sum of rows, not a BLAS product: each cell's value rounds
+                # alike whatever its place in the batch
+                val = (value[:, :, None] * chord).sum(axis=(0, 1))[cell]
+                keep = _nonzero_core(owner, cnt[bp], val)    # a zero value may still end a run
+                if keep is not None:
                     owner, cell, val = owner[keep], cell[keep], val[keep]
                 ga, atom = np.divmod(owner, len(sel))
                 # int32 indices: assembly holds a chunk of angles' runs at once
                 yield (ga.astype(np.int32), sel[atom].astype(np.int32),
                        ray[cell].astype(np.int32), val)
-
-    def _sampled_rays(self, scale, orient, src, dirs, corner, t_mid, rad):
-        """Ray integrals by sampling: each ray src + t dirs at step h/2 over
-        t_mid +- rad, t_mid its point nearest the box center, the profiles
-        interpolated at the points relative to the box corner.  src, dirs
-        and corner are (2, pairs): x, then y.  The pairs take _SAMPLED_PAIRS
-        at a time, which bounds the sample arrays."""
-        a = self.atlas
-        h = a.grid.h
-        step = h / 2.0
-        offsets = np.arange(-rad - step, rad + 2 * step, step)[None, :]
-        out = np.empty(len(t_mid))
-        for c in range(0, len(t_mid), _SAMPLED_PAIRS):
-            cut = slice(c, c + _SAMPLED_PAIRS)
-            t = t_mid[cut, None] + offsets
-            v = np.ones_like(t)
-            for i, kind in enumerate(a.profile_kinds(orient)):   # x, then y
-                f = a.profile(scale, kind)
-                P = dirs[i, cut, None] * t + src[i, cut, None]
-                P -= corner[i, cut, None]
-                v *= np.interp(P, np.arange(len(f)) * h, f, left=0.0, right=0.0)
-            out[cut] = v.sum(axis=1) * step
-        return out
 
 
 def _distinct_rows(n):

@@ -501,7 +501,7 @@ def dense_rnsp_margin(system, cert, omega, s, rho=0.5, kappa=None, n_trials=1000
 def test_rnsp_witness_matches_dense_oracle():
     # Fourier samples have q != 1 and two-row blocks; the margin from the run
     # matvec is the dense product's
-    model = build_model("fourier", j_max=3, n_freq=32)
+    model = st.FourierWaveletModel(st.build_filter(1), j_max=3, n_freq=32)
     positions = np.arange(12)
     cert = st.compute_gram(model, positions)
     system = st.assemble_system(model, positions, st.draw_samples(model, 2 * _CHUNK + 5, 3))

@@ -36,6 +36,18 @@ def test_certify_writes_reports(tmp_path, runner):
     assert "b_fit" in res.output
 
 
+def test_certify_legendre_certificate_ignores_j0(tmp_path, runner):
+    # Legendre has no scales: its window is the whole dictionary at every
+    # --j0, and so is its certificate, sample rules included
+    text = []
+    for j0 in ("1", "4"):
+        res = runner.invoke(main, ["certify", "--model", "legendre", "--j0", j0,
+                                   "--out", str(tmp_path / j0)])
+        assert res.exit_code == 0, res.output
+        text.append((tmp_path / j0 / "certificate.txt").read_text())
+    assert text[0] == text[1]
+
+
 @pytest.mark.parametrize("args", [["certify", "--m", "64"], ["atlas", "build", "--beta", "0.1"],
                                   ["reconstruct", "--gamma", "0.2"], ["sweep", "--beta", "0.1"]])
 def test_command_rejects_flags_it_does_not_read(tmp_path, runner, args):
@@ -47,7 +59,7 @@ def test_command_rejects_flags_it_does_not_read(tmp_path, runner, args):
 
 @pytest.mark.parametrize("args, message", [
     (["certify", "--model", "fanbeam", "--wavelet-order", "2", "--j0", "1", "--jmax", "2"],
-     "need 0 < d < rho"),
+     "fan beam takes Haar atoms only"),
     (["certify", "--wavelet-order", "9"], "unsupported filter order 9"),
     (["certify", "--j0", "4", "--jmax", "2"], "j0 must be <= j_max"),
     (["reconstruct", "--j0", "4", "--jmax", "2", "--m", "8"], "j0 must be <= j_max"),

@@ -151,7 +151,8 @@ def test_certification_report_contents(tmp_path):
 
 def test_certification_report_sample_rules_inside_their_domain(tmp_path):
     # Legendre's natural weights reach ||omega||_inf^2 / 4 = 15.25, so the
-    # rules are evaluated at s = 16, the smallest admissible s from 8 up
+    # rules are evaluated at s = 16, the smallest admissible s from 8 up; j0
+    # comes from the certificate's window, which has no scales
     cfg = ExperimentConfig(model="legendre")
     cert, _, table = st.run_certification_report(
         cfg, str(tmp_path), lam_grid=(2.0,), m_grid=(8,), mc_trials=4)
@@ -161,7 +162,7 @@ def test_certification_report_sample_rules_inside_their_domain(tmp_path):
     M = len(cert.positions)
     for variant in ("conditioning", "relative_coherence", "window", "sparsity"):
         assert table[variant] == st.sample_complexity(
-            cert, 16, M, cfg.gamma, variant, zeta=cfg.zeta, j0=cfg.j0, omega=omega)
+            cert, 16, M, cfg.gamma, variant, zeta=cfg.zeta, omega=omega)
     assert "sample_complexity_s 16\n" in (tmp_path / "certificate.txt").read_text()
 
 

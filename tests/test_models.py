@@ -49,42 +49,6 @@ def brute_radon_rows(model, positions, theta):
     return out
 
 
-def brute_fan_rows(model, positions, theta):
-    """Reference oracle: fan-beam rows one atom at a time, with the arithmetic
-    the grouped kernel must reproduce bit for bit."""
-    positions = np.asarray(positions, dtype=int)
-    out = np.zeros((len(positions), model.block_dim))
-    src = model.rho * np.array([np.cos(theta), np.sin(theta)])
-    h = model.atlas.grid.h
-    step = h / 2.0
-    for row_i, pos in enumerate(positions):
-        a = model.atlas.gamma[pos]
-        (x_lo, x_hi), (y_lo, y_hi) = model.atlas.support_box(a)
-        cx, cy = 0.5 * (x_lo + x_hi), 0.5 * (y_lo + y_hi)
-        rad = 0.5 * np.hypot(x_hi - x_lo, y_hi - y_lo)
-        to_c = np.array([cx, cy]) - src
-        dist = np.linalg.norm(to_c)
-        phi_abs = np.arctan2(to_c[1], to_c[0])
-        # the atom sits at negative ray parameter, so the ray angles that
-        # meet it cluster around the direction opposite to source->atom
-        alpha_c = (phi_abs - theta) % (2.0 * np.pi) - np.pi
-        half = np.arcsin(min(1.0, rad / dist)) + model.alpha_step
-        sel = np.flatnonzero(np.abs(model.alpha_grid - alpha_c) <= half)
-        if len(sel) == 0:
-            continue
-        alphas = model.alpha_grid[sel]
-        dirs = np.stack([np.cos(theta + alphas), np.sin(theta + alphas)], axis=1)
-        t_mid = dist * np.cos(phi_abs - theta - alphas)
-        ts = np.arange(-rad - step, rad + 2 * step, step)
-        Px = src[0] + dirs[:, 0:1] * (t_mid[:, None] + ts[None, :])
-        Py = src[1] + dirs[:, 1:2] * (t_mid[:, None] + ts[None, :])
-        fx, fy, _, _ = model.atlas.atom_profiles(a)
-        vx = np.interp(Px - x_lo, np.arange(len(fx)) * h, fx, left=0.0, right=0.0)
-        vy = np.interp(Py - y_lo, np.arange(len(fy)) * h, fy, left=0.0, right=0.0)
-        out[row_i, sel] = (vx * vy).sum(axis=1) * step
-    return out
-
-
 def _clip_chord(px, py, ux, uy, x0, x1, y0, y1):
     """Liang-Barsky: length of the line (px, py) + t (ux, uy), t real, inside
     the cell [x0, x1) x [y0, y1).  A line parallel to a side lies inside
@@ -322,10 +286,15 @@ def test_measure_matches_rows(kind):
 
 
 def test_fanbeam_geometry_guard(haar_atlas_j2):
-    with pytest.raises(GeometryError):
-        st.FanBeamModel(haar_atlas_j2, rho=3.0, d=1.0)
-    with pytest.raises(GeometryError):
-        st.FanBeamModel(haar_atlas_j2, rho=2.0)  # rho below the atom radius
+    # the source sits at rho = 3; Haar atoms reach radius 2.12, order 2
+    # atoms 3.54 and order 3 atoms 4.95
+    for order in (2, 3):
+        with pytest.raises(GeometryError, match="Haar atoms only"):
+            st.FanBeamModel(st.build_atlas(st.build_filter(order), 1))
+        with pytest.raises(GeometryError, match="Haar atoms only"):
+            build_model("fanbeam", order=order, j_max=1)
+    fan = st.FanBeamModel(haar_atlas_j2)
+    assert fan.rho == 3.0 and haar_atlas_j2.support_radius < fan.d < fan.rho
 
 
 def test_fanbeam_zero_signal(haar_atlas_j2):
@@ -336,18 +305,6 @@ def test_fanbeam_zero_signal(haar_atlas_j2):
 
 FAN_ANGLES = ([0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4, np.pi, 5.2]
               + list(np.random.default_rng(7).uniform(0.0, 2 * np.pi, 8)))
-
-
-def test_fanbeam_rows_match_per_atom_oracle():
-    # orders >= 2 sample the rays: the grouped kernel keeps the per-atom
-    # loop's arithmetic, so the rows agree bit for bit (tobytes also tells
-    # -0.0 from +0.0).  The order-2 atoms reach radius 3.54, past rho = 3.
-    atlas = st.build_atlas(st.build_filter(2), 1)
-    fan = st.FanBeamModel(atlas, rho=5.0)
-    for positions in (np.arange(len(atlas)), np.flatnonzero(atlas.scales == 0)):
-        for th in FAN_ANGLES:
-            brute = brute_fan_rows(fan, positions, th)
-            assert fan.rows(positions, th).tobytes() == brute.tobytes()
 
 
 def test_fanbeam_haar_rows_match_chord_oracle(haar_atlas_j2):
@@ -375,15 +332,14 @@ def test_fanbeam_rows_shuffled_positions_with_repeats(haar_atlas_j3):
     assert fan.rows(np.array([], dtype=int), 0.9).shape == (0, fan.block_dim)
 
 
-@pytest.mark.parametrize("order, j_max, rho", [(1, 3, 3.0), (2, 1, 5.0)])
-def test_fanbeam_rows_shared_boxes_match_one_atom_calls(order, j_max, rho):
+def test_fanbeam_rows_shared_boxes_match_one_atom_calls(haar_atlas_j3):
     # a dilation's groups share the geometry of their atoms' boxes; here the
     # orientations of a scale cover different boxes, the positions are
     # shuffled and repeat, and each atom's runs equal a one-atom call's
-    atlas = st.build_atlas(st.build_filter(order), j_max)
-    fan = st.FanBeamModel(atlas, rho=rho)
+    atlas = haar_atlas_j3
+    fan = st.FanBeamModel(atlas)
     rng = np.random.default_rng(5)
-    top = atlas.scales == j_max
+    top = atlas.scales == 3
     picks = [rng.choice(np.flatnonzero(top & (atlas.orientations == o)), 6, replace=False)
              for o in (1, 2, 3)]
     boxes = [{(atlas.n1[p], atlas.n2[p]) for p in pick} for pick in picks]
@@ -780,15 +736,16 @@ def dense_assembly(model, positions, samples, x_full, beta, noise_seed):
     return A, y, tail_res
 
 
-# (model kind, build_model kwargs, window j0 or atom count, m); the last is a
+# (model kind, build_model kwargs, window j0 or atom count, m); Fourier takes
+# FourierWaveletModel's kwargs, for a bandwidth of its own.  The last is a
 # short system, m * block_dim <= n
 RUN_CASES = {
     "radon": ("radon", {"j_max": 3}, 2, 6),
     "radon_chunks": ("radon", {"j_max": 3}, 2, 2 * _CHUNK + 5),
     "fanbeam": ("fanbeam", {"j_max": 2}, 1, 4),
     "fourier": ("fourier", {"j_max": 3, "n_freq": 32}, 12, 40),
-    "legendre": ("legendre", {"max_degree": 30}, 20, 50),
-    "short": ("legendre", {"max_degree": 30}, 20, 5),
+    "legendre": ("legendre", {}, 20, 50),
+    "short": ("legendre", {}, 20, 5),
 }
 
 
@@ -796,7 +753,8 @@ def _run_case(name):
     """(system, dense oracle (A, y, tail_residual), col) of one RUN_CASES
     entry, with a signal that also has out-of-window coefficients."""
     kind, kwargs, window, m = RUN_CASES[name]
-    model = build_model(kind, **kwargs)
+    model = (st.FourierWaveletModel(st.build_filter(1), **kwargs) if kind == "fourier"
+             else build_model(kind, **kwargs))
     rng = np.random.default_rng(7)
     if kind in ("radon", "fanbeam"):
         _, x_full, _ = st.make_phantom(model.atlas, st.PhantomSpec("tail", a=0.5, seed=2), window)
