@@ -131,7 +131,9 @@ def compute_gram(model, positions, n_quad: int | None = None,
     of the tomographic models are nested (the n-node rule is every other node
     of the 2n-node rule, bit for bit), so the runs at each distinct angle are
     computed once; each Gram takes SampledSystem.gram's hit-row products and
-    equals population_gram_matrix under its own rule.
+    equals population_gram_matrix under its own rule.  The fan beam's Grams
+    visit one quadrant of each rule and the axis angles, and fold in the
+    other quadrants by the quarter turn; its coherence angles are visited.
     FourierWaveletModel.population_nodes ignores n, so its doubling check
     compares the same exact quadrature and its shift is 0 by construction.
     """

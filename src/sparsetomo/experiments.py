@@ -44,7 +44,7 @@ class ExperimentConfig:
     gamma: float = 0.1
     zeta: float = 1.0
     seeds: tuple = (0, 1, 2, 3, 4)
-    s_step: float = 1.0 / 32
+    s_step: float | None = None       # default: build_model's, which follows j_max
     out_dir: str | None = None
     solver: SolveConfig = field(default_factory=lambda: SolveConfig(max_iters=30000))
 
@@ -57,7 +57,7 @@ class ExperimentConfig:
             raise ValueError("m values must be >= 1")
         if self.j0 < 0:
             raise ValueError("j0 must be >= 0")
-        if self.j0 > self.j_max:
+        if self.j0 > self.j_max and self.model != "legendre":   # Legendre has no scales
             raise ValueError("j0 must be <= j_max")
 
 
@@ -86,12 +86,19 @@ def noise_matched_m_rule(beta: float, a: float, p: float, c0: float,
     return int(np.clip(int(np.floor(m)), m_min, m_cap))
 
 
-def build_model(kind: str, order: int = 1, j_max: int = 3, s_step: float = 1.0 / 32):
+def build_model(kind: str, order: int = 1, j_max: int = 3, s_step: float | None = None):
     """Model factory covering all four measurement families, memoised on the
-    argument values: they return the same (shared, read-only) model.  The
-    tomographic models carry their atlas as `model.atlas`; Fourier takes its
-    default bandwidth and Legendre degrees up to 30."""
-    return _build_model(kind, order, j_max, s_step)
+    argument values the kind reads: calls that agree on them return the same
+    (shared, read-only) model.  Legendre reads none of them, Fourier no
+    s_step.  The tomographic models carry their atlas as `model.atlas`; their
+    detector step s_step defaults to min(1/32, 2^-(j_max + 1)), which keeps
+    1/32 up to j_max = 4 and halves with each finer scale after, and the
+    fan-beam ray step is s_step / rho.  Fourier takes its default bandwidth
+    and Legendre degrees up to 30."""
+    if s_step is None:
+        s_step = min(1.0 / 32, 2.0 ** -(j_max + 1))
+    read = {"legendre": (None, None, None), "fourier": (order, j_max, None)}
+    return _build_model(kind, *read.get(kind, (order, j_max, s_step)))
 
 
 @functools.cache

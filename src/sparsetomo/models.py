@@ -19,8 +19,12 @@ keeps its stacked operator A as those runs, with quadrature weights and
 (1/m)-averaged measurement-space norms.  One kernel, _HitGram, multiplies
 the rows a chunk of runs touches as one dense block for every Gram: the
 solver's and the q-normal matrix by samples, the population Gram by
-quadrature nodes.  A.bin takes A one dense chunk of samples at a time; the
-whole dense A is built only for short solves and tests.
+quadrature nodes.  The fan-beam rows at source angle theta + pi/2 are the
+rows at theta, signed and permuted (FanBeamModel.quarter_turn), so its
+population Gram visits one quadrant of a uniform rule's nodes and the four
+axis nodes, and takes the other quadrants' products from the first
+quadrant's by the turn.  A.bin takes A one dense chunk of samples at a time;
+the whole dense A is built only for short solves and tests.
 """
 
 from __future__ import annotations
@@ -80,6 +84,13 @@ class MeasurementModel:
         """Quadrature nodes and weights for integrals against the uniform
         probability measure on [0, 2pi)."""
         return 2.0 * np.pi * np.arange(n) / n, np.full(n, 1.0 / n)
+
+    def quarter_turn(self, positions):
+        """None: the rows have no quarter-turn symmetry that the population
+        pass may use (FanBeamModel's have one).  The Radon line integrals
+        have it, but their interpolated rows do not: at theta = 0.1, 0.7 and
+        1.3 the turned rows of the j0 = 2 window are 7-25% off (Frobenius)."""
+        return None
 
     def atom_norms(self, positions, t) -> np.ndarray:
         """Per-atom measurement norms at parameter t, from the support runs;
@@ -369,6 +380,33 @@ class FanBeamModel(AtlasModel):
         self.alpha_grid = self.alpha_step * np.arange(-n, n + 1)
         self.block_dim = len(self.alpha_grid)
         self.quad_weight = self.alpha_step
+
+    def quarter_turn(self, positions):
+        """(image, sign) of the quarter turn on the atoms at positions: at
+        source angle theta + pi/2 the row of positions[image[i]] is sign[i]
+        times the row of positions[i] at theta.  None when the turn takes an
+        atom out of positions.
+
+        The turn (x, y) -> (-y, x) carries the source and every ray at theta
+        to theta + pi/2, on the same ray-grid index, and carries the Haar
+        atom (j, n1, n2, o) to sign times the atom (j, -n2 - 1, n1, o'): its
+        y factor, reflected, becomes the x factor, so o' swaps orientations
+        1 and 2, and a reflected Haar wavelet changes sign, so sign is -1
+        where the y factor is a wavelet (orientations 2 and 3).  The atlas,
+        whose atoms are those whose boxes meet the unit disk, and its scale
+        windows are closed under the turn.  The chord kernel's half-open
+        cells are not: on the axis angles a ray can run along a cell edge,
+        so the rows there are not turned copies of each other."""
+        a, p = self.atlas, np.asarray(positions, dtype=int)
+        j, n1, n2, o = a.scales[p], a.n1[p], a.n2[p], a.orientations[p]
+        at = {key: i for i, key in enumerate(zip(j.tolist(), n1.tolist(), n2.tolist(),
+                                                 o.tolist()))}
+        turned = zip(j.tolist(), (-n2 - 1).tolist(), n1.tolist(),
+                     np.array([0, 2, 1, 3])[o].tolist())
+        image = [at.get(key) for key in turned]
+        if None in image:
+            return None
+        return np.array(image), np.where(o >= 2, -1.0, 1.0)
 
     def _runs(self, positions, thetas):
         """(angle, atom, ray, value) arrays of ray integrals, one (scale,
@@ -853,17 +891,48 @@ def _population_pass(model, positions, rules, norm_nodes=()):
     nodes per _runs call); the Grams are _HitGram products, so they never
     hold a node's dense rows.
 
-    Nodes are visited in the order of the first (finest) rule.  A later rule
-    whose nodes all appear in the visit, in the rule's own order, joins it;
-    otherwise its nodes are visited on their own after.  Either way each rule
-    takes its Gram from its own nodes only, _CHUNK of them per product in its
-    own order, with run values scaled by sqrt(w * quad_weight); a coarser
-    nested rule holds its nodes' runs until it has a chunk.  So each Gram is
-    bit for bit population_gram_matrix, the one-rule pass, under its rule.
-    Returns the Grams and the (node, row norms) pairs; the norms at a node
-    are the model's atom_norms there, bit for bit (no model overrides
+    Where the model's rows have a quarter-turn symmetry on the window
+    (model.quarter_turn; the fan beam's), a rule that is the model's uniform
+    rule of n = 4q nodes visits only its representatives k = 1 .. q - 1 and
+    its four axis nodes k = 0, q, 2q, 3q.  The nodes k + rq of the other
+    quadrants repeat the representatives' rows, signed and permuted (S the
+    turn's signed permutation), so the rule's Gram is G_axis + sum_{r < 4}
+    (S^r)^T G_rep S^r.  The axis nodes are visited themselves because the
+    rows there are not turned copies of each other (a ray can run along a
+    cell edge).  Any other rule, and every rule of a model without the
+    symmetry, visits all its nodes.
+
+    The parts (every rule's representatives, then every rule's axis nodes,
+    then the whole rules) are visited in that order.  A part whose nodes all
+    appear in the visit so far, in the part's own order, joins it; otherwise
+    its nodes are visited on their own after.  Either way each part takes
+    its products from its own nodes only, _CHUNK of them per product in its
+    own order, with run values scaled by sqrt(w * quad_weight), into its
+    rule's Gram; a coarser nested part holds its nodes' runs until it has a
+    chunk.  Every representative precedes every axis node in the visit, so
+    when a rule's last representative product lands its Gram holds G_rep
+    alone: it is folded there, in place, and the axis products add to it
+    after.  No rule holds a second n x n matrix.  So each Gram is bit for bit
+    population_gram_matrix, the one-rule pass, under its rule.  Returns the
+    Grams and the (node, row norms) pairs in norm_nodes order, each node's
+    rows computed there (the coherence nodes are not folded); the norms at
+    a node are the model's atom_norms there, bit for bit (no model overrides
     MeasurementModel.atom_norms).
     """
+    turn = model.quarter_turn(positions)
+    reps, axes, whole = [], [], []      # (rule, nodes, weights) of each part
+    for g, (nodes, wts) in enumerate(rules):
+        nodes, wts = np.asarray(nodes), np.asarray(wts)
+        q, rem = divmod(len(nodes), 4)
+        if turn is None or rem or not all(map(np.array_equal, (nodes, wts),
+                                              model.population_nodes(len(nodes)))):
+            whole.append((g, nodes, wts))
+            continue
+        if q > 1:
+            reps.append((g, nodes[1:q], wts[1:q]))
+        axes.append((g, nodes[::q], wts[::q]))
+    parts = reps + axes + whole
+
     order, users, index, last = [], [], {}, []
 
     def visit(t):
@@ -872,34 +941,50 @@ def _population_pass(model, positions, rules, norm_nodes=()):
         users.append([])
         return len(order) - 1
 
-    for g, (nodes, wts) in enumerate(rules):
+    for p, (_, nodes, wts) in enumerate(parts):
         at = [index.get(float(t)) for t in nodes]
         if None in at or any(b <= a for a, b in zip(at, at[1:])):
             at = [visit(t) for t in nodes]
         for i, w in zip(at, wts):
-            users[i].append((g, w))
+            users[i].append((p, w))
         last.append(at[-1])
-    wanted = set()
+    wanted = []
     for t in norm_nodes:
         i = index.get(float(t))
-        wanted.add(visit(t) if i is None else i)
+        wanted.append(visit(t) if i is None else i)
 
     n, bd = len(positions), model.block_dim
     grams = [np.zeros((n, n)) for _ in rules]
     kernel = _HitGram(n)
-    held = [[] for _ in rules]      # each rule's cells since its last product
-    norms = []
+    held = [[] for _ in parts]      # each part's cells since its last product
+    norms = dict.fromkeys(wanted)
     for i, (atom, col, val) in enumerate(model._node_cells(positions, order)):
-        for g, w in users[i]:
-            cells = held[g]
+        for p, w in users[i]:
+            cells = held[p]
             cells.append((len(cells) * bd + col, atom, val * np.sqrt(w * model.quad_weight)))
-            if len(cells) == _CHUNK or i == last[g]:
+            if len(cells) == _CHUNK or i == last[p]:
                 row, a, v = map(np.concatenate, zip(*cells))
-                kernel.add(grams[g], len(cells) * bd, row, a, v)
+                G = grams[parts[p][0]]
+                kernel.add(G, len(cells) * bd, row, a, v)
                 cells.clear()
-        if i in wanted:
-            norms.append((order[i], model._row_norms(n, atom, col, val)))
-    return grams, norms
+                if i == last[p] and p < len(reps):
+                    _fold_quarter_turns(G, *turn)
+        if i in norms:
+            norms[i] = model._row_norms(n, atom, col, val)
+    return grams, [(order[i], norms[i]) for i in wanted]
+
+
+def _fold_quarter_turns(G, image, sign):
+    """G + P G + P^2 G + P^3 G, in place, for the quarter turn P of a Gram:
+    (P G)[image_i, image_k] = sign_i sign_k G[i, k].  Taken as (1 + P)(1 +
+    P^2) G, with one n x n temporary at a time; the signs are +-1, so only
+    the two additions round."""
+    for img, sgn in ((image[image], sign * sign[image]), (image, sign)):
+        inv = np.argsort(img)
+        T, s = G[np.ix_(inv, inv)], sgn[inv]
+        T *= s[:, None]
+        T *= s
+        G += T
 
 
 def population_gram_matrix(model, positions, n_quad: int) -> np.ndarray:

@@ -104,9 +104,19 @@ def test_gram_pass_matches_single_rule_oracles(kind, haar_atlas_j2):
 
     distinct = {float(t) for k in (n, 2 * n, min(n, 64))
                 for t in model.population_nodes(k)[0]}
+    if kind == "fanbeam":
+        # under the quarter turn the 2n rule visits its first quadrant (the
+        # representatives and axis node 0) and its other axis nodes, which
+        # hold the n rule's; the coherence nodes are visited themselves
+        nodes2, _ = model.population_nodes(2 * n)
+        distinct = {float(t) for t in (*nodes2[:n // 2], *nodes2[::n // 2],
+                                       *model.population_nodes(min(n, 64))[0])}
     assert len(calls) == len(set(calls)) == len(distinct)
-    if kind in ("radon", "fanbeam"):
+    assert set(calls) == distinct
+    if kind == "radon":
         assert len(calls) == 2 * n
+    if kind == "fanbeam":   # n = 128: 63 representatives, 4 axis and 45 other nodes
+        assert len(calls) == 112
     if kind == "fourier":   # population_nodes ignores n: the same quadrature
         assert cert.sigma_min_shift == 0.0
 
@@ -130,6 +140,32 @@ def test_gram_pass_matches_dense_oracle(kind, haar_atlas_j2, synthetic_model):
                       for R in (model.rows(w, t) for t in nodes)])
     assert np.linalg.norm(got - dense) <= 1e-14 * np.linalg.norm(dense)
     assert np.linalg.norm(model.atom_norms(w, nodes) - dense) <= 1e-14 * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("case", ["open_window", "n_not_divisible_by_4"])
+def test_fanbeam_pass_without_quarter_turn_visits_every_node(case, haar_atlas_j2):
+    # a window that the quarter turn leaves, or a rule whose nodes do not
+    # fall into quadrants, takes every node to the row kernel
+    model = st.FanBeamModel(haar_atlas_j2)
+    if case == "open_window":
+        w, n = np.flatnonzero(haar_atlas_j2.n1 >= 0), 64
+        assert model.quarter_turn(w) is None
+    else:
+        w, n = np.arange(len(haar_atlas_j2)), 30
+        assert model.quarter_turn(w) is not None
+    calls = []
+    runs = model._runs
+
+    def counting_runs(positions, ts):
+        calls.extend(float(t) for t in ts)
+        return runs(positions, ts)
+
+    model._runs = counting_runs
+    G = population_gram_matrix(model, w, n)
+    del model._runs
+    assert sorted(calls) == sorted(float(t) for t in model.population_nodes(n)[0])
+    expect = dense_population_gram(model, w, n)
+    assert np.linalg.norm(G - expect) <= 1e-14 * np.linalg.norm(expect)
 
 
 def test_radon_shared_dilation_coherence_maxima_agree():

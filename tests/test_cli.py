@@ -48,6 +48,18 @@ def test_certify_legendre_certificate_ignores_j0(tmp_path, runner):
     assert text[0] == text[1]
 
 
+def test_certify_legendre_takes_any_window_flags(tmp_path, runner):
+    # j0 <= j_max is a check on window scales, which Legendre does not have:
+    # --j0 4 --jmax 3 writes the defaults' certificate
+    text = []
+    for flags in ([], ["--j0", "4", "--jmax", "3"]):
+        out = tmp_path / str(len(flags))
+        res = runner.invoke(main, ["certify", "--model", "legendre", *flags, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        text.append((out / "certificate.txt").read_text())
+    assert text[0] == text[1]
+
+
 @pytest.mark.parametrize("args", [["certify", "--m", "64"], ["atlas", "build", "--beta", "0.1"],
                                   ["reconstruct", "--gamma", "0.2"], ["sweep", "--beta", "0.1"]])
 def test_command_rejects_flags_it_does_not_read(tmp_path, runner, args):

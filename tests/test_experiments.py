@@ -3,7 +3,7 @@ import pytest
 
 import sparsetomo as st
 from sparsetomo.experiments import (ExperimentConfig, SweepRecord, build_model,
-                                    noise_matched_m_rule, run_recovery_cell)
+                                    noise_matched_m_rule, recovery_cells, run_recovery_cell)
 from sparsetomo import io as stio
 
 
@@ -173,6 +173,33 @@ def test_build_model_is_memoised():
     assert build_model("radon", 1, 2, 1.0 / 16) is model
     assert build_model("radon", j_max=2, s_step=1.0 / 16) is model
     assert build_model("fanbeam", order=1, j_max=2, s_step=1.0 / 16) is not model
+
+
+def test_build_model_memo_key_drops_ignored_arguments():
+    # Legendre reads none of order, j_max and s_step, Fourier no s_step
+    model = build_model("legendre", order=1, j_max=3)
+    assert build_model("legendre", order=3, j_max=5, s_step=1.0 / 16) is model
+    fourier = build_model("fourier", order=2, j_max=2, s_step=1.0 / 16)
+    assert build_model("fourier", order=2, j_max=2) is fourier
+    assert build_model("fourier", order=2, j_max=3) is not fourier
+    assert build_model("fourier", order=1, j_max=2) is not fourier
+
+
+def test_s_step_follows_j_max():
+    # min(1/32, 2^-(j_max + 1)): 1/32 up to j_max = 4, then halving; the
+    # fan-beam ray step is s_step / rho
+    for j_max in range(1, 5):
+        assert build_model("radon", j_max=j_max).s_step == 1.0 / 32
+    assert build_model("radon", j_max=4) is build_model("radon", j_max=4, s_step=1.0 / 32)
+    assert build_model("radon", j_max=5).s_step == 1.0 / 64
+    assert build_model("fanbeam", j_max=5).alpha_step == 1.0 / 192
+    assert build_model("fanbeam", j_max=3).alpha_step == 1.0 / 96
+    # a config's default is build_model's at each cell's j_max
+    cfg = ExperimentConfig(j0=4, j_max=5, ms=(1,))
+    assert cfg.s_step is None
+    assert [model.s_step for _, _, model, _ in recovery_cells(cfg)] == [1.0 / 64]
+    cfg = ExperimentConfig(j0=2, ms=(1,))
+    assert [model.s_step for _, _, model, _ in recovery_cells(cfg)] == [1.0 / 32]
 
 
 def test_measurement_error_in_quasi_diag_band():

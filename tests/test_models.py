@@ -297,6 +297,29 @@ def test_fanbeam_geometry_guard(haar_atlas_j2):
     assert fan.rho == 3.0 and haar_atlas_j2.support_radius < fan.d < fan.rho
 
 
+def test_fanbeam_quarter_turn_equivariance(haar_atlas_j3):
+    # at theta + pi/2 the rows are the rows at theta, signed and permuted:
+    # the turned source and rays see each turned atom as the unturned ones
+    # saw the atom; four turns are the identity
+    fan = st.FanBeamModel(haar_atlas_j3)
+    positions = np.arange(len(haar_atlas_j3))
+    image, sign = fan.quarter_turn(positions)
+    assert np.array_equal(np.sort(image), positions)
+    a, i = haar_atlas_j3, image
+    assert np.array_equal(a.n1[i], -a.n2 - 1) and np.array_equal(a.n2[i], a.n1)
+    assert np.array_equal(a.orientations[i], np.array([0, 2, 1, 3])[a.orientations])
+    turns, signs = positions, np.ones(len(positions))
+    for _ in range(4):
+        turns, signs = image[turns], signs * sign[turns]
+    assert np.array_equal(turns, positions) and (signs == 1.0).all()
+    for th in (0.1, 0.7, 1.3, 2.9):
+        R, turned = fan.rows(positions, th), fan.rows(positions, th + np.pi / 2)
+        assert np.linalg.norm(turned[image] - sign[:, None] * R) <= 1e-12 * np.linalg.norm(R)
+    # a window that the turn leaves, and the models without the symmetry
+    assert fan.quarter_turn(np.flatnonzero(a.n1 >= 0)) is None
+    assert st.RadonModel(haar_atlas_j3).quarter_turn(positions) is None
+
+
 def test_fanbeam_zero_signal(haar_atlas_j2):
     fan = st.FanBeamModel(haar_atlas_j2)
     R = fan.rows(np.arange(4), 0.9)
