@@ -127,13 +127,15 @@ def compute_gram(model, positions, n_quad: int | None = None,
     One pass over the quadrature nodes (models._population_pass) serves
     every consumer: the n_quad Gram, the 2 n_quad Gram of check_convergence,
     and the coherence norms at min(n_quad, 64) nodes, which are the norms of
-    the same rows (every model's atom_norms, bit for bit).  The uniform rules
+    the same rows (every model's atom_norms at each visited node, bit for
+    bit).  The uniform rules
     of the tomographic models are nested (the n-node rule is every other node
     of the 2n-node rule, bit for bit), so the runs at each distinct angle are
     computed once; each Gram takes SampledSystem.gram's hit-row products and
-    equals population_gram_matrix under its own rule.  The fan beam's Grams
-    visit one quadrant of each rule and the axis angles, and fold in the
-    other quadrants by the quarter turn; its coherence angles are visited.
+    equals population_gram_matrix under its own rule.  The fan beam's pass
+    visits one octant of each rule and the axis angles, and folds in the
+    other octants by the square's symmetry; its coherence norms outside the
+    visited angles are the norms at their octant's angle, permuted.
     FourierWaveletModel.population_nodes ignores n, so its doubling check
     compares the same exact quadrature and its shift is 0 by construction.
     """

@@ -19,11 +19,12 @@ keeps its stacked operator A as those runs, with quadrature weights and
 (1/m)-averaged measurement-space norms.  One kernel, _HitGram, multiplies
 the rows a chunk of runs touches as one dense block for every Gram: the
 solver's and the q-normal matrix by samples, the population Gram by
-quadrature nodes.  The fan-beam rows at source angle theta + pi/2 are the
-rows at theta, signed and permuted (FanBeamModel.quarter_turn), so its
-population Gram visits one quadrant of a uniform rule's nodes and the four
-axis nodes, and takes the other quadrants' products from the first
-quadrant's by the turn.  A.bin takes A one dense chunk of samples at a time;
+quadrature nodes.  The fan-beam rows at source angles theta + pi/2 and
+pi/2 - theta are the rows at theta, signed and permuted
+(FanBeamModel.symmetry, the square's quarter turn and diagonal reflection),
+so its population pass visits one octant of a uniform rule's nodes and the
+four axis nodes, and takes the other octants' products and row norms from
+the first octant's.  A.bin takes A one dense chunk of samples at a time;
 the whole dense A is built only for short solves and tests.
 """
 
@@ -85,11 +86,11 @@ class MeasurementModel:
         probability measure on [0, 2pi)."""
         return 2.0 * np.pi * np.arange(n) / n, np.full(n, 1.0 / n)
 
-    def quarter_turn(self, positions):
-        """None: the rows have no quarter-turn symmetry that the population
-        pass may use (FanBeamModel's have one).  The Radon line integrals
-        have it, but their interpolated rows do not: at theta = 0.1, 0.7 and
-        1.3 the turned rows of the j0 = 2 window are 7-25% off (Frobenius)."""
+    def symmetry(self, positions):
+        """None: the rows have no symmetry that the population pass may use
+        (FanBeamModel's have one).  The Radon line integrals have it, but
+        their interpolated rows do not: at theta = 0.1, 0.7 and 1.3 the
+        turned rows of the j0 = 2 window are 7-25% off (Frobenius)."""
         return None
 
     def atom_norms(self, positions, t) -> np.ndarray:
@@ -381,32 +382,43 @@ class FanBeamModel(AtlasModel):
         self.block_dim = len(self.alpha_grid)
         self.quad_weight = self.alpha_step
 
-    def quarter_turn(self, positions):
-        """(image, sign) of the quarter turn on the atoms at positions: at
-        source angle theta + pi/2 the row of positions[image[i]] is sign[i]
-        times the row of positions[i] at theta.  None when the turn takes an
-        atom out of positions.
+    def symmetry(self, positions):
+        """The quarter turn and the diagonal reflection of the square on the
+        atoms at positions, each as (image, sign): at the source angle the
+        map takes theta to (theta + pi/2 for the turn, pi/2 - theta for the
+        reflection), the row of positions[image[i]] is sign[i] times the row
+        of positions[i] at theta, its rays reversed under the reflection.
+        None when either map takes an atom out of positions.
 
         The turn (x, y) -> (-y, x) carries the source and every ray at theta
         to theta + pi/2, on the same ray-grid index, and carries the Haar
         atom (j, n1, n2, o) to sign times the atom (j, -n2 - 1, n1, o'): its
         y factor, reflected, becomes the x factor, so o' swaps orientations
         1 and 2, and a reflected Haar wavelet changes sign, so sign is -1
-        where the y factor is a wavelet (orientations 2 and 3).  The atlas,
-        whose atoms are those whose boxes meet the unit disk, and its scale
-        windows are closed under the turn.  The chord kernel's half-open
-        cells are not: on the axis angles a ray can run along a cell edge,
-        so the rows there are not turned copies of each other."""
+        where the y factor is a wavelet (orientations 2 and 3).  The
+        reflection (x, y) -> (y, x) carries the source at theta to pi/2 -
+        theta and the ray at angle alpha to -alpha, ray index i to 2n - i on
+        the symmetric ray grid, and the atom (j, n1, n2, o) to (j, n2, n1,
+        o'), no factor reflected, so every sign is +1.  Neither changes a
+        norm or the Gram of a row, whatever the ray order.  The atlas, whose
+        atoms are those whose boxes meet the unit disk, and its scale
+        windows are closed under both.  The chord kernel's half-open cells
+        are not: on the axis angles a ray can run along a cell edge, so the
+        rows there are not mapped copies of each other."""
         a, p = self.atlas, np.asarray(positions, dtype=int)
         j, n1, n2, o = a.scales[p], a.n1[p], a.n2[p], a.orientations[p]
-        at = {key: i for i, key in enumerate(zip(j.tolist(), n1.tolist(), n2.tolist(),
-                                                 o.tolist()))}
-        turned = zip(j.tolist(), (-n2 - 1).tolist(), n1.tolist(),
-                     np.array([0, 2, 1, 3])[o].tolist())
-        image = [at.get(key) for key in turned]
-        if None in image:
+        swap = np.array([0, 2, 1, 3])[o]
+
+        def keys(*cols):
+            return zip(*(c.tolist() for c in cols))
+
+        at = {key: i for i, key in enumerate(keys(j, n1, n2, o))}
+        turn = [at.get(key) for key in keys(j, -n2 - 1, n1, swap)]
+        mirror = [at.get(key) for key in keys(j, n2, n1, swap)]
+        if None in turn or None in mirror:
             return None
-        return np.array(image), np.where(o >= 2, -1.0, 1.0)
+        return ((np.array(turn), np.where(o >= 2, -1.0, 1.0)),
+                (np.array(mirror), np.ones(len(p))))
 
     def _runs(self, positions, thetas):
         """(angle, atom, ray, value) arrays of ray integrals, one (scale,
@@ -891,47 +903,61 @@ def _population_pass(model, positions, rules, norm_nodes=()):
     nodes per _runs call); the Grams are _HitGram products, so they never
     hold a node's dense rows.
 
-    Where the model's rows have a quarter-turn symmetry on the window
-    (model.quarter_turn; the fan beam's), a rule that is the model's uniform
-    rule of n = 4q nodes visits only its representatives k = 1 .. q - 1 and
-    its four axis nodes k = 0, q, 2q, 3q.  The nodes k + rq of the other
-    quadrants repeat the representatives' rows, signed and permuted (S the
-    turn's signed permutation), so the rule's Gram is G_axis + sum_{r < 4}
-    (S^r)^T G_rep S^r.  The axis nodes are visited themselves because the
-    rows there are not turned copies of each other (a ray can run along a
-    cell edge).  Any other rule, and every rule of a model without the
-    symmetry, visits all its nodes.
+    Where the model's rows have the square's symmetry on the window
+    (model.symmetry; the fan beam's), a rule that is the model's uniform
+    rule of n = 8p nodes visits only the nodes k = 0 .. p of one octant and
+    the three other axis nodes k = 2p, 4p, 6p.  The quarter turn P takes
+    node k to k + 2p and the diagonal reflection D takes it to 2p - k, each
+    carrying the rows by a signed permutation, so the rule's Gram is
+    G_axis + (1 + P)(1 + P^2)(G_diag + (1 + D) G_sector), G_sector over
+    the nodes k = 1 .. p - 1 and G_diag at k = p.  The axis nodes are
+    visited themselves because the rows there are not mapped copies of
+    each other (a ray can run along a cell edge).  Any other rule, and
+    every rule of a model without the symmetry, visits all its nodes.
 
-    The parts (every rule's representatives, then every rule's axis nodes,
-    then the whole rules) are visited in that order.  A part whose nodes all
-    appear in the visit so far, in the part's own order, joins it; otherwise
-    its nodes are visited on their own after.  Either way each part takes
-    its products from its own nodes only, _CHUNK of them per product in its
-    own order, with run values scaled by sqrt(w * quad_weight), into its
-    rule's Gram; a coarser nested part holds its nodes' runs until it has a
-    chunk.  Every representative precedes every axis node in the visit, so
-    when a rule's last representative product lands its Gram holds G_rep
-    alone: it is folded there, in place, and the axis products add to it
-    after.  No rule holds a second n x n matrix.  So each Gram is bit for bit
-    population_gram_matrix, the one-rule pass, under its rule.  Returns the
-    Grams and the (node, row norms) pairs in norm_nodes order, each node's
-    rows computed there (the coherence nodes are not folded); the norms at
-    a node are the model's atom_norms there, bit for bit (no model overrides
-    MeasurementModel.atom_norms).
+    The parts (every rule's sector, then every rule's diagonal node, then
+    every rule's axis nodes, then the whole rules) are visited in that
+    order.  A part whose nodes all appear in the visit so far, in the
+    part's own order, joins it; otherwise its nodes are visited on their
+    own after.  Either way each part takes its products from its own nodes
+    only, _CHUNK of them per product in its own order, with run values
+    scaled by sqrt(w * quad_weight), into its rule's Gram; a coarser nested
+    part holds its nodes' runs until it has a chunk.  Every sector node
+    precedes every diagonal node, and both precede every axis node, so when
+    a rule's last sector product lands its Gram holds G_sector alone, and
+    when its diagonal product lands, G_diag + (1 + D) G_sector: each is
+    folded there, in place, and the axis products add to it after.  No
+    rule holds a second n x n matrix.  So each Gram is bit for bit
+    population_gram_matrix, the one-rule pass, under its rule.
+
+    Returns the Grams and the (node, row norms) pairs in norm_nodes order.
+    The norms at a visited node are the model's atom_norms there, bit for
+    bit (no model overrides MeasurementModel.atom_norms).  When norm_nodes
+    are themselves the model's uniform rule of 8p nodes under the symmetry,
+    a node that is not visited and not an axis node takes the norms of its
+    octant's node, visited if it is not already, permuted by the map that
+    carries that node to it (a norm does not see the signs or the ray
+    order); any other norm node is visited.
     """
-    turn = model.quarter_turn(positions)
-    reps, axes, whole = [], [], []      # (rule, nodes, weights) of each part
+    sym = model.symmetry(positions)
+    sectors, diags, axes, whole = [], [], [], []    # (rule, nodes, weights) of each part
     for g, (nodes, wts) in enumerate(rules):
         nodes, wts = np.asarray(nodes), np.asarray(wts)
-        q, rem = divmod(len(nodes), 4)
-        if turn is None or rem or not all(map(np.array_equal, (nodes, wts),
-                                              model.population_nodes(len(nodes)))):
+        p, rem = divmod(len(nodes), 8)
+        if sym is None or rem or not all(map(np.array_equal, (nodes, wts),
+                                             model.population_nodes(len(nodes)))):
             whole.append((g, nodes, wts))
             continue
-        if q > 1:
-            reps.append((g, nodes[1:q], wts[1:q]))
-        axes.append((g, nodes[::q], wts[::q]))
-    parts = reps + axes + whole
+        if p > 1:
+            sectors.append((g, nodes[1:p], wts[1:p]))
+        diags.append((g, nodes[p:p + 1], wts[p:p + 1]))
+        axes.append((g, nodes[::2 * p], wts[::2 * p]))
+    parts = sectors + diags + axes + whole
+    folds = []          # the maps each sector and diagonal part folds in, in turn
+    if sym is not None:
+        turn, mirror = sym
+        half_turn = (turn[0][turn[0]], turn[1] * turn[1][turn[0]])
+        folds = [[mirror]] * len(sectors) + [[half_turn, turn]] * len(diags)
 
     order, users, index, last = [], [], {}, []
 
@@ -948,16 +974,30 @@ def _population_pass(model, positions, rules, norm_nodes=()):
         for i, w in zip(at, wts):
             users[i].append((p, w))
         last.append(at[-1])
-    wanted = []
-    for t in norm_nodes:
+    n = len(positions)
+    wanted = []         # (visit, image) of each norm node: its norms are the visit's, at image
+    octant, rem = divmod(len(norm_nodes), 8)
+    by_symmetry = (sym is not None and octant > 0 and not rem and np.array_equal(
+        norm_nodes, model.population_nodes(len(norm_nodes))[0]))
+    for k, t in enumerate(norm_nodes):
         i = index.get(float(t))
-        wanted.append(visit(t) if i is None else i)
+        r, s = divmod(k, 2 * octant) if by_symmetry else (0, 0)
+        if i is not None or not s:      # a visited node, an axis node, or no symmetry
+            wanted.append((visit(t) if i is None else i, None))
+            continue
+        image = np.arange(n)
+        if s > octant:      # the reflection of node 2p - s, then r turns
+            s, image = 2 * octant - s, mirror[0]
+        for _ in range(r):
+            image = turn[0][image]
+        i = index.get(float(norm_nodes[s]))
+        wanted.append((visit(norm_nodes[s]) if i is None else i, image))
 
-    n, bd = len(positions), model.block_dim
+    bd = model.block_dim
     grams = [np.zeros((n, n)) for _ in rules]
     kernel = _HitGram(n)
     held = [[] for _ in parts]      # each part's cells since its last product
-    norms = dict.fromkeys(wanted)
+    norms = {i: None for i, _ in wanted}
     for i, (atom, col, val) in enumerate(model._node_cells(positions, order)):
         for p, w in users[i]:
             cells = held[p]
@@ -967,24 +1007,24 @@ def _population_pass(model, positions, rules, norm_nodes=()):
                 G = grams[parts[p][0]]
                 kernel.add(G, len(cells) * bd, row, a, v)
                 cells.clear()
-                if i == last[p] and p < len(reps):
-                    _fold_quarter_turns(G, *turn)
+                if i == last[p] and p < len(folds):
+                    for image, sign in folds[p]:
+                        _fold(G, image, sign)
         if i in norms:
             norms[i] = model._row_norms(n, atom, col, val)
-    return grams, [(order[i], norms[i]) for i in wanted]
+    return grams, [(t, norms[i] if image is None else norms[i][np.argsort(image)])
+                   for t, (i, image) in zip(norm_nodes, wanted)]
 
 
-def _fold_quarter_turns(G, image, sign):
-    """G + P G + P^2 G + P^3 G, in place, for the quarter turn P of a Gram:
-    (P G)[image_i, image_k] = sign_i sign_k G[i, k].  Taken as (1 + P)(1 +
-    P^2) G, with one n x n temporary at a time; the signs are +-1, so only
-    the two additions round."""
-    for img, sgn in ((image[image], sign * sign[image]), (image, sign)):
-        inv = np.argsort(img)
-        T, s = G[np.ix_(inv, inv)], sgn[inv]
-        T *= s[:, None]
-        T *= s
-        G += T
+def _fold(G, image, sign):
+    """G + P G, in place, for the signed permutation P of a Gram:
+    (P G)[image_i, image_k] = sign_i sign_k G[i, k].  The signs are +-1,
+    so only the addition rounds; with one n x n temporary."""
+    inv = np.argsort(image)
+    T, s = G[np.ix_(inv, inv)], sign[inv]
+    T *= s[:, None]
+    T *= s
+    G += T
 
 
 def population_gram_matrix(model, positions, n_quad: int) -> np.ndarray:

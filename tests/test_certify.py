@@ -99,24 +99,37 @@ def test_gram_pass_matches_single_rule_oracles(kind, haar_atlas_j2):
     nodes, _ = model.population_nodes(min(n, 64))
     sc = np.zeros(len(w), int) if model.scales() is None else model.scales()[w]
     nr = np.array([model.atom_norms(w, t) / np.sqrt(model.density(t)) for t in nodes])
-    expect = [nr[:, sc == j].max() for j in range(sc.max() + 1)]
-    assert np.array_equal(cert.scale_coherence_max, expect)
+
+    def maxima(rows):
+        return np.array([rows[:, sc == j].max() for j in range(sc.max() + 1)])
+
+    if kind == "fanbeam":
+        # the coherence nodes off the first octant and off the axes take the
+        # octant's norms permuted by the square's symmetry, which keeps each
+        # scale: the maxima are the visited nodes' bit for bit, and the
+        # maxima over every node's own norms up to rounding
+        q = len(nodes) // 4
+        visited = [k for k in range(len(nodes)) if k <= q // 2 or k % q == 0]
+        assert np.array_equal(cert.scale_coherence_max, maxima(nr[visited]))
+        full = maxima(nr)
+        assert (np.abs(cert.scale_coherence_max - full) <= 1e-14 * full).all()
+    else:
+        assert np.array_equal(cert.scale_coherence_max, maxima(nr))
 
     distinct = {float(t) for k in (n, 2 * n, min(n, 64))
                 for t in model.population_nodes(k)[0]}
     if kind == "fanbeam":
-        # under the quarter turn the 2n rule visits its first quadrant (the
-        # representatives and axis node 0) and its other axis nodes, which
-        # hold the n rule's; the coherence nodes are visited themselves
+        # under the square's symmetry the 2n rule visits its first octant
+        # (the sector, the diagonal node and axis node 0) and its other axis
+        # nodes; these hold the n rule's and the coherence rule's octants
         nodes2, _ = model.population_nodes(2 * n)
-        distinct = {float(t) for t in (*nodes2[:n // 2], *nodes2[::n // 2],
-                                       *model.population_nodes(min(n, 64))[0])}
+        distinct = {float(t) for t in (*nodes2[:n // 4 + 1], *nodes2[::n // 2])}
     assert len(calls) == len(set(calls)) == len(distinct)
     assert set(calls) == distinct
     if kind == "radon":
         assert len(calls) == 2 * n
-    if kind == "fanbeam":   # n = 128: 63 representatives, 4 axis and 45 other nodes
-        assert len(calls) == 112
+    if kind == "fanbeam":   # n = 128: 31 sector nodes, the diagonal and 4 axis nodes
+        assert len(calls) == 36
     if kind == "fourier":   # population_nodes ignores n: the same quadrature
         assert cert.sigma_min_shift == 0.0
 
@@ -142,17 +155,19 @@ def test_gram_pass_matches_dense_oracle(kind, haar_atlas_j2, synthetic_model):
     assert np.linalg.norm(model.atom_norms(w, nodes) - dense) <= 1e-14 * np.linalg.norm(dense)
 
 
-@pytest.mark.parametrize("case", ["open_window", "n_not_divisible_by_4"])
+@pytest.mark.parametrize("case", ["open_window", "n_not_divisible_by_4",
+                                  "n_not_divisible_by_8"])
 def test_fanbeam_pass_without_quarter_turn_visits_every_node(case, haar_atlas_j2):
-    # a window that the quarter turn leaves, or a rule whose nodes do not
-    # fall into quadrants, takes every node to the row kernel
+    # a window that the square's symmetry leaves, or a rule whose nodes do
+    # not fall into octants, takes every node to the row kernel
     model = st.FanBeamModel(haar_atlas_j2)
     if case == "open_window":
         w, n = np.flatnonzero(haar_atlas_j2.n1 >= 0), 64
-        assert model.quarter_turn(w) is None
+        assert model.symmetry(w) is None
     else:
-        w, n = np.arange(len(haar_atlas_j2)), 30
-        assert model.quarter_turn(w) is not None
+        w, n = np.arange(len(haar_atlas_j2)), {"n_not_divisible_by_4": 30,
+                                               "n_not_divisible_by_8": 36}[case]
+        assert model.symmetry(w) is not None
     calls = []
     runs = model._runs
 

@@ -303,7 +303,7 @@ def test_fanbeam_quarter_turn_equivariance(haar_atlas_j3):
     # saw the atom; four turns are the identity
     fan = st.FanBeamModel(haar_atlas_j3)
     positions = np.arange(len(haar_atlas_j3))
-    image, sign = fan.quarter_turn(positions)
+    (image, sign), _ = fan.symmetry(positions)
     assert np.array_equal(np.sort(image), positions)
     a, i = haar_atlas_j3, image
     assert np.array_equal(a.n1[i], -a.n2 - 1) and np.array_equal(a.n2[i], a.n1)
@@ -316,8 +316,35 @@ def test_fanbeam_quarter_turn_equivariance(haar_atlas_j3):
         R, turned = fan.rows(positions, th), fan.rows(positions, th + np.pi / 2)
         assert np.linalg.norm(turned[image] - sign[:, None] * R) <= 1e-12 * np.linalg.norm(R)
     # a window that the turn leaves, and the models without the symmetry
-    assert fan.quarter_turn(np.flatnonzero(a.n1 >= 0)) is None
-    assert st.RadonModel(haar_atlas_j3).quarter_turn(positions) is None
+    assert fan.symmetry(np.flatnonzero(a.n1 >= 0)) is None
+    assert st.RadonModel(haar_atlas_j3).symmetry(positions) is None
+
+
+def test_fanbeam_diagonal_reflection_equivariance(haar_atlas_j3):
+    # at pi/2 - theta the rows are the rows at theta, permuted, with the rays
+    # reversed: the reflection (x, y) -> (y, x) swaps n1 and n2 and the LH
+    # and HL orientations and reflects no factor, so every sign is +1;
+    # applied twice it is the identity, and D P D = P^-1
+    fan = st.FanBeamModel(haar_atlas_j3)
+    positions = np.arange(len(haar_atlas_j3))
+    (turn, turn_sign), (image, sign) = fan.symmetry(positions)
+    a = haar_atlas_j3
+    assert np.array_equal(a.n1[image], a.n2) and np.array_equal(a.n2[image], a.n1)
+    assert np.array_equal(a.orientations[image], np.array([0, 2, 1, 3])[a.orientations])
+    assert (sign == 1.0).all()
+    assert np.array_equal(image[image], positions)
+    # D P D = P^-1 as signed permutations: D P D takes i to image[turn[image[i]]]
+    # with sign turn_sign[image[i]], and P^-1 takes turn[k] back to k with
+    # sign turn_sign[k]
+    inverse = np.argsort(turn)
+    assert np.array_equal(image[turn[image]], inverse)
+    assert np.array_equal(turn_sign[image], turn_sign[inverse])
+    for th in (0.1, 0.7, 1.3, 2.9):
+        R, mirrored = fan.rows(positions, th), fan.rows(positions, np.pi / 2 - th)
+        assert np.linalg.norm(mirrored[image, ::-1] - R) <= 1e-12 * np.linalg.norm(R)
+    # an open half-plane window, and the Radon model
+    assert fan.symmetry(np.flatnonzero(a.n1 >= 0)) is None
+    assert st.RadonModel(haar_atlas_j3).symmetry(positions) is None
 
 
 def test_fanbeam_zero_signal(haar_atlas_j2):
