@@ -124,34 +124,39 @@ def compute_gram(model, positions, n_quad: int | None = None,
     (c_hat, C_hat) of normal / outer(d, d) with d = 2^(-b scale), c_hat
     clamped at 0 as sigma_min is.
 
-    One pass over the quadrature nodes (models._population_pass) serves
-    every consumer: the n_quad Gram, the 2 n_quad Gram of check_convergence,
-    and the coherence norms at min(n_quad, 64) nodes, which are the norms of
-    the same rows (every model's atom_norms at each visited node, bit for
-    bit).  The uniform rules
-    of the tomographic models are nested (the n-node rule is every other node
-    of the 2n-node rule, bit for bit), so the runs at each distinct angle are
-    computed once; each Gram takes SampledSystem.gram's hit-row products and
-    equals population_gram_matrix under its own rule.  The fan beam's pass
-    visits one octant of each rule and the axis angles, and folds in the
-    other octants by the square's symmetry; its coherence norms outside the
-    visited angles are the norms at their octant's angle, permuted.
-    FourierWaveletModel.population_nodes ignores n, so its doubling check
-    compares the same exact quadrature and its shift is 0 by construction.
+    The n_quad Gram and the coherence norms at min(n_quad, 64) nodes come
+    from one pass over the n_quad rule (models._population_pass), so the
+    norms are those of the Gram's rows (every model's atom_norms at each
+    visited node, bit for bit).  check_convergence compares sigma_min with
+    that of the 2 n_quad Gram.  Where the 2 n_quad rule's even nodes at
+    twice their weights are the n_quad rule, bit for bit (the uniform rules
+    of the tomographic models), that Gram is (G + G_half) / 2, G_half the
+    pass over its odd nodes at twice their weights: the half-step rule, so
+    no node is visited twice.  Otherwise (Gauss-Legendre rules do not nest,
+    and FourierWaveletModel.population_nodes ignores n, so its shift is 0 by
+    construction) the 2 n_quad rule takes a pass of its own.  The fan beam's
+    passes visit one octant of their rule, and the uniform rule's axis
+    angles, and fold in the other octants by the square's symmetry; its
+    coherence norms outside the visited angles are the norms at their
+    octant's angle, permuted.
     """
     positions = np.asarray(positions, dtype=int)
     if n_quad is None:
         n_quad = default_quadrature(model, positions)
-    rules = [model.population_nodes(n_quad)]
-    if check_convergence:
-        rules.insert(0, model.population_nodes(2 * n_quad))
+    nodes, wts = model.population_nodes(n_quad)
     coh_nodes, _ = model.population_nodes(min(n_quad, 64))
-    grams, norms = _population_pass(model, positions, rules, coh_nodes)
-    normal = grams[-1]
+    normal, norms = _population_pass(model, positions, nodes, wts, coh_nodes)
     sigma_min, sigma_max, fbi_flag = _normal_spectrum(normal)
     shift = None
     if check_convergence:
-        s2 = float(np.sqrt(max(np.linalg.eigvalsh(grams[0]).min(), 0.0)))
+        fine, fine_wts = model.population_nodes(2 * n_quad)
+        if np.array_equal(fine[::2], nodes) and np.array_equal(2.0 * fine_wts[::2], wts):
+            normal2, _ = _population_pass(model, positions, fine[1::2], 2.0 * fine_wts[1::2])
+            normal2 += normal
+            normal2 *= 0.5
+        else:
+            normal2, _ = _population_pass(model, positions, fine, fine_wts)
+        s2 = float(np.sqrt(max(np.linalg.eigvalsh(normal2).min(), 0.0)))
         shift = abs(sigma_min - s2) / max(s2, 1e-300)
         if shift > 0.01:
             raise NumericalConsistencyError(

@@ -20,11 +20,11 @@ import numpy as np
 
 from . import io as stio
 from .certify import recovery_rule_m
-from .experiments import (ExperimentConfig, build_model, calibrate_recovery_constant,
-                          fit_scaling, fit_scaling_windowed, recovery_cells,
-                          run_certification_report, run_recovery_cell, run_recovery_sweep)
+from .experiments import (EXACT_TOL, ExperimentConfig, _exact_recovery_errors, build_model,
+                          calibrate_recovery_constant, fit_scaling, fit_scaling_windowed,
+                          recovery_cells, run_certification_report, run_recovery_sweep)
 from .models import assemble_system, draw_samples
-from .phantoms import PhantomSpec, make_phantom
+from .phantoms import make_phantom
 from .solve import SolveConfig, solve_constrained_l1
 from .wavelets import build_atlas, build_filter, synthesis, truncation_positions
 from .weights import WeightVector
@@ -243,15 +243,10 @@ def exact_recovery(s, j0, pilot_j0, gamma, n_seeds):
     m = recovery_rule_m(c0, s, j0, gamma=gamma)
     click.echo(f"calibrated C0 = {c0:.4f}; rule gives m = {m} at j0 = {j0}")
     model = build_model("radon", order=1, j_max=j0 + 1)
-    good = 0
-    for seed in range(n_seeds):
-        _, x_full, meta = make_phantom(model.atlas, PhantomSpec("sparse", s=s, seed=seed), j0)
-        rec = run_recovery_cell(model.atlas, model, j0, x_full, 0.0, m, seed, 1.0,
-                                SolveConfig(max_iters=20000), record_meta=meta)
-        rel = rec.err_l2 / np.linalg.norm(x_full)
-        good += bool(rel <= 1e-5)
-        click.echo(f"seed {seed}: rel err {rel:.2e} {'ok' if rel <= 1e-5 else 'MISS'}")
-    click.echo(f"{good}/{n_seeds} exact recoveries")
+    errors = _exact_recovery_errors(model, j0, s, m, n_seeds)
+    for seed, rel in enumerate(errors):
+        click.echo(f"seed {seed}: rel err {rel:.2e} {'ok' if rel <= EXACT_TOL else 'MISS'}")
+    click.echo(f"{sum(e <= EXACT_TOL for e in errors)}/{n_seeds} exact recoveries")
 
 
 @main.command()

@@ -249,36 +249,42 @@ def fit_scaling_windowed(records, x_axis: str):
     return res[0], res[1], r2, window, (not passes)
 
 
+EXACT_TOL = 1e-5        # relative error of an exact recovery
+
+
+def _exact_recovery_errors(model, j0: int, s: int, m: int, n_seeds: int) -> list:
+    """Relative errors of noiseless recovery from m angles on the scale <= j0
+    window, one per seed: the seed's s-sparse phantom, solved at beta = 0,
+    zeta = 1 and at most 20,000 iterations."""
+    errors = []
+    for seed in range(n_seeds):
+        _, x_full, meta = make_phantom(model.atlas, PhantomSpec("sparse", s=s, seed=seed), j0)
+        rec = run_recovery_cell(model.atlas, model, j0, x_full, 0.0, m, seed, 1.0,
+                                SolveConfig(max_iters=20000), record_meta=meta)
+        errors.append(rec.err_l2 / float(np.linalg.norm(x_full)))
+    return errors
+
+
 def calibrate_recovery_constant(order: int = 1, s: int = 5, j0: int = 2,
                                 n_seeds: int = 20) -> float:
     """Calibrate the universal constant of the m >= C0 s j0 log^3 s rule on a
     pilot: bisect, from m = 64 up to 4096, to the smallest sample count where
     every seed's noiseless exactly sparse signal is recovered to relative
-    error 1e-5, and freeze the ratio."""
+    error EXACT_TOL, and freeze the ratio."""
     model = build_model("radon", order=order, j_max=j0 + 1)
-    atlas = model.atlas
 
-    def success_count(m):
-        good = 0
-        for seed in range(n_seeds):
-            spec = PhantomSpec("sparse", s=s, seed=seed)
-            _, x_full, meta = make_phantom(atlas, spec, j0)
-            rec = run_recovery_cell(atlas, model, j0, x_full, 0.0, m, seed,
-                                    1.0, SolveConfig(max_iters=20000), record_meta=meta)
-            nrm = float(np.linalg.norm(x_full))
-            if nrm > 0 and rec.err_l2 / nrm <= 1e-5:
-                good += 1
-        return good
+    def recovers(m):
+        return all(e <= EXACT_TOL for e in _exact_recovery_errors(model, j0, s, m, n_seeds))
 
     hi = 64
-    while success_count(hi) < n_seeds:
+    while not recovers(hi):
         hi *= 2
         if hi > 4096:
             raise RuntimeError("calibration failed to reach the success target")
     lo = max(hi // 2, 1)
     while hi - lo > max(2, hi // 16):
         mid = (lo + hi) // 2
-        if success_count(mid) >= n_seeds:
+        if recovers(mid):
             hi = mid
         else:
             lo = mid

@@ -18,14 +18,15 @@ keeps its stacked operator A as those runs, with quadrature weights and
 1/sqrt(m) folded in, so plain Euclidean norms of stacked vectors equal the
 (1/m)-averaged measurement-space norms.  One kernel, _HitGram, multiplies
 the rows a chunk of runs touches as one dense block for every Gram: the
-solver's and the q-normal matrix by samples, the population Gram by
-quadrature nodes.  The fan-beam rows at source angles theta + pi/2 and
-pi/2 - theta are the rows at theta, signed and permuted
+solver's and the q-normal matrix by samples, the population Gram by the
+nodes of one quadrature rule per pass.  The fan-beam rows at source angles
+theta + pi/2 and pi/2 - theta are the rows at theta, signed and permuted
 (FanBeamModel.symmetry, the square's quarter turn and diagonal reflection),
-so its population pass visits one octant of a uniform rule's nodes and the
-four axis nodes, and takes the other octants' products and row norms from
-the first octant's.  A.bin takes A one dense chunk of samples at a time;
-the whole dense A is built only for short solves and tests.
+so its pass over a uniform rule visits one octant and the four axis nodes,
+its pass over the half-step rule one octant, and each takes the other
+octants' products and row norms from the first octant's.  A.bin takes A
+one dense chunk of samples at a time; the whole dense A is built only for
+short solves and tests.
 """
 
 from __future__ import annotations
@@ -74,9 +75,6 @@ class MeasurementModel:
     # -- density / sampling -------------------------------------------------
     def density(self, t):
         return np.ones_like(np.asarray(t, float))
-
-    def density_integral(self) -> float:
-        return 1.0
 
     def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(0.0, 2.0 * np.pi, m)
@@ -609,9 +607,6 @@ class FourierWaveletModel(MeasurementModel):
         denom = np.where(t == 0, 1.0, np.abs(t))
         return 1.0 / (denom * self.c_norm)
 
-    def density_integral(self) -> float:
-        return float(np.sum(self.density(self.freqs)))
-
     def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
         p = self.density(self.freqs)
         return self.freqs[rng.choice(len(self.freqs), size=m, p=p / p.sum())]
@@ -897,123 +892,94 @@ def assemble_system(model, positions, samples, x_full=None, beta: float = 0.0,
                          tail_residual=tail_res, runs=(start, length, vals))
 
 
-def _population_pass(model, positions, rules, norm_nodes=()):
-    """Gram matrices of several quadrature rules, and the row norms at
-    norm_nodes, from the runs of each distinct node, computed once (_CHUNK
-    nodes per _runs call); the Grams are _HitGram products, so they never
-    hold a node's dense rows.
+def _population_pass(model, positions, nodes, wts, norm_nodes=()):
+    """The Gram matrix of one quadrature rule, and the row norms at
+    norm_nodes, from the runs of each node the rule visits (_CHUNK nodes per
+    _runs call); the Gram is _HitGram products, so it never holds a node's
+    dense rows.
 
     Where the model's rows have the square's symmetry on the window
-    (model.symmetry; the fan beam's), a rule that is the model's uniform
-    rule of n = 8p nodes visits only the nodes k = 0 .. p of one octant and
-    the three other axis nodes k = 2p, 4p, 6p.  The quarter turn P takes
-    node k to k + 2p and the diagonal reflection D takes it to 2p - k, each
-    carrying the rows by a signed permutation, so the rule's Gram is
-    G_axis + (1 + P)(1 + P^2)(G_diag + (1 + D) G_sector), G_sector over
-    the nodes k = 1 .. p - 1 and G_diag at k = p.  The axis nodes are
-    visited themselves because the rows there are not mapped copies of
-    each other (a ray can run along a cell edge).  Any other rule, and
-    every rule of a model without the symmetry, visits all its nodes.
+    (model.symmetry; the fan beam's), the quarter turn P and the diagonal
+    reflection D carry the rows at one node to the rows at another by a
+    signed permutation, and two rules of n = 8p nodes visit one octant:
+    - the model's uniform rule visits the sector k = 1 .. p - 1, folded by
+      D (node k to 2p - k), the diagonal node k = p, folded by
+      (1 + P)(1 + P^2) (P takes node k to k + 2p), and the four axis
+      nodes, whose rows are not mapped copies of each other (a ray can run
+      along a cell edge), so its Gram is
+      G_axis + (1 + P)(1 + P^2)(G_diag + (1 + D) G_sector);
+    - the half-step rule, the uniform rule shifted by half its step (the
+      odd nodes of the 16p-node rule, each at weight 1/(8p)), has no node on
+      an axis or a diagonal: it visits i = 0 .. p - 1 and folds by D (node i
+      to 2p - 1 - i), P^2 and P (node i to i + 2p).
+    Any other rule, or a model without the symmetry, visits every node.
+    Each part is visited _CHUNK nodes at a time, with run values scaled by
+    sqrt(w * quad_weight), one product per chunk, then folded in place, so
+    no second n x n matrix is held.
 
-    The parts (every rule's sector, then every rule's diagonal node, then
-    every rule's axis nodes, then the whole rules) are visited in that
-    order.  A part whose nodes all appear in the visit so far, in the
-    part's own order, joins it; otherwise its nodes are visited on their
-    own after.  Either way each part takes its products from its own nodes
-    only, _CHUNK of them per product in its own order, with run values
-    scaled by sqrt(w * quad_weight), into its rule's Gram; a coarser nested
-    part holds its nodes' runs until it has a chunk.  Every sector node
-    precedes every diagonal node, and both precede every axis node, so when
-    a rule's last sector product lands its Gram holds G_sector alone, and
-    when its diagonal product lands, G_diag + (1 + D) G_sector: each is
-    folded there, in place, and the axis products add to it after.  No
-    rule holds a second n x n matrix.  So each Gram is bit for bit
-    population_gram_matrix, the one-rule pass, under its rule.
-
-    Returns the Grams and the (node, row norms) pairs in norm_nodes order.
-    The norms at a visited node are the model's atom_norms there, bit for
-    bit (no model overrides MeasurementModel.atom_norms).  When norm_nodes
-    are themselves the model's uniform rule of 8p nodes under the symmetry,
-    a node that is not visited and not an axis node takes the norms of its
-    octant's node, visited if it is not already, permuted by the map that
-    carries that node to it (a norm does not see the signs or the ray
-    order); any other norm node is visited.
+    Returns the Gram and the (node, row norms) pairs in norm_nodes order.
+    A visited node's norms are the model's atom_norms there, bit for bit
+    (no model overrides MeasurementModel.atom_norms).  When norm_nodes are
+    themselves the model's uniform rule of 8p nodes under the symmetry, a
+    node off its first octant and off the axes takes the norms of its
+    octant's node, permuted by the map that carries that node to it (a norm
+    does not see the signs or the ray order).  Any node whose norms no
+    visit gives reads model.atom_norms.
     """
+    nodes, wts = np.asarray(nodes), np.asarray(wts)
     sym = model.symmetry(positions)
-    sectors, diags, axes, whole = [], [], [], []    # (rule, nodes, weights) of each part
-    for g, (nodes, wts) in enumerate(rules):
-        nodes, wts = np.asarray(nodes), np.asarray(wts)
-        p, rem = divmod(len(nodes), 8)
-        if sym is None or rem or not all(map(np.array_equal, (nodes, wts),
-                                             model.population_nodes(len(nodes)))):
-            whole.append((g, nodes, wts))
-            continue
-        if p > 1:
-            sectors.append((g, nodes[1:p], wts[1:p]))
-        diags.append((g, nodes[p:p + 1], wts[p:p + 1]))
-        axes.append((g, nodes[::2 * p], wts[::2 * p]))
-    parts = sectors + diags + axes + whole
-    folds = []          # the maps each sector and diagonal part folds in, in turn
+    parts = [(np.arange(len(nodes)), [])]       # (node indices, folds) of each part
+    p, rem = divmod(len(nodes), 8)
     if sym is not None:
         turn, mirror = sym
         half_turn = (turn[0][turn[0]], turn[1] * turn[1][turn[0]])
-        folds = [[mirror]] * len(sectors) + [[half_turn, turn]] * len(diags)
+    if sym is not None and p and not rem:
+        fine, fine_wts = model.population_nodes(2 * len(nodes))
+        if all(map(np.array_equal, (nodes, wts), model.population_nodes(len(nodes)))):
+            parts = [(np.arange(1, p), [mirror]), (np.array([p]), [half_turn, turn]),
+                     (np.arange(0, 8 * p, 2 * p), [])]
+        elif np.array_equal(nodes, fine[1::2]) and np.array_equal(wts, 2.0 * fine_wts[1::2]):
+            parts = [(np.arange(p), [mirror, half_turn, turn])]
+    visited = {float(nodes[k]) for part, _ in parts for k in part}
 
-    order, users, index, last = [], [], {}, []
-
-    def visit(t):
-        index[float(t)] = len(order)
-        order.append(t)
-        users.append([])
-        return len(order) - 1
-
-    for p, (_, nodes, wts) in enumerate(parts):
-        at = [index.get(float(t)) for t in nodes]
-        if None in at or any(b <= a for a, b in zip(at, at[1:])):
-            at = [visit(t) for t in nodes]
-        for i, w in zip(at, wts):
-            users[i].append((p, w))
-        last.append(at[-1])
     n = len(positions)
-    wanted = []         # (visit, image) of each norm node: its norms are the visit's, at image
+    wanted = []         # (node, image) of each norm node: its norms are the node's, at image
     octant, rem = divmod(len(norm_nodes), 8)
     by_symmetry = (sym is not None and octant > 0 and not rem and np.array_equal(
         norm_nodes, model.population_nodes(len(norm_nodes))[0]))
     for k, t in enumerate(norm_nodes):
-        i = index.get(float(t))
         r, s = divmod(k, 2 * octant) if by_symmetry else (0, 0)
-        if i is not None or not s:      # a visited node, an axis node, or no symmetry
-            wanted.append((visit(t) if i is None else i, None))
+        if float(t) in visited or not s:    # a visited node, an axis node, or no symmetry
+            wanted.append((float(t), None))
             continue
         image = np.arange(n)
         if s > octant:      # the reflection of node 2p - s, then r turns
             s, image = 2 * octant - s, mirror[0]
         for _ in range(r):
             image = turn[0][image]
-        i = index.get(float(norm_nodes[s]))
-        wanted.append((visit(norm_nodes[s]) if i is None else i, image))
+        wanted.append((float(norm_nodes[s]), image))
+    norms = dict.fromkeys(t for t, _ in wanted)
 
     bd = model.block_dim
-    grams = [np.zeros((n, n)) for _ in rules]
-    kernel = _HitGram(n)
-    held = [[] for _ in parts]      # each part's cells since its last product
-    norms = {i: None for i, _ in wanted}
-    for i, (atom, col, val) in enumerate(model._node_cells(positions, order)):
-        for p, w in users[i]:
-            cells = held[p]
-            cells.append((len(cells) * bd + col, atom, val * np.sqrt(w * model.quad_weight)))
-            if len(cells) == _CHUNK or i == last[p]:
-                row, a, v = map(np.concatenate, zip(*cells))
-                G = grams[parts[p][0]]
-                kernel.add(G, len(cells) * bd, row, a, v)
-                cells.clear()
-                if i == last[p] and p < len(folds):
-                    for image, sign in folds[p]:
-                        _fold(G, image, sign)
-        if i in norms:
-            norms[i] = model._row_norms(n, atom, col, val)
-    return grams, [(t, norms[i] if image is None else norms[i][np.argsort(image)])
-                   for t, (i, image) in zip(norm_nodes, wanted)]
+    G, kernel = np.zeros((n, n)), _HitGram(n)
+    for part, folds in parts:
+        for k0 in range(0, len(part), _CHUNK):
+            chunk = part[k0:k0 + _CHUNK]
+            scale = np.sqrt(wts[chunk] * model.quad_weight)
+            cells = []
+            for i, (t, (atom, col, val)) in enumerate(
+                    zip(nodes[chunk], model._node_cells(positions, nodes[chunk]))):
+                cells.append((i * bd + col, atom, val * scale[i]))
+                if float(t) in norms:
+                    norms[float(t)] = model._row_norms(n, atom, col, val)
+            kernel.add(G, len(chunk) * bd, *map(np.concatenate, zip(*cells)))
+        for image, sign in folds:
+            _fold(G, image, sign)
+    missing = [t for t, nr in norms.items() if nr is None]
+    if missing:
+        norms.update(zip(missing, model.atom_norms(positions, np.array(missing))))
+    return G, [(t, norms[s] if image is None else norms[s][np.argsort(image)])
+               for t, (s, image) in zip(norm_nodes, wanted)]
 
 
 def _fold(G, image, sign):
@@ -1029,5 +995,6 @@ def _fold(G, image, sign):
 
 def population_gram_matrix(model, positions, n_quad: int) -> np.ndarray:
     """The normal operator <F phi_i, F phi_j> over the measurement family,
-    by quadrature over the parameter space: the one-rule _population_pass."""
-    return _population_pass(model, positions, [model.population_nodes(n_quad)])[0][0]
+    by quadrature over the parameter space: the _population_pass of the
+    model's n_quad-node rule."""
+    return _population_pass(model, positions, *model.population_nodes(n_quad))[0]

@@ -132,10 +132,6 @@ class GridSpec:
     def coords(self) -> np.ndarray:
         return self.x0 + self.h * np.arange(self.npts)
 
-    @property
-    def extent(self) -> tuple[float, float]:
-        return (self.x0, self.x0 + self.h * (self.npts - 1))
-
 
 def _cascade(filt: WaveletFilter, level: int):
     """Samples of the scaling and mother functions on [0, T] at step 2^-level."""
@@ -244,18 +240,6 @@ class DictionaryAtlas:
         """
         fx, fy, i1, i2 = self.atom_profiles(idx)
         return np.outer(fy, fx), i1, i2
-
-    def atom_image(self, idx: AtomIndex) -> np.ndarray:
-        img = np.zeros((self.grid.npts, self.grid.npts))
-        patch, i1, i2 = self.atom_patch(idx)
-        img[i2:i2 + patch.shape[0], i1:i1 + patch.shape[1]] = patch
-        return img
-
-    def support_box(self, idx: AtomIndex):
-        """((x_lo, x_hi), (y_lo, y_hi)) of the atom support."""
-        d = dilation(idx.scale)
-        T = self.filter.support_length
-        return ((idx.n1 / d, (idx.n1 + T) / d), (idx.n2 / d, (idx.n2 + T) / d))
 
     @property
     def pad(self) -> float:

@@ -4,6 +4,8 @@ of them is on a pipeline's path:
 - an image-domain Radon transform, a Lagrangian (penalized-path) solver, the
   fitted tail decay of a coefficient field and the population Gram from
   dense rows;
+- a grid's extent, an atom's dense image and support box, and a sampling
+  density's total mass;
 - exact enumerations: the best weighted-sparse approximation and the
   restricted constant over admissible supports, the references of
   quasi_best_sparse_approx and delta_star_montecarlo;
@@ -21,15 +23,45 @@ import numpy as np
 
 from sparsetomo.certify import (GramCertificate, RipEstimate, _difference_matrix,
                                 _greedy_support, _support_delta, default_quadrature)
-from sparsetomo.models import MeasurementModel, SampledSystem, population_gram_matrix
+from sparsetomo.models import (FourierWaveletModel, MeasurementModel, SampledSystem,
+                               population_gram_matrix)
 from sparsetomo.solve import SolveResult, _column_scaling
-from sparsetomo.wavelets import DictionaryAtlas
+from sparsetomo.wavelets import DictionaryAtlas, dilation
 from sparsetomo.weights import (DimensionMismatch, SparseApproxResult, WeightVector, _coef,
                                 _result, _wvec)
 
 BRUTEFORCE_MAX_INDICES = 20
 BRUTEFORCE_MAX_WINDOW = 16
 _TRIALS = 256       # witness-search trials per pass over A's chunks
+
+
+def grid_extent(grid) -> tuple[float, float]:
+    """The first and last coordinate of a GridSpec."""
+    return (grid.x0, grid.x0 + grid.h * (grid.npts - 1))
+
+
+def atom_image(atlas, idx) -> np.ndarray:
+    """The atom's dense image on the atlas grid: its patch at its offsets."""
+    img = np.zeros((atlas.grid.npts, atlas.grid.npts))
+    patch, i1, i2 = atlas.atom_patch(idx)
+    img[i2:i2 + patch.shape[0], i1:i1 + patch.shape[1]] = patch
+    return img
+
+
+def support_box(atlas, idx):
+    """((x_lo, x_hi), (y_lo, y_hi)) of the atom's support."""
+    d = dilation(idx.scale)
+    T = atlas.filter.support_length
+    return ((idx.n1 / d, (idx.n1 + T) / d), (idx.n2 / d, (idx.n2 + T) / d))
+
+
+def density_integral(model) -> float:
+    """The sampling density's total mass: its sum over the bandwidth under
+    the Fourier model's counting measure, 1 for the other models, whose
+    density is identically 1 against a probability measure."""
+    if isinstance(model, FourierWaveletModel):
+        return float(np.sum(model.density(model.freqs)))
+    return 1.0
 
 
 def radon_image(image: np.ndarray, grid, theta: float, s_grid: np.ndarray,
@@ -40,7 +72,7 @@ def radon_image(image: np.ndarray, grid, theta: float, s_grid: np.ndarray,
     h = grid.h
     step = h / 2.0 if step is None else step
     c, s = np.cos(theta), np.sin(theta)
-    half = grid.extent[1] * np.sqrt(2.0) + h
+    half = grid_extent(grid)[1] * np.sqrt(2.0) + h
     ts = np.arange(-half, half + step, step)
     X = s_grid[:, None] * c - ts[None, :] * s
     Y = s_grid[:, None] * s + ts[None, :] * c
@@ -131,11 +163,11 @@ def tail_decay_exponent(atlas: DictionaryAtlas, x) -> float:
     return float(-(jc @ (ys - ys.mean())) / (jc @ jc))
 
 
-def dense_population_gram(model, positions, n_quad: int) -> np.ndarray:
-    """The population Gram sum_t w_t quad_weight R_t R_t^T by quadrature,
-    one node's dense rows R_t = model.rows(positions, t) at a time."""
+def dense_population_gram(model, positions, nodes, wts) -> np.ndarray:
+    """The population Gram sum_t w_t quad_weight R_t R_t^T by the quadrature
+    rule (nodes, wts), one node's dense rows R_t = model.rows(positions, t)
+    at a time."""
     positions = np.asarray(positions, dtype=int)
-    nodes, wts = model.population_nodes(n_quad)
     n = len(positions)
     G = np.zeros((n, n))
     for t, w in zip(nodes, wts):

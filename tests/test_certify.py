@@ -5,7 +5,7 @@ import sparsetomo as st
 from sparsetomo.certify import (NumericalConsistencyError, _greedy_support, _normal_spectrum,
                                 _support_delta)
 from sparsetomo.experiments import build_model
-from sparsetomo.models import _CHUNK, _population_pass, population_gram_matrix
+from sparsetomo.models import _CHUNK, _HitGram, _population_pass, population_gram_matrix
 
 import oracles
 from oracles import (SyntheticDiagonalModel, delta_star_bruteforce, dense_population_gram,
@@ -73,9 +73,10 @@ PASS_MODELS = {
 
 @pytest.mark.parametrize("kind", list(PASS_MODELS))
 def test_gram_pass_matches_single_rule_oracles(kind, haar_atlas_j2):
-    # one pass over the nodes gives every consumer what its own quadrature
-    # gave, bit for bit, and hands each distinct node to the row kernel once,
-    # at most _CHUNK nodes per call
+    # the n rule's pass gives the Gram and the coherence norms that its own
+    # quadrature gave, bit for bit; the doubling check adds the half-step
+    # rule where the rules nest, and each pass hands each of its nodes to
+    # the row kernel once, at most _CHUNK nodes per call
     model = PASS_MODELS[kind](haar_atlas_j2)
     w = np.arange(model.dictionary_size())
     calls = []
@@ -93,6 +94,15 @@ def test_gram_pass_matches_single_rule_oracles(kind, haar_atlas_j2):
 
     assert np.array_equal(cert.normal, population_gram_matrix(model, w, n))
     normal2 = population_gram_matrix(model, w, 2 * n)
+    fine, fine_wts = model.population_nodes(2 * n)
+    if kind in ("radon", "fanbeam"):
+        # the 2n rule's even nodes at twice their weights are the n rule, so
+        # its Gram is the mean of the n rule's and the half-step rule's,
+        # which is the 2n rule's own up to rounding
+        half, _ = _population_pass(model, w, fine[1::2], 2.0 * fine_wts[1::2])
+        mean = 0.5 * (cert.normal + half)
+        assert np.linalg.norm(mean - normal2) <= 1e-15 * np.linalg.norm(normal2)
+        normal2 = mean
     s2 = float(np.sqrt(max(np.linalg.eigvalsh(normal2).min(), 0.0)))
     assert cert.sigma_min_shift == abs(cert.sigma_min - s2) / max(s2, 1e-300)
 
@@ -116,22 +126,72 @@ def test_gram_pass_matches_single_rule_oracles(kind, haar_atlas_j2):
     else:
         assert np.array_equal(cert.scale_coherence_max, maxima(nr))
 
-    distinct = {float(t) for k in (n, 2 * n, min(n, 64))
-                for t in model.population_nodes(k)[0]}
+    nodes_n = [float(t) for t in model.population_nodes(n)[0]]
+    if kind == "radon":     # the n rule, then the half-step rule: the 2n rule's nodes
+        assert calls == nodes_n + [float(t) for t in fine[1::2]]
+        assert len(set(calls)) == 2 * n
     if kind == "fanbeam":
-        # under the square's symmetry the 2n rule visits its first octant
-        # (the sector, the diagonal node and axis node 0) and its other axis
-        # nodes; these hold the n rule's and the coherence rule's octants
-        nodes2, _ = model.population_nodes(2 * n)
-        distinct = {float(t) for t in (*nodes2[:n // 4 + 1], *nodes2[::n // 2])}
-    assert len(calls) == len(set(calls)) == len(distinct)
-    assert set(calls) == distinct
-    if kind == "radon":
-        assert len(calls) == 2 * n
-    if kind == "fanbeam":   # n = 128: 31 sector nodes, the diagonal and 4 axis nodes
-        assert len(calls) == 36
+        # under the square's symmetry the n rule visits its first octant and
+        # its axis nodes, the half-step rule its first p nodes: together the
+        # 2n rule's first octant and its axis nodes, n = 128: 36 angles
+        q = n // 4
+        assert calls == nodes_n[1:q // 2 + 1] + nodes_n[::q] + [float(t) for t in fine[1:q:2]]
+        assert set(calls) == {float(t) for t in (*fine[:q + 1], *fine[::2 * q])}
+        assert len(calls) == len(set(calls)) == 36
+    if kind in ("fourier", "legendre"):
+        # the rules do not nest: the 2n rule takes a pass of its own
+        assert calls == nodes_n + [float(t) for t in fine]
+        assert np.array_equal(normal2, population_gram_matrix(model, w, 2 * n))
     if kind == "fourier":   # population_nodes ignores n: the same quadrature
         assert cert.sigma_min_shift == 0.0
+
+
+@pytest.mark.parametrize("kind", ["fanbeam", "radon"])
+def test_gram_doubling_products(kind, monkeypatch, radon_j2):
+    # the doubling check's half-step rule shares no node with the n rule, and
+    # no rule's products repeat another's: on the certify-fan window the n
+    # rule's sector, diagonal and axis products and one half-step product
+    # (n = 128), on the Radon window 8 + 8 products of 16 nodes (7 and 24 when
+    # the 2n rule took products of its own)
+    if kind == "fanbeam":
+        model = build_model("fanbeam", j_max=3)
+        w, expect = np.flatnonzero(model.scales() <= 2), 4
+    else:
+        model, expect = radon_j2, 16
+        w = all_positions(model)
+    counted = []
+    add = _HitGram.add
+
+    def counting_add(self, *args, **kwargs):
+        counted.append(1)
+        return add(self, *args, **kwargs)
+
+    monkeypatch.setattr(_HitGram, "add", counting_add)
+    st.compute_gram(model, w, check_convergence=True)
+    assert len(counted) == expect
+
+
+def test_fanbeam_half_step_rule_visits_first_octant(haar_atlas_j2):
+    # the half-step rule has no node on an axis or a diagonal: every orbit
+    # of the square's symmetry has 8 nodes, and its pass visits the first p
+    # of its 8p nodes (16 of 128)
+    model = st.FanBeamModel(haar_atlas_j2)
+    w = all_positions(model)
+    fine, fine_wts = model.population_nodes(256)
+    nodes, wts = fine[1::2], 2.0 * fine_wts[1::2]
+    calls = []
+    runs = model._runs
+
+    def counting_runs(positions, ts):
+        calls.extend(float(t) for t in ts)
+        return runs(positions, ts)
+
+    model._runs = counting_runs
+    G, _ = _population_pass(model, w, nodes, wts)
+    del model._runs
+    assert calls == [float(t) for t in nodes[:16]]
+    expect = dense_population_gram(model, w, nodes, wts)
+    assert np.linalg.norm(G - expect) <= 1e-14 * np.linalg.norm(expect)
 
 
 @pytest.mark.parametrize("kind", list(PASS_MODELS) + ["synthetic"])
@@ -142,11 +202,11 @@ def test_gram_pass_matches_dense_oracle(kind, haar_atlas_j2, synthetic_model):
     w = np.arange(model.dictionary_size())
     cert = st.compute_gram(model, w)
     n = cert.n_quad
-    expect = dense_population_gram(model, w, n)
+    expect = dense_population_gram(model, w, *model.population_nodes(n))
     for G in (cert.normal, population_gram_matrix(model, w, n)):
         assert np.linalg.norm(G - expect) <= 1e-14 * np.linalg.norm(expect)
     nodes, _ = model.population_nodes(min(n, 64))
-    _, norms = _population_pass(model, w, [model.population_nodes(n)], nodes)
+    _, norms = _population_pass(model, w, *model.population_nodes(n), nodes)
     assert [t for t, _ in norms] == list(nodes)
     got = np.array([nr for _, nr in norms])
     dense = np.array([np.sqrt((R * R).sum(axis=1) * model.quad_weight)
@@ -159,7 +219,9 @@ def test_gram_pass_matches_dense_oracle(kind, haar_atlas_j2, synthetic_model):
                                   "n_not_divisible_by_8"])
 def test_fanbeam_pass_without_quarter_turn_visits_every_node(case, haar_atlas_j2):
     # a window that the square's symmetry leaves, or a rule whose nodes do
-    # not fall into octants, takes every node to the row kernel
+    # not fall into octants, takes every node to the row kernel; a norm node
+    # that no visit covers reads atom_norms, once, and under the symmetry an
+    # off-octant node takes its octant node's norms permuted
     model = st.FanBeamModel(haar_atlas_j2)
     if case == "open_window":
         w, n = np.flatnonzero(haar_atlas_j2.n1 >= 0), 64
@@ -176,11 +238,18 @@ def test_fanbeam_pass_without_quarter_turn_visits_every_node(case, haar_atlas_j2
         return runs(positions, ts)
 
     model._runs = counting_runs
-    G = population_gram_matrix(model, w, n)
+    norm_nodes = model.population_nodes(64)[0]
+    G, norms = _population_pass(model, w, *model.population_nodes(n), norm_nodes)
     del model._runs
-    assert sorted(calls) == sorted(float(t) for t in model.population_nodes(n)[0])
-    expect = dense_population_gram(model, w, n)
+    assert calls[:n] == [float(t) for t in model.population_nodes(n)[0]]
+    assert len(set(calls)) == len(calls) and set(calls[n:]) <= set(norm_nodes.tolist())
+    assert np.array_equal(G, population_gram_matrix(model, w, n))
+    expect = dense_population_gram(model, w, *model.population_nodes(n))
     assert np.linalg.norm(G - expect) <= 1e-14 * np.linalg.norm(expect)
+    got = np.array([nr for _, nr in norms])
+    dense = np.array([np.sqrt((R * R).sum(axis=1) * model.quad_weight)
+                      for R in (model.rows(w, t) for t in norm_nodes)])
+    assert np.linalg.norm(got - dense) <= 1e-14 * np.linalg.norm(dense)
 
 
 def test_radon_shared_dilation_coherence_maxima_agree():

@@ -1,6 +1,7 @@
 """src/ holds the pipeline: every public module-level function or class of the
-package is run by a CLI command or the benchmark, or is named below
-with the reason it stays.  Test-only oracles belong in tests/oracles.py."""
+package, and every public method or property of such a class, is run by a
+CLI command or the benchmark, or is named below with the reason it stays.
+Test-only oracles belong in tests/oracles.py."""
 
 import ast
 from pathlib import Path
@@ -29,6 +30,8 @@ def _is_click_command(node) -> bool:
 
 
 def _public_definitions():
+    """(module, name a caller uses, is a click command) of each public
+    definition, keyed "name" at module level and "Class.name" in a class."""
     defs = {}
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
@@ -36,7 +39,10 @@ def _public_definitions():
         for node in ast.parse(path.read_text()).body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")):
-                defs[node.name] = (path.name, _is_click_command(node))
+                defs[node.name] = (path.name, node.name, _is_click_command(node))
+                for item in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        defs[f"{node.name}.{item.name}"] = (path.name, item.name, False)
     return defs
 
 
@@ -60,8 +66,8 @@ def _referenced_names():
 
 def test_every_public_definition_has_a_pipeline_caller():
     used = _referenced_names()
-    orphans = sorted(f"{mod}:{name}" for name, (mod, command) in _public_definitions().items()
-                     if not (name in used or command or name in ALLOWED))
+    orphans = sorted(f"{mod}:{key}" for key, (mod, name, command) in _public_definitions().items()
+                     if not (name in used or command or key in ALLOWED))
     assert orphans == [], "public definitions in src/ that only tests reach: " + ", ".join(orphans)
 
 

@@ -5,7 +5,7 @@ import sparsetomo as st
 from sparsetomo.io import write_trace_csv
 from sparsetomo.solve import solve_constrained_l1_matrix
 
-from oracles import solve_penalized_path
+from oracles import atom_image, solve_penalized_path
 
 
 def toy_system(model, m=4, seed=0, x_true=None, beta=0.0):
@@ -301,7 +301,7 @@ def test_reconstruct_image_unit_vector(haar_atlas_j2):
     x = np.zeros(len(a))
     x[w] = np.eye(len(w))[3]        # x_hat of the window, scattered into the atlas
     img = st.synthesis(a, x)
-    assert np.array_equal(img, a.atom_image(a.gamma[w[3]]))
+    assert np.array_equal(img, atom_image(a, a.gamma[w[3]]))
 
 
 def test_reconstruct_image_norm_isometry(haar_atlas_j2):
