@@ -10,13 +10,12 @@ from .models import (FanBeamModel, FourierWaveletModel, LegendrePointModel,
                      RadonModel, SampledSystem, assemble_system, draw_samples,
                      population_gram_matrix)
 from .certify import (GramCertificate, RipEstimate, compute_gram,
-                      delta_star_montecarlo, sample_complexity)
+                      delta_star_montecarlo, recovery_rule_m, sample_complexity)
 from .solve import SolveConfig, SolveResult, solve_constrained_l1
 from .phantoms import PhantomSpec, make_phantom
 from .io import SweepRecord
 from .experiments import (ExperimentConfig, calibrate_recovery_constant, fit_scaling,
-                          fit_scaling_windowed, j0_for_beta,
-                          recovery_rule_m, run_certification_report,
+                          fit_scaling_windowed, j0_for_beta, run_certification_report,
                           run_recovery_sweep)
 
 __version__ = "0.1.0"

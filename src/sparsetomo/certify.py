@@ -264,11 +264,11 @@ def recovery_rule_m(c0: float, s: int, j0: int, gamma: float = 0.1) -> int:
 
 
 def sample_complexity(cert: GramCertificate, s: float, M: int, gamma: float,
-                      variant: str, zeta: float = 1.0, j0: int | None = None,
+                      variant: str, zeta: float = 1.0,
                       omega: WeightVector | None = None) -> int:
     """Number of samples prescribed by one of the supported sample-count
-    rules, with all measured constants taken from the certificate and the
-    universal constant set to 1.
+    rules, with all measured constants taken from the certificate, j0 the
+    top scale of its window (0 without scales), and the universal constant 1.
 
     conditioning:        worst-case rule through the window conditioning,
                          tau = B^2 ||G^-1||^4 ||G||^2 s
@@ -285,9 +285,8 @@ def sample_complexity(cert: GramCertificate, s: float, M: int, gamma: float,
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie in (0, 1)")
     b = cert.smoothing_exponent
-    if j0 is None:
-        sc = cert.scales
-        j0 = 0 if sc is None else int(sc[cert.positions].max())
+    sc = cert.scales
+    j0 = 0 if sc is None else int(sc[cert.positions].max())
     log_gamma = np.log(1.0 / gamma)
     if variant == "conditioning":
         tau = cert.coherence_B ** 2 * cert.inv_norm ** 4 * cert.sigma_max ** 2 * s

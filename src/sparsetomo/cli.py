@@ -197,7 +197,9 @@ def reconstruct(config_path, **flags):
     stio.write_image_binary(os.path.join(out, "reconstruction.bin"), img, a.grid)
     stio.write_pgm(os.path.join(out, "reconstruction.pgm"), img)
     stio.write_system_dir(os.path.join(out, "system"), system,
-                          meta={"seed": seed, "beta": beta})
+                          meta={"seed": seed, "beta": beta, "model": exp.model,
+                                "wavelet_order": exp.wavelet_order, "jmax": exp.j_max,
+                                "j0": exp.j0})
     err = float(np.linalg.norm(res.x_hat - x_full[window]))
     click.echo(f"status {res.status} iterations {res.iterations} "
                f"residual {res.residual!r} window_err {err!r}")

@@ -11,8 +11,7 @@ import numpy as np
 
 from . import io as stio
 from .io import SweepRecord
-from .certify import (compute_gram, delta_star_montecarlo, recovery_rule_m,
-                      sample_complexity)
+from .certify import compute_gram, delta_star_montecarlo, sample_complexity
 from .models import (FanBeamModel, FourierWaveletModel, LegendrePointModel,
                      RadonModel, assemble_system, draw_samples)
 from .phantoms import PhantomSpec, make_phantom

@@ -1,6 +1,7 @@
 """On-disk formats: flat little-endian float64 binaries with plain-text
 headers, 8-bit PGM previews, RFC-4180 records CSV, solver trace CSV,
-sampled system directories, and certificate reports.
+sampled system directories (the samples, y and the keys that rebuild A, not
+A itself), and certificate reports.
 
 Every writer formats floats with repr (shortest round-trip), so reruns under
 the same seed produce byte-identical files.
@@ -134,16 +135,18 @@ def read_atlas_patches(path: str):
 
 
 def write_system_dir(path: str, system, meta: dict | None = None):
-    """samples.csv, A.bin, y.bin, meta.txt in one directory."""
+    """samples.csv, y.bin and meta.txt in one directory, and not A: the
+    samples and reconstruct's meta keys model, wavelet_order, jmax and j0
+    rebuild it through build_model(model, wavelet_order, jmax),
+    truncation_positions(atlas, j0) and assemble_system, at build_model's
+    default s_step, which no reconstruct flag or config key sets.  y.bin
+    holds the noise and the out-of-window data, which the samples do not."""
     os.makedirs(path, exist_ok=True)
     with open(os.path.join(path, "samples.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "t", "q_weight"])
         for k, (t, q) in enumerate(zip(system.samples, system.q_weights)):
             w.writerow([k, _fmt(t), _fmt(q)])
-    with open(os.path.join(path, "A.bin"), "wb") as fh:
-        for _, block in system.dense_chunks():
-            block.astype("<f8", copy=False).tofile(fh)
     system.y.astype("<f8").tofile(os.path.join(path, "y.bin"))
     with open(os.path.join(path, "meta.txt"), "w") as fh:
         fh.write(f"m {system.m}\n")
@@ -153,20 +156,6 @@ def write_system_dir(path: str, system, meta: dict | None = None):
         fh.write(f"tail_residual {_fmt(system.tail_residual)}\n")
         for k, v in (meta or {}).items():
             fh.write(f"{k} {_fmt(v)}\n")
-
-
-def read_system_matrices(path: str):
-    meta = {}
-    with open(os.path.join(path, "meta.txt")) as fh:
-        for line in fh.read().splitlines():
-            k, v = line.split(None, 1)
-            meta[k] = v
-    m = int(meta["m"])
-    bd = int(meta["block_dim"])
-    n = int(meta["n_window"])
-    A = np.fromfile(os.path.join(path, "A.bin"), dtype="<f8").reshape(m * bd, n)
-    y = np.fromfile(os.path.join(path, "y.bin"), dtype="<f8")
-    return A, y, meta
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,8 @@ theta + pi/2 and pi/2 - theta are the rows at theta, signed and permuted
 (FanBeamModel.symmetry, the square's quarter turn and diagonal reflection),
 so its pass over a uniform rule visits one octant and the four axis nodes,
 its pass over the half-step rule one octant, and each takes the other
-octants' products and row norms from the first octant's.  A.bin takes A
-one dense chunk of samples at a time; the whole dense A is built only for
-short solves and tests.
+octants' products and row norms from the first octant's.  The whole dense
+A is built only for short solves and tests.
 """
 
 from __future__ import annotations
@@ -725,10 +724,9 @@ class SampledSystem:
     _CHUNK samples the runs' values, sample by sample and atom by atom.
     Every reader of A reads the runs: `gram` and `q_normal_matrix` through
     _HitGram, `matvec` by sums, and `dense_chunks` gives the dense rows of
-    one chunk at a time, for A.bin and `matrix`, the dense
-    (m * block_dim, len(positions)) A that only short solves and tests ask
-    for.  A dense `matrix` passed in is held as runs that each cover a
-    whole block.
+    one chunk at a time, for `matrix`, the dense (m * block_dim,
+    len(positions)) A that only short solves and tests ask for.  A dense
+    `matrix` passed in is held as runs that each cover a whole block.
     """
 
     def __init__(self, model, positions, samples, q_weights, y, noise_bound,

@@ -11,13 +11,11 @@ import numpy as np
 import pytest
 
 import sparsetomo as st
-from sparsetomo.certify import _support_delta
+from sparsetomo.certify import _support_delta, recovery_rule_m
 from sparsetomo.experiments import (ExperimentConfig, build_model,
-                                    calibrate_recovery_constant,
-                                    recovery_rule_m, run_recovery_cell)
+                                    calibrate_recovery_constant, run_recovery_cell)
 from sparsetomo.phantoms import make_phantom
 from sparsetomo.solve import SolveConfig, solve_constrained_l1_matrix
-from sparsetomo.wavelets import dilation
 
 from oracles import best_sparse_approx_bruteforce, delta_star_bruteforce
 

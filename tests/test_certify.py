@@ -449,10 +449,11 @@ def test_delta_star_capacity_guard(haar_atlas_j2, radon_j2):
 
 
 def test_sample_complexity_sparsity_rule_formula(synthetic_cert):
-    m = st.sample_complexity(synthetic_cert, s=8, M=100, gamma=0.1,
-                             variant="sparsity", j0=3)
-    assert m == int(np.ceil(8 * max(3 * np.log(8) ** 3, np.log(10.0))))
-    assert m == 216
+    # j0 is the top scale of the certificate's window, 2
+    m = st.sample_complexity(synthetic_cert, s=8, M=100, gamma=0.1, variant="sparsity")
+    assert m == st.recovery_rule_m(1.0, 8, 2, 0.1)
+    assert m == int(np.ceil(8 * max(2 * np.log(8) ** 3, np.log(10.0))))
+    assert m == 144
 
 
 def test_sample_complexity_conditioning_isometry():
@@ -471,7 +472,7 @@ def test_sample_complexity_relative_coherence_collapse(synthetic_model, syntheti
     # window factor entirely
     s = 4
     m = st.sample_complexity(synthetic_cert, s=s, M=6, gamma=0.1,
-                             variant="relative_coherence", zeta=1.0, j0=2)
+                             variant="relative_coherence", zeta=1.0)
     B = synthetic_cert.coherence_B
     js = np.arange(len(synthetic_cert.d_exponents))
     maxfac = np.max(synthetic_cert.d_exponents ** -2.0 * 2.0 ** (2 * 0.5 * js))

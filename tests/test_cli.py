@@ -1,5 +1,5 @@
+import csv
 import json
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -8,9 +8,11 @@ from click.testing import CliRunner
 
 from sparsetomo import io as stio
 from sparsetomo.cli import main
-from sparsetomo.experiments import ExperimentConfig, run_recovery_sweep
-from sparsetomo.phantoms import PhantomSpec
+from sparsetomo.experiments import ExperimentConfig, build_model, run_recovery_sweep
+from sparsetomo.models import assemble_system, draw_samples
+from sparsetomo.phantoms import PhantomSpec, make_phantom
 from sparsetomo.solve import SolveConfig
+from sparsetomo.wavelets import truncation_positions
 
 
 @pytest.fixture()
@@ -125,8 +127,25 @@ def test_reconstruct_outputs(tmp_path, runner):
     assert (tmp_path / "reconstruction.pgm").exists()
     assert (tmp_path / "reconstruction.bin").exists()
     assert (tmp_path / "trace.csv").exists()
-    assert (tmp_path / "system" / "A.bin").exists()
     assert "status optimal" in res.output
+    # the system directory records what rebuilds A, not A
+    sysdir = tmp_path / "system"
+    assert not (sysdir / "A.bin").exists()
+    meta = dict(line.split(" ", 1) for line in (sysdir / "meta.txt").read_text().splitlines())
+    with open(sysdir / "samples.csv", newline="") as fh:
+        samples = np.array([float(row["t"]) for row in csv.DictReader(fh)])
+    model = build_model(meta["model"], int(meta["wavelet_order"]), int(meta["jmax"]))
+    rebuilt = assemble_system(model, truncation_positions(model.atlas, int(meta["j0"])),
+                              samples)
+    # the run's own system, from the same inputs
+    run_model = build_model("radon", 1, 2)
+    window = truncation_positions(run_model.atlas, 1)
+    _, x_full, _ = make_phantom(run_model.atlas, PhantomSpec("sparse", s=2, seed=3), 1)
+    system = assemble_system(run_model, window, draw_samples(run_model, 24, seed=3),
+                             x_full=x_full, beta=0.0, noise_seed=4)
+    assert np.array_equal(rebuilt.matrix, system.matrix)
+    assert np.array_equal(rebuilt.q_weights, system.q_weights)
+    assert np.array_equal(np.fromfile(sysdir / "y.bin", dtype="<f8"), system.y)
 
 
 def test_readme_reconstruct_example_certifies(tmp_path, runner):

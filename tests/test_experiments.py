@@ -4,7 +4,6 @@ import pytest
 import sparsetomo as st
 from sparsetomo.experiments import (ExperimentConfig, SweepRecord, build_model,
                                     noise_matched_m_rule, recovery_cells, run_recovery_cell)
-from sparsetomo import io as stio
 
 
 def synthetic_records(exponent, betas, noise=0.0, seed=0):

@@ -1,7 +1,6 @@
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 import sparsetomo as st
 from sparsetomo import io as stio
@@ -53,38 +52,23 @@ def test_atlas_export_import(tmp_path, haar_atlas_j2):
 
 
 def test_system_dir_round_trip(tmp_path, haar_atlas_j2, radon_j2):
-    # A.bin is written a chunk of samples at a time: m spans two whole
-    # chunks and a partial one
+    # m spans two whole chunks of samples and a partial one; the directory
+    # holds what rebuilds A, not A
     w = st.truncation_positions(haar_atlas_j2, 1)
     m = 2 * _CHUNK + 3
     samples = st.draw_samples(radon_j2, m, 0)
     system = st.assemble_system(radon_j2, w, samples, beta=0.1, noise_seed=1)
-    stio.write_system_dir(str(tmp_path / "sys"), system, meta={"seed": 0})
-    A, y, meta = stio.read_system_matrices(str(tmp_path / "sys"))
-    assert (tmp_path / "sys" / "A.bin").read_bytes() == \
-        np.ascontiguousarray(system.matrix).astype("<f8").tobytes()
-    assert np.array_equal(A, system.matrix)
-    assert np.array_equal(y, system.y)
-    assert meta["noise_bound"] == "0.1"
-    lines = open(tmp_path / "sys" / "samples.csv").read().splitlines()
+    out = tmp_path / "sys"
+    stio.write_system_dir(str(out), system, meta={"seed": 0})
+    assert not (out / "A.bin").exists()
+    assert np.array_equal(np.fromfile(out / "y.bin", dtype="<f8"), system.y)
+    meta = dict(line.split(" ", 1) for line in (out / "meta.txt").read_text().splitlines())
+    assert meta == {"m": str(m), "block_dim": str(system.block_dim), "n_window": "64",
+                    "noise_bound": "0.1", "tail_residual": repr(system.tail_residual),
+                    "seed": "0"}
+    lines = (out / "samples.csv").read_text().splitlines()
     assert lines[0] == "k,t,q_weight"
     assert len(lines) == m + 1
-
-
-def test_system_dir_peak_memory(tmp_path, haar_atlas_j2, radon_j2):
-    # A.bin is written from one dense chunk of samples at a time, never from
-    # the whole dense A
-    import tracemalloc
-    w = st.truncation_positions(haar_atlas_j2, 1)
-    m = 16 * _CHUNK
-    system = st.assemble_system(radon_j2, w, st.draw_samples(radon_j2, m, 0))
-    tracemalloc.start()
-    try:
-        stio.write_system_dir(str(tmp_path / "sys"), system)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.25 * m * system.block_dim * len(w) * 8
 
 
 def test_records_csv_round_trip(tmp_path):

@@ -1,7 +1,8 @@
 """src/ holds the pipeline: every public module-level function or class of the
 package, and every public method or property of such a class, is run by a
 CLI command or the benchmark, or is named below with the reason it stays.
-Test-only oracles belong in tests/oracles.py."""
+Test-only oracles belong in tests/oracles.py.  Every name that a file under
+src/ or tests/ imports is read in that file."""
 
 import ast
 from pathlib import Path
@@ -14,7 +15,6 @@ ALLOWED = {
     "read_image_binary": "reads the reconstruction.bin that reconstruct writes",
     "read_pgm": "reads the reconstruction.pgm preview that reconstruct writes",
     "read_atlas_patches": "reads the atlas file that atlas build writes",
-    "read_system_matrices": "reads the system directory that reconstruct writes",
     "quasi_best_sparse_approx": "the paper's quasi-best approximation, criterion 1",
     "stechkin_bound": "the paper's Stechkin tail bound, criterion 1",
     "discrete_gram": "the dictionary's discrete Gram, criterion 2's orthonormality",
@@ -73,3 +73,32 @@ def test_every_public_definition_has_a_pipeline_caller():
 
 def test_allow_list_names_existing_definitions():
     assert set(ALLOWED) <= set(_public_definitions())
+
+
+def _unused_imports(path):
+    """file:line:name of each name the file imports and never reads; a
+    __future__ import, or one marked `# noqa: F401`, is not checked."""
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = []
+    for node in ast.walk(tree):
+        if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                or getattr(node, "module", None) == "__future__"
+                or any("# noqa: F401" in line
+                       for line in lines[node.lineno - 1:node.end_lineno])):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read:
+                unused.append(f"{path.relative_to(ROOT)}:{node.lineno}:{name}")
+    return unused
+
+
+def test_every_import_is_read():
+    unused = [entry for top in (ROOT / "src", ROOT / "tests")
+              for path in sorted(top.rglob("*.py")) if path.name != "__init__.py"
+              for entry in _unused_imports(path)]
+    assert unused == [], "imported names that are never read: " + ", ".join(unused)
