@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import SampledSystem, _population_pass
+from .models import _population_pass
 # bound here so that perfbench/tracing.py can time it as certify's Gram layer
 from .models import population_gram_matrix  # noqa: F401
 from .weights import WeightVector
@@ -226,23 +226,26 @@ def _greedy_support(order, wsq, budget: float) -> list:
     return S
 
 
-def _difference_matrix(system: SampledSystem, cert: GramCertificate) -> np.ndarray:
-    M = system.q_normal_matrix() - cert.normal
+def _difference_matrix(sampled: np.ndarray, cert: GramCertificate) -> np.ndarray:
+    M = sampled - cert.normal
     return 0.5 * (M + M.T)
 
 
-def delta_star_montecarlo(system: SampledSystem, cert: GramCertificate,
+def delta_star_montecarlo(sampled: np.ndarray, cert: GramCertificate,
                           omega: WeightVector, lam: float, trials: int,
                           seed: int = 0) -> RipEstimate:
-    """Lower bound on the restricted constant from random admissible supports
-    (random greedy filling until the weighted budget is exhausted).  The
-    distinct supports are drawn first, then evaluated in one stack per
-    support size."""
+    """Lower bound on the restricted constant of `sampled`, the Gram of m
+    samples at weights 1/(m f_nu), against cert.normal, from random
+    admissible supports (random greedy filling until the weighted budget is
+    exhausted).  The distinct supports are drawn first, then evaluated in
+    one stack per support size."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    n = len(system.positions)
+    n = len(omega)
+    if np.shape(sampled) != (n, n) or cert.normal.shape != (n, n):
+        raise ValueError(f"{n} weights, sampled {np.shape(sampled)}, normal {cert.normal.shape}")
     wsq = omega.values ** 2
-    M = _difference_matrix(system, cert)
+    M = _difference_matrix(sampled, cert)
     rng = np.random.default_rng(seed)
     supports = {}           # each distinct support, in the order first drawn
     for _ in range(trials):

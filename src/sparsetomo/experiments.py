@@ -13,7 +13,7 @@ from . import io as stio
 from .io import SweepRecord
 from .certify import compute_gram, delta_star_montecarlo, sample_complexity
 from .models import (FanBeamModel, FourierWaveletModel, LegendrePointModel,
-                     RadonModel, assemble_system, draw_samples)
+                     RadonModel, _population_pass, assemble_system, draw_samples)
 from .phantoms import PhantomSpec, make_phantom
 from .solve import SolveConfig, solve_constrained_l1
 from .wavelets import build_filter, build_atlas, image_norm, synthesis, truncation_positions
@@ -294,7 +294,8 @@ def run_certification_report(cfg: ExperimentConfig, out_dir: str,
                              lam_grid=(2.0, 4.0), m_grid=(16, 32),
                              mc_trials: int = 64, seed: int = 0):
     """Write the certificate report, the per-scale coherence table, restricted
-    constant estimates over a (lambda, m) grid, and the sample-rule table."""
+    constant estimates over a (lambda, m) grid, and the sample-rule table.
+    Each m's sampled matrix is the population pass of its samples."""
     model = build_model(cfg.model, order=cfg.wavelet_order, j_max=cfg.j_max,
                         s_step=cfg.s_step)
     scales = model.scales()
@@ -302,13 +303,14 @@ def run_certification_report(cfg: ExperimentConfig, out_dir: str,
               else np.flatnonzero(scales <= cfg.j0))
     omega = WeightVector(model.natural_weights()[window])
     cert = compute_gram(model, window, omega=omega, check_convergence=True)
-    # the samples depend on m only, so one system serves every lambda
+    # the samples depend on m only, so one sampled matrix serves every lambda
     delta = {}
     for m in m_grid:
         samples = draw_samples(model, int(m), seed=seed + 17 * int(m))
-        system = assemble_system(model, window, samples)
+        sampled = _population_pass(model, window, samples,
+                                   1.0 / (m * model.density(samples)))[0]
         for lam in lam_grid:
-            delta[lam, m] = delta_star_montecarlo(system, cert, omega, lam,
+            delta[lam, m] = delta_star_montecarlo(sampled, cert, omega, lam,
                                                   trials=mc_trials, seed=seed).delta_star
     rows = [(lam, m, delta[lam, m]) for lam in lam_grid for m in m_grid]
     # the rules at the smallest admissible s from min(8, M) up; each reads j0

@@ -18,8 +18,8 @@ keeps its stacked operator A as those runs, with quadrature weights and
 1/sqrt(m) folded in, so plain Euclidean norms of stacked vectors equal the
 (1/m)-averaged measurement-space norms.  One kernel, _HitGram, multiplies
 the rows a chunk of runs touches as one dense block for every Gram: the
-solver's and the q-normal matrix by samples, the population Gram by the
-nodes of one quadrature rule per pass.  The fan-beam rows at source angles
+solver's by samples, the population Gram and the sampled normal matrix by
+the nodes of one rule per pass.  The fan-beam rows at source angles
 theta + pi/2 and pi/2 - theta are the rows at theta, signed and permuted
 (FanBeamModel.symmetry, the square's quarter turn and diagonal reflection),
 so its pass over a uniform rule visits one octant and the four axis nodes,
@@ -91,11 +91,15 @@ class MeasurementModel:
         return None
 
     def atom_norms(self, positions, t) -> np.ndarray:
-        """Per-atom measurement norms at parameter t, from the support runs;
-        for a vector t, one row per parameter, each the one-parameter call's
-        bit for bit."""
-        out = np.array([self._row_norms(len(positions), *cells) for cells in
-                        self._node_cells(positions, np.atleast_1d(np.asarray(t, float)))])
+        """Per-atom measurement norms at parameter t, from the support runs
+        of _CHUNK parameters per _runs call, masked by parameter; for a vector
+        t, one row per parameter, each the one-parameter call's bit for bit."""
+        positions, ts = np.asarray(positions, dtype=int), np.atleast_1d(np.asarray(t, float))
+        n, out = len(positions), np.empty((len(ts), len(positions)))
+        for k0 in range(0, len(ts), _CHUNK):
+            k, atom, col, val = map(np.concatenate, zip(*self._runs(positions, ts[k0:k0 + _CHUNK])))
+            for i in range(min(_CHUNK, len(ts) - k0)):
+                out[k0 + i] = self._row_norms(n, atom[k == i], col[k == i], val[k == i])
         return out if np.ndim(t) else out[0]
 
     def measure(self, positions, x, t) -> np.ndarray:
@@ -122,17 +126,6 @@ class MeasurementModel:
             R = self.rows(positions, t)
             atom, col = np.indices(R.shape)
             yield np.full(R.size, k), atom.ravel(), col.ravel(), R.ravel()
-
-    def _node_cells(self, positions, ts):
-        """(row, column, value) arrays of the runs at each parameter of ts in
-        turn, from one _runs call per _CHUNK parameters."""
-        positions = np.asarray(positions, dtype=int)
-        for k0 in range(0, len(ts), _CHUNK):
-            chunk = ts[k0:k0 + _CHUNK]
-            k, atom, col, val = map(np.concatenate, zip(*self._runs(positions, chunk)))
-            by = np.argsort(k, kind="stable")
-            cuts = np.searchsorted(k[by], np.arange(1, len(chunk)))
-            yield from zip(*(np.split(x[by], cuts) for x in (atom, col, val)))
 
     def _row_norms(self, n, atom, col, val) -> np.ndarray:
         """Norms of n rows from their runs at one parameter, each summed as a
@@ -722,11 +715,11 @@ class SampledSystem:
     A is held as support runs: per (sample, atom), the first row of the
     atom's run in the sample's block and the run's length, and per chunk of
     _CHUNK samples the runs' values, sample by sample and atom by atom.
-    Every reader of A reads the runs: `gram` and `q_normal_matrix` through
-    _HitGram, `matvec` by sums, and `dense_chunks` gives the dense rows of
-    one chunk at a time, for `matrix`, the dense (m * block_dim,
-    len(positions)) A that only short solves and tests ask for.  A dense
-    `matrix` passed in is held as runs that each cover a whole block.
+    Every reader of A reads the runs: `gram` through _HitGram, `matvec` by
+    sums, and `dense_chunks` gives the dense rows of one chunk at a time,
+    for `matrix`, the dense (m * block_dim, len(positions)) A that only
+    short solves and tests ask for.  A dense `matrix` passed in is held as
+    runs that each cover a whole block.  Only the solver reads a system.
     """
 
     def __init__(self, model, positions, samples, q_weights, y, noise_bound,
@@ -745,7 +738,6 @@ class SampledSystem:
             runs = (np.zeros_like(cells), cells,
                     [blocks[k0:k0 + _CHUNK].ravel() for k0 in range(0, self.m, _CHUNK)])
         self._start, self._len, self._vals = runs
-        self._q_normal = None
 
     @property
     def m(self) -> int:
@@ -806,17 +798,6 @@ class SampledSystem:
         for rows, row, atom, val in self._cells():
             out[rows] = np.bincount(row, weights=val * x[atom], minlength=rows.stop - rows.start)
         return out
-
-    def q_normal_matrix(self) -> np.ndarray:
-        """A^T Q^2 A, Q = q_weights on each sample's block, by _HitGram with
-        q folded into the values; kept after the first call (a system does not
-        change after assembly), so callers must not write to it."""
-        if self._q_normal is None:
-            n, q = self.shape[1], np.repeat(self.q_weights, self.block_dim)
-            self._q_normal, kernel = np.zeros((n, n)), _HitGram(n)
-            for rows, row, atom, val in self._cells():
-                kernel.add(self._q_normal, rows.stop - rows.start, row, atom, val * q[rows][row])
-        return self._q_normal
 
     def residual_norm(self, x: np.ndarray) -> float:
         return float(np.linalg.norm(self.matvec(x) - self.y))
@@ -893,8 +874,9 @@ def assemble_system(model, positions, samples, x_full=None, beta: float = 0.0,
 def _population_pass(model, positions, nodes, wts, norm_nodes=()):
     """The Gram matrix of one quadrature rule, and the row norms at
     norm_nodes, from the runs of each node the rule visits (_CHUNK nodes per
-    _runs call); the Gram is _HitGram products, so it never holds a node's
-    dense rows.
+    _runs call, read once); the Gram is _HitGram products, so it never holds
+    a node's dense rows.  m samples at weights 1/(m f_nu) give the sampled
+    normal matrix (1/m) sum_k f_nu(t_k)^-1 F_tk* F_tk.
 
     Where the model's rows have the square's symmetry on the window
     (model.symmetry; the fan beam's), the quarter turn P and the diagonal
@@ -912,8 +894,8 @@ def _population_pass(model, positions, nodes, wts, norm_nodes=()):
       to 2p - 1 - i), P^2 and P (node i to i + 2p).
     Any other rule, or a model without the symmetry, visits every node.
     Each part is visited _CHUNK nodes at a time, with run values scaled by
-    sqrt(w * quad_weight), one product per chunk, then folded in place, so
-    no second n x n matrix is held.
+    sqrt(w * quad_weight), one product per chunk (in any cell order), then
+    folded in place, so no second n x n matrix is held.
 
     Returns the Gram and the (node, row norms) pairs in norm_nodes order.
     A visited node's norms are the model's atom_norms there, bit for bit
@@ -924,7 +906,7 @@ def _population_pass(model, positions, nodes, wts, norm_nodes=()):
     does not see the signs or the ray order).  Any node whose norms no
     visit gives reads model.atom_norms.
     """
-    nodes, wts = np.asarray(nodes), np.asarray(wts)
+    positions, nodes, wts = np.asarray(positions, dtype=int), np.asarray(nodes), np.asarray(wts)
     sym = model.symmetry(positions)
     parts = [(np.arange(len(nodes)), [])]       # (node indices, folds) of each part
     p, rem = divmod(len(nodes), 8)
@@ -964,13 +946,11 @@ def _population_pass(model, positions, nodes, wts, norm_nodes=()):
         for k0 in range(0, len(part), _CHUNK):
             chunk = part[k0:k0 + _CHUNK]
             scale = np.sqrt(wts[chunk] * model.quad_weight)
-            cells = []
-            for i, (t, (atom, col, val)) in enumerate(
-                    zip(nodes[chunk], model._node_cells(positions, nodes[chunk]))):
-                cells.append((i * bd + col, atom, val * scale[i]))
+            k, atom, col, val = map(np.concatenate, zip(*model._runs(positions, nodes[chunk])))
+            kernel.add(G, len(chunk) * bd, k * bd + col, atom, val * scale[k])
+            for i, t in enumerate(nodes[chunk]):
                 if float(t) in norms:
-                    norms[float(t)] = model._row_norms(n, atom, col, val)
-            kernel.add(G, len(chunk) * bd, *map(np.concatenate, zip(*cells)))
+                    norms[float(t)] = model._row_norms(n, atom[k == i], col[k == i], val[k == i])
         for image, sign in folds:
             _fold(G, image, sign)
     missing = [t for t, nr in norms.items() if nr is None]

@@ -12,7 +12,11 @@ of them is on a pipeline's path:
 - SyntheticDiagonalModel, a model whose population normal matrix is
   exactly diagonal;
 - the robust null-space witness search, and the truncation residual with
-  its certificate-side bound and the uniform-bound probe it takes."""
+  its certificate-side bound and the uniform-bound probe it takes.
+
+sampled_normal is the one pipeline call among them: the sampled normal
+matrix of a sample rule, as run_certification_report hands it to
+delta_star_montecarlo, for the restricted-constant tests."""
 
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ import numpy as np
 from sparsetomo.certify import (GramCertificate, RipEstimate, _difference_matrix,
                                 _greedy_support, _support_delta, default_quadrature)
 from sparsetomo.models import (FourierWaveletModel, MeasurementModel, SampledSystem,
-                               population_gram_matrix)
+                               _population_pass, population_gram_matrix)
 from sparsetomo.solve import SolveResult, _column_scaling
 from sparsetomo.wavelets import DictionaryAtlas, dilation
 from sparsetomo.weights import (DimensionMismatch, SparseApproxResult, WeightVector, _coef,
@@ -255,7 +259,16 @@ class SyntheticDiagonalModel(MeasurementModel):
 # restricted constants, null-space witnesses and truncation
 
 
-def delta_star_bruteforce(system: SampledSystem, cert: GramCertificate,
+def sampled_normal(model, positions, samples) -> np.ndarray:
+    """(1/m) sum_k f_nu(t_k)^-1 F_tk* F_tk over the window: the population
+    pass of the m samples at weights 1/(m f_nu), as run_certification_report
+    computes it."""
+    samples = np.asarray(samples, float)
+    return _population_pass(model, positions, samples,
+                            1.0 / (len(samples) * model.density(samples)))[0]
+
+
+def delta_star_bruteforce(sampled: np.ndarray, cert: GramCertificate,
                           omega: WeightVector, lam: float) -> RipEstimate:
     """Exact restricted constant by enumeration of admissible supports.
 
@@ -264,13 +277,13 @@ def delta_star_bruteforce(system: SampledSystem, cert: GramCertificate,
     the support's contribution; only supports maximal under the budget can
     attain the overall maximum.
     """
-    n = len(system.positions)
+    n = len(omega)
     if n > BRUTEFORCE_MAX_WINDOW:
         raise ValueError(f"brute force limited to windows of {BRUTEFORCE_MAX_WINDOW}")
     wsq = omega.values ** 2
-    if len(wsq) != n:
+    if sampled.shape != (n, n):
         raise ValueError("weight length does not match window")
-    M = _difference_matrix(system, cert)
+    M = _difference_matrix(sampled, cert)
     best = 0.0
     count = 0
     for mask in range(1, 1 << n):

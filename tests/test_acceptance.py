@@ -17,7 +17,7 @@ from sparsetomo.experiments import (ExperimentConfig, build_model,
 from sparsetomo.phantoms import make_phantom
 from sparsetomo.solve import SolveConfig, solve_constrained_l1_matrix
 
-from oracles import best_sparse_approx_bruteforce, delta_star_bruteforce
+from oracles import best_sparse_approx_bruteforce, delta_star_bruteforce, sampled_normal
 
 
 def report(num, name, ok, detail):
@@ -146,22 +146,20 @@ def test_criterion_05_restricted_constant_oracles(synthetic_model, synthetic_cer
 
     # population limit: quadrature-node samples reproduce the window Gram
     nodes, _ = synthetic_model.population_nodes(16)
-    pop = st.assemble_system(synthetic_model, np.arange(n), nodes)
+    pop = sampled_normal(synthetic_model, np.arange(n), nodes)
     pop_delta = delta_star_bruteforce(pop, synthetic_cert, omega, 2.0).delta_star
 
-    system = st.assemble_system(synthetic_model, np.arange(n),
-                                st.draw_samples(synthetic_model, 3, seed=1))
-    full = delta_star_bruteforce(system, synthetic_cert, omega, float(n))
-    spec_norm = _support_delta(system.q_normal_matrix() - synthetic_cert.normal,
+    sampled = sampled_normal(synthetic_model, np.arange(n),
+                             st.draw_samples(synthetic_model, 3, seed=1))
+    full = delta_star_bruteforce(sampled, synthetic_cert, omega, float(n))
+    spec_norm = _support_delta(sampled - synthetic_cert.normal,
                                synthetic_cert.normal, range(n))
-    mc = st.delta_star_montecarlo(system, synthetic_cert, omega, 3.0, trials=64, seed=0)
-    brute = delta_star_bruteforce(system, synthetic_cert, omega, 3.0)
+    mc = st.delta_star_montecarlo(sampled, synthetic_cert, omega, 3.0, trials=64, seed=0)
+    brute = delta_star_bruteforce(sampled, synthetic_cert, omega, 3.0)
 
     rng = np.random.default_rng(4)
     z = 0.5 + rng.random(n)
-    scaled = st.SampledSystem(model=synthetic_model, positions=system.positions,
-                              samples=system.samples, matrix=system.matrix * z,
-                              q_weights=system.q_weights, y=system.y, noise_bound=0.0)
+    scaled = np.diag(z) @ sampled @ np.diag(z)
     import dataclasses
     cert_scaled = dataclasses.replace(
         synthetic_cert, normal=np.diag(z) @ synthetic_cert.normal @ np.diag(z))

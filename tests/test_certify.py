@@ -9,7 +9,7 @@ from sparsetomo.models import _CHUNK, _HitGram, _population_pass, population_gra
 
 import oracles
 from oracles import (SyntheticDiagonalModel, delta_star_bruteforce, dense_population_gram,
-                     rnsp_witness_search, truncation_residual)
+                     rnsp_witness_search, sampled_normal, truncation_residual)
 
 
 def all_positions(model):
@@ -271,32 +271,28 @@ def test_quasi_diag_synthetic_exact(synthetic_cert):
 # restricted-isometry constants
 
 
-def small_system(model, m, seed=0, use_nodes=False):
-    n = model.dictionary_size()
-    if use_nodes:
-        nodes, _ = model.population_nodes(m)
-        samples = nodes
-    else:
-        samples = st.draw_samples(model, m, seed)
-    return st.assemble_system(model, np.arange(n), samples)
+def small_sampled(model, m, seed=0):
+    """The sampled normal matrix of m random samples over the whole
+    dictionary."""
+    return sampled_normal(model, all_positions(model), st.draw_samples(model, m, seed))
 
 
 def test_delta_star_population_limit(synthetic_model, synthetic_cert):
     # sampling at the quadrature nodes reproduces the population normal matrix
     nodes, _ = synthetic_model.population_nodes(16)
-    system = st.assemble_system(synthetic_model, all_positions(synthetic_model), nodes)
+    sampled = sampled_normal(synthetic_model, all_positions(synthetic_model), nodes)
     omega = st.WeightVector.ones(6)
-    est = delta_star_bruteforce(system, synthetic_cert, omega, 2.0)
+    est = delta_star_bruteforce(sampled, synthetic_cert, omega, 2.0)
     assert est.delta_star <= 1e-8
 
 
 def test_delta_star_bruteforce_matches_random_inner_search(synthetic_model, synthetic_cert):
-    system = small_system(synthetic_model, 2, seed=5)
+    sampled = small_sampled(synthetic_model, 2, seed=5)
     omega = st.WeightVector.ones(6)
     lam = 2.0
-    est = delta_star_bruteforce(system, synthetic_cert, omega, lam)
+    est = delta_star_bruteforce(sampled, synthetic_cert, omega, lam)
     # randomized inner oracle: dense sampling of the constraint set
-    M = system.q_normal_matrix() - synthetic_cert.normal
+    M = sampled - synthetic_cert.normal
     GG = synthetic_cert.normal
     rng = np.random.default_rng(0)
     best = 0.0
@@ -314,50 +310,50 @@ def test_delta_star_bruteforce_matches_random_inner_search(synthetic_model, synt
 
 
 def test_delta_star_unrestricted_is_spectral_norm(synthetic_model, synthetic_cert):
-    system = small_system(synthetic_model, 3, seed=1)
+    sampled = small_sampled(synthetic_model, 3, seed=1)
     omega = st.WeightVector.ones(6)
-    est = delta_star_bruteforce(system, synthetic_cert, omega, 6.0)
-    spec = _support_delta(system.q_normal_matrix() - synthetic_cert.normal,
-                          synthetic_cert.normal, range(6))
+    est = delta_star_bruteforce(sampled, synthetic_cert, omega, 6.0)
+    spec = _support_delta(sampled - synthetic_cert.normal, synthetic_cert.normal, range(6))
     assert est.delta_star == pytest.approx(spec, abs=1e-10)
 
 
 def test_delta_star_monotone_in_budget(synthetic_model, synthetic_cert):
-    system = small_system(synthetic_model, 2, seed=7)
+    sampled = small_sampled(synthetic_model, 2, seed=7)
     omega = st.WeightVector.ones(6)
     prev = 0.0
     for lam in (1.0, 2.0, 4.0, 6.0):
-        cur = delta_star_bruteforce(system, synthetic_cert, omega, lam).delta_star
+        cur = delta_star_bruteforce(sampled, synthetic_cert, omega, lam).delta_star
         assert cur >= prev - 1e-12
         prev = cur
 
 
 def test_delta_star_montecarlo_bounds_bruteforce(synthetic_model, synthetic_cert):
-    system = small_system(synthetic_model, 2, seed=3)
+    sampled = small_sampled(synthetic_model, 2, seed=3)
     omega = st.WeightVector.ones(6)
-    brute = delta_star_bruteforce(system, synthetic_cert, omega, 3.0)
-    mc = st.delta_star_montecarlo(system, synthetic_cert, omega, 3.0, trials=50, seed=0)
+    brute = delta_star_bruteforce(sampled, synthetic_cert, omega, 3.0)
+    mc = st.delta_star_montecarlo(sampled, synthetic_cert, omega, 3.0, trials=50, seed=0)
     assert mc.delta_star <= brute.delta_star + 1e-10
     # exhaustive trials on a tiny instance reach the brute-force value
-    mc_full = st.delta_star_montecarlo(system, synthetic_cert, omega, 3.0,
+    mc_full = st.delta_star_montecarlo(sampled, synthetic_cert, omega, 3.0,
                                        trials=4000, seed=1)
     assert mc_full.delta_star == pytest.approx(brute.delta_star, rel=1e-12)
 
 
 def test_delta_star_montecarlo_peak_memory():
-    # the sampled q-normal matrix is streamed one dense chunk of samples at
-    # a time: the estimate never holds the dense A (the pre-streaming code
-    # held it twice)
+    # the sampled normal matrix is the population pass of the samples' rule,
+    # _CHUNK samples per product: the sampled matrix and the estimate never
+    # hold the dense A (the pre-streaming code held it twice)
     import tracemalloc
     model = build_model("fanbeam", j_max=2)
     w = st.truncation_positions(model.atlas, 1)
     cert = st.compute_gram(model, w, n_quad=64)
     m = 16 * _CHUNK
-    system = st.assemble_system(model, w, st.draw_samples(model, m, seed=1))
+    samples = st.draw_samples(model, m, seed=1)
     omega = st.WeightVector.ones(len(w))
     tracemalloc.start()
     try:
-        est = st.delta_star_montecarlo(system, cert, omega, 4.0, trials=8, seed=0)
+        sampled = sampled_normal(model, w, samples)
+        est = st.delta_star_montecarlo(sampled, cert, omega, 4.0, trials=8, seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -365,15 +361,22 @@ def test_delta_star_montecarlo_peak_memory():
     assert peak <= 0.25 * m * model.block_dim * len(w) * 8
 
 
-def test_q_normal_matrix_computed_once_per_system(synthetic_model, synthetic_cert):
-    # the estimates at every lambda read one q-normal matrix per system
-    system = small_system(synthetic_model, 4, seed=3)
-    omega = st.WeightVector.ones(6)
-    calls, cells = [], system._cells
-    system._cells = lambda: calls.append(1) or cells()
-    for lam in (2.0, 4.0):
-        st.delta_star_montecarlo(system, synthetic_cert, omega, lam, trials=8, seed=0)
-    assert len(calls) == 1
+def test_delta_star_montecarlo_rejects_disagreeing_sizes(haar_atlas_j2, radon_j2):
+    # weights, sampled matrix and population matrix must be over one window:
+    # a weight vector longer or shorter than the window is an error, not a
+    # number
+    w = st.truncation_positions(haar_atlas_j2, 1)
+    cert = st.compute_gram(radon_j2, w)
+    sampled = sampled_normal(radon_j2, w, st.draw_samples(radon_j2, 8, seed=0))
+    for n in (len(w) + 5, len(w) - 1):
+        with pytest.raises(ValueError):
+            st.delta_star_montecarlo(sampled, cert, st.WeightVector.ones(n), 2.0,
+                                     trials=8, seed=0)
+    with pytest.raises(ValueError):
+        st.delta_star_montecarlo(sampled[:-1, :-1], cert, st.WeightVector.ones(len(w)), 2.0,
+                                 trials=8, seed=0)
+    assert st.delta_star_montecarlo(sampled, cert, st.WeightVector.ones(len(w)), 2.0,
+                                    trials=8, seed=0).delta_star > 0.0
 
 
 def one_support_delta(M, normal, S):
@@ -394,8 +397,7 @@ def test_support_delta_stack_matches_one_support_calls():
     model = build_model("fanbeam", j_max=2)
     w = st.truncation_positions(model.atlas, 1)
     cert = st.compute_gram(model, w, n_quad=64)
-    system = st.assemble_system(model, w, st.draw_samples(model, 16, seed=1))
-    M = system.q_normal_matrix() - cert.normal
+    M = sampled_normal(model, w, st.draw_samples(model, 16, seed=1)) - cert.normal
     M = 0.5 * (M + M.T)
     rng = np.random.default_rng(4)
     for size in (1, 2, 4, 7):
@@ -406,25 +408,22 @@ def test_support_delta_stack_matches_one_support_calls():
 
 
 def test_delta_star_montecarlo_deterministic(synthetic_model, synthetic_cert):
-    system = small_system(synthetic_model, 4, seed=2)
+    sampled = small_sampled(synthetic_model, 4, seed=2)
     omega = st.WeightVector.ones(6)
-    a = st.delta_star_montecarlo(system, synthetic_cert, omega, 2.0, trials=20, seed=9)
-    b = st.delta_star_montecarlo(system, synthetic_cert, omega, 2.0, trials=20, seed=9)
+    a = st.delta_star_montecarlo(sampled, synthetic_cert, omega, 2.0, trials=20, seed=9)
+    b = st.delta_star_montecarlo(sampled, synthetic_cert, omega, 2.0, trials=20, seed=9)
     assert a.delta_star == b.delta_star
 
 
 def test_delta_star_diagonal_invariance(synthetic_model, synthetic_cert):
     # rescaling columns of both operators by a positive diagonal leaves the
     # restricted constant unchanged (conjugated eigenproblems)
-    system = small_system(synthetic_model, 3, seed=11)
+    sampled = small_sampled(synthetic_model, 3, seed=11)
     omega = st.WeightVector.ones(6)
-    base = delta_star_bruteforce(system, synthetic_cert, omega, 2.0)
+    base = delta_star_bruteforce(sampled, synthetic_cert, omega, 2.0)
     rng = np.random.default_rng(4)
     z = 0.5 + rng.random(6)
-    scaled = st.SampledSystem(model=synthetic_model, positions=system.positions,
-                              samples=system.samples, matrix=system.matrix * z,
-                              q_weights=system.q_weights, y=system.y,
-                              noise_bound=0.0)
+    scaled = np.diag(z) @ sampled @ np.diag(z)
     cert_scaled = st.GramCertificate(
         normal=np.diag(z) @ synthetic_cert.normal @ np.diag(z),
         sigma_min=0.0, sigma_max=0.0, quasi_diag=(0.5, 0, 0),
@@ -438,10 +437,10 @@ def test_delta_star_diagonal_invariance(synthetic_model, synthetic_cert):
 
 def test_delta_star_capacity_guard(haar_atlas_j2, radon_j2):
     w = st.truncation_positions(haar_atlas_j2, 1)  # 64 atoms > 16
-    system = st.assemble_system(radon_j2, w, st.draw_samples(radon_j2, 3, 0))
+    sampled = sampled_normal(radon_j2, w, st.draw_samples(radon_j2, 3, 0))
     cert = st.compute_gram(radon_j2, w)
     with pytest.raises(ValueError):
-        delta_star_bruteforce(system, cert, st.WeightVector.ones(len(w)), 2.0)
+        delta_star_bruteforce(sampled, cert, st.WeightVector.ones(len(w)), 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -666,9 +665,8 @@ def test_delta_star_mc_trend_with_samples(haar_atlas_j2, radon_j2):
     for m in ms:
         vals = []
         for seed in range(5):
-            system = st.assemble_system(radon_j2, w,
-                                        st.draw_samples(radon_j2, m, seed=seed))
-            est = st.delta_star_montecarlo(system, cert, omega, 4.0,
+            sampled = sampled_normal(radon_j2, w, st.draw_samples(radon_j2, m, seed=seed))
+            est = st.delta_star_montecarlo(sampled, cert, omega, 4.0,
                                            trials=48, seed=seed)
             vals.append(est.delta_star)
         medians.append(float(np.median(vals)))

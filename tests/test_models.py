@@ -8,7 +8,8 @@ from sparsetomo.experiments import build_model
 from sparsetomo.models import _CHUNK, GeometryError
 from sparsetomo.wavelets import GridSpec, dilation
 
-from oracles import density_integral, radon_image, support_box, uniform_bound_probe
+from oracles import (density_integral, radon_image, sampled_normal, support_box,
+                     uniform_bound_probe)
 
 
 def brute_radon_atom(atlas, idx, theta, s_grid, step):
@@ -840,9 +841,13 @@ def test_system_gram_matches_dense_products(name):
     b_dense = col * (A.T @ system.y)
     assert np.linalg.norm(H - H_dense) <= 1e-14 * np.linalg.norm(H_dense)
     assert np.linalg.norm(b - b_dense) <= 1e-14 * np.linalg.norm(b_dense)
-    # the q-normal matrix, streamed a chunk at a time (q is not 1 on Fourier)
+    # the sampled normal matrix A^T Q^2 A, Q = q_weights on each sample's
+    # block, is the population pass of the samples' rule at weights
+    # 1/(m f_nu) (q is not 1 on Fourier; no case's m but the fan beam's is a
+    # power of two)
     qA = np.repeat(system.q_weights, system.block_dim)[:, None] * A
-    Q, Q_dense = system.q_normal_matrix(), qA.T @ qA
+    Q = sampled_normal(system.model, system.positions, system.samples)
+    Q_dense = qA.T @ qA
     assert np.linalg.norm(Q - Q_dense) <= 1e-14 * np.linalg.norm(Q_dense)
 
 
