@@ -112,37 +112,35 @@ def _coherence_report(norms, density, sc, b, omega):
     return per_scale, d, B, rel
 
 
-def compute_gram(model, positions, n_quad: int | None = None,
-                 omega: WeightVector | None = None,
-                 check_convergence: bool = False) -> GramCertificate:
+def compute_gram(model, positions, check_convergence: bool = False) -> GramCertificate:
     """Population normal matrix over a dictionary window, with its
     conditioning, measured coherence and quasi-diagonalization constants.
 
-    The Gram entries are parameter-space quadratures of measurement-space
-    inner products.  Every constant is an extreme eigenvalue (eigvalsh, no
-    random probes): sigma_min^2 and sigma_max^2 of the normal matrix, and
-    (c_hat, C_hat) of normal / outer(d, d) with d = 2^(-b scale), c_hat
-    clamped at 0 as sigma_min is.
+    The Gram entries are quadratures, over default_quadrature's n_quad-node
+    rule, of measurement-space inner products.  Every constant is an extreme
+    eigenvalue (eigvalsh, no random probes): sigma_min^2 and sigma_max^2 of
+    the normal matrix, and (c_hat, C_hat) of normal / outer(d, d) with
+    d = 2^(-b scale), c_hat clamped at 0 as sigma_min is.
 
-    The n_quad Gram and the coherence norms at min(n_quad, 64) nodes come
-    from one pass over the n_quad rule (models._population_pass), so the
-    norms are those of the Gram's rows (every model's atom_norms at each
-    visited node, bit for bit).  check_convergence compares sigma_min with
-    that of the 2 n_quad Gram.  Where the 2 n_quad rule's even nodes at
-    twice their weights are the n_quad rule, bit for bit (the uniform rules
-    of the tomographic models), that Gram is (G + G_half) / 2, G_half the
-    pass over its odd nodes at twice their weights: the half-step rule, so
-    no node is visited twice.  Otherwise (Gauss-Legendre rules do not nest,
-    and FourierWaveletModel.population_nodes ignores n, so its shift is 0 by
-    construction) the 2 n_quad rule takes a pass of its own.  The fan beam's
-    passes visit one octant of their rule, and the uniform rule's axis
-    angles, and fold in the other octants by the square's symmetry; its
-    coherence norms outside the visited angles are the norms at their
-    octant's angle, permuted.
+    One pass over the n_quad rule (models._population_pass) gives the Gram
+    and the norms of its rows at the nodes of the min(n_quad, 64)-node rule
+    that it visits; the coherence divides them by sqrt(f_nu) and the natural
+    weights.  Their per-scale maxima are those over every node of that rule,
+    bit for bit: a node that the fan beam's pass leaves has a visited node's
+    rows, signed and permuted within each scale, and an atlas's natural
+    weights are all 1.
+
+    check_convergence compares sigma_min with that of the 2 n_quad Gram.
+    Where the 2 n_quad rule's even nodes at twice their weights are the
+    n_quad rule, bit for bit (the uniform rules of the tomographic models),
+    that Gram is (G + G_half) / 2, G_half the pass over its odd nodes at
+    twice their weights (the half-step rule), so no node is visited twice.
+    Otherwise (Gauss-Legendre rules do not nest, and Fourier's
+    population_nodes ignores n, so its shift is 0) the 2 n_quad rule takes
+    a pass of its own.
     """
     positions = np.asarray(positions, dtype=int)
-    if n_quad is None:
-        n_quad = default_quadrature(model, positions)
+    n_quad = default_quadrature(model, positions)
     nodes, wts = model.population_nodes(n_quad)
     coh_nodes, _ = model.population_nodes(min(n_quad, 64))
     normal, norms = _population_pass(model, positions, nodes, wts, coh_nodes)
@@ -163,9 +161,9 @@ def compute_gram(model, positions, n_quad: int | None = None,
                 f"sigma_min moved by {shift:.1%} when doubling the quadrature")
     scales = model.scales()
     b = model.smoothing_exponent
-    omega_v = np.ones(len(positions)) if omega is None else omega.values
     sc = np.zeros(len(positions), dtype=int) if scales is None else scales[positions]
-    per_scale, d_exp, B, rel = _coherence_report(norms, model.density, sc, b, omega_v)
+    per_scale, d_exp, B, rel = _coherence_report(norms, model.density, sc, b,
+                                                 model.natural_weights()[positions])
 
     # quasi-diagonalization constants: the best c, C in
     # c sum 2^(-2bj) x_j^2 <= x^T normal x <= C sum 2^(-2bj) x_j^2

@@ -99,7 +99,12 @@ def _inputs(cfg, tomographic=False, **fields):
 
 
 def _csv(text, conv):
-    return None if text is None else [conv(v) for v in text.split(",")]
+    """A comma-separated flag's values, None when it is unset; a value that
+    conv rejects (an empty one among them) is a usage error."""
+    try:
+        return None if text is None else [conv(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise click.UsageError(f"not a comma-separated list of {conv.__name__}s: {text!r}") from exc
 
 
 OPTIONS = {
@@ -177,10 +182,12 @@ def reconstruct(config_path, **flags):
     """One reconstruction: phantom, sampled angles, solve, image outputs."""
     cfg = _merged(config_path, PHANTOM_KEYS, **flags)
     exp, model = _inputs(cfg, tomographic=True, ms=(64,))
+    beta = float(cfg.get("beta", 0.0))
+    if beta < 0:
+        raise click.UsageError("beta must be >= 0")
     out = cfg.get("out_dir") or "."
     os.makedirs(out, exist_ok=True)
     seed = exp.phantom.seed          # it also draws the angles and the noise
-    beta = float(cfg.get("beta", 0.0))
     m = exp.ms[0]
     a = model.atlas
     window = truncation_positions(a, exp.j0)
@@ -259,12 +266,15 @@ def exact_recovery(s, j0, pilot_j0, gamma, n_seeds):
 def fit(records_path, x_axis, windowed, out_dir):
     """Fit the error-scaling exponent from a records.csv."""
     records = stio.read_records_csv(records_path)
+    try:        # a ValueError here is the records': too few axis values, or one <= 0
+        if windowed:
+            expo, intercept, r2, window, flagged = fit_scaling_windowed(records, x_axis)
+        else:
+            expo, intercept, r2 = fit_scaling(records, x_axis)
+            window, flagged = None, False
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
     os.makedirs(out_dir, exist_ok=True)
-    if windowed:
-        expo, intercept, r2, window, flagged = fit_scaling_windowed(records, x_axis)
-    else:
-        expo, intercept, r2 = fit_scaling(records, x_axis)
-        window, flagged = None, False
     stio.write_fit_report(os.path.join(out_dir, "fit.txt"), expo, intercept, r2, records,
                           window=window, flagged=flagged, x_axis=x_axis)
     click.echo(f"exponent {expo!r} r2 {r2!r} flagged {flagged}")

@@ -58,6 +58,10 @@ class ExperimentConfig:
             raise ValueError("j0 must be >= 0")
         if self.j0 > self.j_max and self.model != "legendre":   # Legendre has no scales
             raise ValueError("j0 must be <= j_max")
+        if not (0.0 < self.gamma < 1.0):
+            raise ValueError("gamma must lie in (0, 1)")
+        if not (0.0 <= self.zeta <= 1.0):
+            raise ValueError("zeta must lie in [0, 1]")
 
 
 def j0_for_beta(beta: float, a: float, cap: int = 4, offset: int = 0) -> int:
@@ -302,7 +306,7 @@ def run_certification_report(cfg: ExperimentConfig, out_dir: str,
     window = (np.arange(model.dictionary_size()) if scales is None
               else np.flatnonzero(scales <= cfg.j0))
     omega = WeightVector(model.natural_weights()[window])
-    cert = compute_gram(model, window, omega=omega, check_convergence=True)
+    cert = compute_gram(model, window, check_convergence=True)
     # the samples depend on m only, so one sampled matrix serves every lambda
     delta = {}
     for m in m_grid:

@@ -24,8 +24,8 @@ theta + pi/2 and pi/2 - theta are the rows at theta, signed and permuted
 (FanBeamModel.symmetry, the square's quarter turn and diagonal reflection),
 so its pass over a uniform rule visits one octant and the four axis nodes,
 its pass over the half-step rule one octant, and each takes the other
-octants' products and row norms from the first octant's.  The whole dense
-A is built only for short solves and tests.
+octants' products from the first octant's.  The whole dense A is built only
+for short solves and tests.
 """
 
 from __future__ import annotations
@@ -89,18 +89,6 @@ class MeasurementModel:
         their interpolated rows do not: at theta = 0.1, 0.7 and 1.3 the
         turned rows of the j0 = 2 window are 7-25% off (Frobenius)."""
         return None
-
-    def atom_norms(self, positions, t) -> np.ndarray:
-        """Per-atom measurement norms at parameter t, from the support runs
-        of _CHUNK parameters per _runs call, masked by parameter; for a vector
-        t, one row per parameter, each the one-parameter call's bit for bit."""
-        positions, ts = np.asarray(positions, dtype=int), np.atleast_1d(np.asarray(t, float))
-        n, out = len(positions), np.empty((len(ts), len(positions)))
-        for k0 in range(0, len(ts), _CHUNK):
-            k, atom, col, val = map(np.concatenate, zip(*self._runs(positions, ts[k0:k0 + _CHUNK])))
-            for i in range(min(_CHUNK, len(ts) - k0)):
-                out[k0 + i] = self._row_norms(n, atom[k == i], col[k == i], val[k == i])
-        return out if np.ndim(t) else out[0]
 
     def measure(self, positions, x, t) -> np.ndarray:
         """The measurement block sum_i x_i rows_i of coefficients x over
@@ -247,8 +235,7 @@ class RadonModel(AtlasModel):
 
     The angle distribution is uniform, the per-angle measurement space is the
     s-offset grid with trapezoid weight s_step.  Rows, measurements, Grams
-    and the coherence norms (MeasurementModel.atom_norms) all read the
-    support runs of _runs.
+    and the coherence norms all read the support runs of _runs.
     """
 
     smoothing_exponent = 0.5
@@ -872,11 +859,11 @@ def assemble_system(model, positions, samples, x_full=None, beta: float = 0.0,
 
 
 def _population_pass(model, positions, nodes, wts, norm_nodes=()):
-    """The Gram matrix of one quadrature rule, and the row norms at
-    norm_nodes, from the runs of each node the rule visits (_CHUNK nodes per
-    _runs call, read once); the Gram is _HitGram products, so it never holds
-    a node's dense rows.  m samples at weights 1/(m f_nu) give the sampled
-    normal matrix (1/m) sum_k f_nu(t_k)^-1 F_tk* F_tk.
+    """The Gram matrix of one quadrature rule, and the row norms at each of
+    norm_nodes that the rule visits, from the runs of each node it visits
+    (_CHUNK nodes per _runs call, read once); the Gram is _HitGram products,
+    so it never holds a node's dense rows.  m samples at weights 1/(m f_nu)
+    give the sampled normal matrix (1/m) sum_k f_nu(t_k)^-1 F_tk* F_tk.
 
     Where the model's rows have the square's symmetry on the window
     (model.symmetry; the fan beam's), the quarter turn P and the diagonal
@@ -897,14 +884,9 @@ def _population_pass(model, positions, nodes, wts, norm_nodes=()):
     sqrt(w * quad_weight), one product per chunk (in any cell order), then
     folded in place, so no second n x n matrix is held.
 
-    Returns the Gram and the (node, row norms) pairs in norm_nodes order.
-    A visited node's norms are the model's atom_norms there, bit for bit
-    (no model overrides MeasurementModel.atom_norms).  When norm_nodes are
-    themselves the model's uniform rule of 8p nodes under the symmetry, a
-    node off its first octant and off the axes takes the norms of its
-    octant's node, permuted by the map that carries that node to it (a norm
-    does not see the signs or the ray order).  Any node whose norms no
-    visit gives reads model.atom_norms.
+    Returns the Gram and a (node, row norms) pair for each visited node of
+    norm_nodes, in visit order, the norms read off the node's runs
+    (_row_norms).  A norm node the rule does not visit gets no pair.
     """
     positions, nodes, wts = np.asarray(positions, dtype=int), np.asarray(nodes), np.asarray(wts)
     sym = model.symmetry(positions)
@@ -920,27 +902,7 @@ def _population_pass(model, positions, nodes, wts, norm_nodes=()):
                      (np.arange(0, 8 * p, 2 * p), [])]
         elif np.array_equal(nodes, fine[1::2]) and np.array_equal(wts, 2.0 * fine_wts[1::2]):
             parts = [(np.arange(p), [mirror, half_turn, turn])]
-    visited = {float(nodes[k]) for part, _ in parts for k in part}
-
-    n = len(positions)
-    wanted = []         # (node, image) of each norm node: its norms are the node's, at image
-    octant, rem = divmod(len(norm_nodes), 8)
-    by_symmetry = (sym is not None and octant > 0 and not rem and np.array_equal(
-        norm_nodes, model.population_nodes(len(norm_nodes))[0]))
-    for k, t in enumerate(norm_nodes):
-        r, s = divmod(k, 2 * octant) if by_symmetry else (0, 0)
-        if float(t) in visited or not s:    # a visited node, an axis node, or no symmetry
-            wanted.append((float(t), None))
-            continue
-        image = np.arange(n)
-        if s > octant:      # the reflection of node 2p - s, then r turns
-            s, image = 2 * octant - s, mirror[0]
-        for _ in range(r):
-            image = turn[0][image]
-        wanted.append((float(norm_nodes[s]), image))
-    norms = dict.fromkeys(t for t, _ in wanted)
-
-    bd = model.block_dim
+    n, bd, wanted, norms = len(positions), model.block_dim, set(map(float, norm_nodes)), []
     G, kernel = np.zeros((n, n)), _HitGram(n)
     for part, folds in parts:
         for k0 in range(0, len(part), _CHUNK):
@@ -949,15 +911,12 @@ def _population_pass(model, positions, nodes, wts, norm_nodes=()):
             k, atom, col, val = map(np.concatenate, zip(*model._runs(positions, nodes[chunk])))
             kernel.add(G, len(chunk) * bd, k * bd + col, atom, val * scale[k])
             for i, t in enumerate(nodes[chunk]):
-                if float(t) in norms:
-                    norms[float(t)] = model._row_norms(n, atom[k == i], col[k == i], val[k == i])
+                if float(t) in wanted:
+                    sel = k == i
+                    norms.append((float(t), model._row_norms(n, atom[sel], col[sel], val[sel])))
         for image, sign in folds:
             _fold(G, image, sign)
-    missing = [t for t, nr in norms.items() if nr is None]
-    if missing:
-        norms.update(zip(missing, model.atom_norms(positions, np.array(missing))))
-    return G, [(t, norms[s] if image is None else norms[s][np.argsort(image)])
-               for t, (s, image) in zip(norm_nodes, wanted)]
+    return G, norms
 
 
 def _fold(G, image, sign):

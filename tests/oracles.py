@@ -12,7 +12,9 @@ of them is on a pipeline's path:
 - SyntheticDiagonalModel, a model whose population normal matrix is
   exactly diagonal;
 - the robust null-space witness search, and the truncation residual with
-  its certificate-side bound and the uniform-bound probe it takes.
+  its certificate-side bound and the uniform-bound probe it takes;
+- the per-atom measurement norms at any parameters (atom_norms), which the
+  probe, the coherence law and the norm tests read.
 
 sampled_normal is the one pipeline call among them: the sampled normal
 matrix of a sample rule, as run_certification_report hands it to
@@ -27,7 +29,7 @@ import numpy as np
 
 from sparsetomo.certify import (GramCertificate, RipEstimate, _difference_matrix,
                                 _greedy_support, _support_delta, default_quadrature)
-from sparsetomo.models import (FourierWaveletModel, MeasurementModel, SampledSystem,
+from sparsetomo.models import (_CHUNK, FourierWaveletModel, MeasurementModel, SampledSystem,
                                _population_pass, population_gram_matrix)
 from sparsetomo.solve import SolveResult, _column_scaling
 from sparsetomo.wavelets import DictionaryAtlas, dilation
@@ -381,8 +383,21 @@ def truncation_residual(system: SampledSystem, model, x_full,
                             tail_opnorm=tail_opnorm, tail_truncated=True)
 
 
+def atom_norms(model, positions, t) -> np.ndarray:
+    """Per-atom measurement norms at parameter t, from the support runs of
+    _CHUNK parameters per _runs call, masked by parameter; for a vector t,
+    one row per parameter, each the one-parameter call's bit for bit."""
+    positions, ts = np.asarray(positions, dtype=int), np.atleast_1d(np.asarray(t, float))
+    n, out = len(positions), np.empty((len(ts), len(positions)))
+    for k0 in range(0, len(ts), _CHUNK):
+        k, atom, col, val = map(np.concatenate, zip(*model._runs(positions, ts[k0:k0 + _CHUNK])))
+        for i in range(min(_CHUNK, len(ts) - k0)):
+            out[k0 + i] = model._row_norms(n, atom[k == i], col[k == i], val[k == i])
+    return out if np.ndim(t) else out[0]
+
+
 def uniform_bound_probe(model, positions, n_angles: int = 64, seed: int = 0) -> float:
     """Measured uniform bound: max over random parameters and window atoms of
     the per-atom measurement norm (atom norms are 1)."""
     ts = model.sample(n_angles, np.random.default_rng(seed))
-    return float(model.atom_norms(positions, ts).max(initial=0.0))
+    return float(atom_norms(model, positions, ts).max(initial=0.0))

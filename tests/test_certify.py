@@ -8,8 +8,9 @@ from sparsetomo.experiments import build_model
 from sparsetomo.models import _CHUNK, _HitGram, _population_pass, population_gram_matrix
 
 import oracles
-from oracles import (SyntheticDiagonalModel, delta_star_bruteforce, dense_population_gram,
-                     rnsp_witness_search, sampled_normal, truncation_residual)
+from oracles import (SyntheticDiagonalModel, atom_norms, delta_star_bruteforce,
+                     dense_population_gram, rnsp_witness_search, sampled_normal,
+                     truncation_residual)
 
 
 def all_positions(model):
@@ -108,7 +109,8 @@ def test_gram_pass_matches_single_rule_oracles(kind, haar_atlas_j2):
 
     nodes, _ = model.population_nodes(min(n, 64))
     sc = np.zeros(len(w), int) if model.scales() is None else model.scales()[w]
-    nr = np.array([model.atom_norms(w, t) / np.sqrt(model.density(t)) for t in nodes])
+    nr = np.array([atom_norms(model, w, t) / np.sqrt(model.density(t)) for t in nodes])
+    nr /= model.natural_weights()[w]
 
     def maxima(rows):
         return np.array([rows[:, sc == j].max() for j in range(sc.max() + 1)])
@@ -207,21 +209,25 @@ def test_gram_pass_matches_dense_oracle(kind, haar_atlas_j2, synthetic_model):
         assert np.linalg.norm(G - expect) <= 1e-14 * np.linalg.norm(expect)
     nodes, _ = model.population_nodes(min(n, 64))
     _, norms = _population_pass(model, w, *model.population_nodes(n), nodes)
-    assert [t for t, _ in norms] == list(nodes)
-    got = np.array([nr for _, nr in norms])
-    dense = np.array([np.sqrt((R * R).sum(axis=1) * model.quad_weight)
-                      for R in (model.rows(w, t) for t in nodes)])
-    assert np.linalg.norm(got - dense) <= 1e-14 * np.linalg.norm(dense)
-    assert np.linalg.norm(model.atom_norms(w, nodes) - dense) <= 1e-14 * np.linalg.norm(dense)
+    if kind != "fanbeam":   # the fan beam's pass visits one octant and the axes
+        assert [t for t, _ in norms] == list(nodes)
+
+    def dense_norms(ts):
+        return np.array([np.sqrt((R * R).sum(axis=1) * model.quad_weight)
+                         for R in (model.rows(w, t) for t in ts)])
+
+    for ts, got in (([t for t, _ in norms], np.array([nr for _, nr in norms])),
+                    (nodes, atom_norms(model, w, nodes))):
+        dense = dense_norms(ts)
+        assert np.linalg.norm(got - dense) <= 1e-14 * np.linalg.norm(dense)
 
 
 @pytest.mark.parametrize("case", ["open_window", "n_not_divisible_by_4",
                                   "n_not_divisible_by_8"])
 def test_fanbeam_pass_without_quarter_turn_visits_every_node(case, haar_atlas_j2):
     # a window that the square's symmetry leaves, or a rule whose nodes do
-    # not fall into octants, takes every node to the row kernel; a norm node
-    # that no visit covers reads atom_norms, once, and under the symmetry an
-    # off-octant node takes its octant node's norms permuted
+    # not fall into octants, takes every node to the row kernel, once; the
+    # norms come at the norm nodes the rule visits, and only there
     model = st.FanBeamModel(haar_atlas_j2)
     if case == "open_window":
         w, n = np.flatnonzero(haar_atlas_j2.n1 >= 0), 64
@@ -241,14 +247,14 @@ def test_fanbeam_pass_without_quarter_turn_visits_every_node(case, haar_atlas_j2
     norm_nodes = model.population_nodes(64)[0]
     G, norms = _population_pass(model, w, *model.population_nodes(n), norm_nodes)
     del model._runs
-    assert calls[:n] == [float(t) for t in model.population_nodes(n)[0]]
-    assert len(set(calls)) == len(calls) and set(calls[n:]) <= set(norm_nodes.tolist())
+    assert calls == [float(t) for t in model.population_nodes(n)[0]]
+    assert [t for t, _ in norms] == [t for t in calls if t in set(norm_nodes.tolist())]
     assert np.array_equal(G, population_gram_matrix(model, w, n))
     expect = dense_population_gram(model, w, *model.population_nodes(n))
     assert np.linalg.norm(G - expect) <= 1e-14 * np.linalg.norm(expect)
     got = np.array([nr for _, nr in norms])
     dense = np.array([np.sqrt((R * R).sum(axis=1) * model.quad_weight)
-                      for R in (model.rows(w, t) for t in norm_nodes)])
+                      for R in (model.rows(w, t) for t, _ in norms)])
     assert np.linalg.norm(got - dense) <= 1e-14 * np.linalg.norm(dense)
 
 
@@ -346,7 +352,7 @@ def test_delta_star_montecarlo_peak_memory():
     import tracemalloc
     model = build_model("fanbeam", j_max=2)
     w = st.truncation_positions(model.atlas, 1)
-    cert = st.compute_gram(model, w, n_quad=64)
+    cert = st.compute_gram(model, w)
     m = 16 * _CHUNK
     samples = st.draw_samples(model, m, seed=1)
     omega = st.WeightVector.ones(len(w))
@@ -396,7 +402,7 @@ def test_support_delta_stack_matches_one_support_calls():
     # time; each value is the one-support computation's, bit for bit
     model = build_model("fanbeam", j_max=2)
     w = st.truncation_positions(model.atlas, 1)
-    cert = st.compute_gram(model, w, n_quad=64)
+    cert = st.compute_gram(model, w)
     M = sampled_normal(model, w, st.draw_samples(model, 16, seed=1)) - cert.normal
     M = 0.5 * (M + M.T)
     rng = np.random.default_rng(4)
@@ -697,8 +703,8 @@ def test_fanbeam_quasi_diag_band_of_radon():
     rad = st.RadonModel(a)
     fan = st.FanBeamModel(a)
     w = np.arange(len(a))
-    _, cR, CR = st.compute_gram(rad, w, n_quad=64).quasi_diag
-    _, cD, CD = st.compute_gram(fan, w, n_quad=64).quasi_diag
+    _, cR, CR = st.compute_gram(rad, w).quasi_diag
+    _, cD, CD = st.compute_gram(fan, w).quasi_diag
     lo = 1.0 / fan.rho
     hi = 1.0 / np.sqrt(fan.rho ** 2 - fan.d ** 2)
     assert cD >= cR * lo * 0.98

@@ -91,6 +91,16 @@ def test_command_rejects_flags_it_does_not_read(tmp_path, runner, args):
      "explicit ms required unless m_rule is noise_matched"),
     (["atlas", "build", "--wavelet-order", "9"], "unsupported filter order 9"),
     (["atlas", "build", "--jmax", "-1"], "j_max must be >= 0"),
+    (["certify", "--j0", "1", "--jmax", "2", "--gamma", "2"], "gamma must lie in (0, 1)"),
+    (["certify", "--j0", "1", "--jmax", "2", "--zeta", "-1"], "zeta must lie in [0, 1]"),
+    (["reconstruct", "--j0", "1", "--jmax", "2", "--m", "8", "--zeta", "2"],
+     "zeta must lie in [0, 1]"),
+    (["reconstruct", "--j0", "1", "--jmax", "2", "--m", "8", "--beta", "-0.1"],
+     "beta must be >= 0"),
+    (["sweep", "--j0", "1", "--jmax", "2", "--ms", "8", "--zeta", "3"],
+     "zeta must lie in [0, 1]"),
+    (["sweep", "--j0", "1", "--jmax", "2", "--ms", "8", "--seeds", ""],
+     "not a comma-separated list of ints: ''"),
 ])
 def test_input_errors_are_usage_errors(tmp_path, runner, args, message):
     # inputs the model or the config rejects end in a usage error, not a traceback
@@ -183,6 +193,21 @@ def test_sweep_and_fit(tmp_path, runner):
     assert all(r.eta >= r.beta for r in records)
     assert all(r.residual <= r.eta * (1 + 1e-6) + 1e-12
                for r in records if r.status == "optimal")
+
+
+@pytest.mark.parametrize("flag", ["--windowed", "--no-windowed"])
+def test_fit_rejects_records_with_too_few_axis_values(tmp_path, runner, flag):
+    # a records file with two distinct betas cannot be fitted: a usage error
+    # before --out exists, not a traceback
+    records = [stio.SweepRecord(beta=beta, m=16, j0=1, s=2, err_l2=beta, err_img=beta,
+                                residual=0.0, wall_time=0.0, seed=seed, status="optimal")
+               for beta in (0.1, 0.05) for seed in (0, 1)]
+    stio.write_records_csv(str(tmp_path / "few.csv"), records)
+    res = runner.invoke(main, ["fit", "--records", str(tmp_path / "few.csv"), flag,
+                               "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert "distinct axis values" in res.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_file_merging(tmp_path, runner):
