@@ -4,7 +4,7 @@ import pytest
 import sparsetomo as st
 from sparsetomo.certify import (NumericalConsistencyError, _greedy_support, _normal_spectrum,
                                 _support_delta)
-from sparsetomo.experiments import build_model
+from sparsetomo.experiments import ExperimentConfig, build_model, run_certification_report
 from sparsetomo.models import _CHUNK, _HitGram, _population_pass, population_gram_matrix
 
 import oracles
@@ -194,6 +194,29 @@ def test_fanbeam_half_step_rule_visits_first_octant(haar_atlas_j2):
     assert calls == [float(t) for t in nodes[:16]]
     expect = dense_population_gram(model, w, nodes, wts)
     assert np.linalg.norm(G - expect) <= 1e-14 * np.linalg.norm(expect)
+
+
+def test_certify_fan_window_takes_no_band_product(tmp_path, monkeypatch):
+    # on the fan-beam j0 = 2 window (the certify-fan benchmark's) a band
+    # product's volume exceeds its share of the dense one's in every pass of
+    # the certification report, so the certificate keeps the dense products'
+    # bits; the Radon j0 = 3 window's uniform rule takes band products
+    plans, band = [], _HitGram._band
+
+    def recorded(self, *args):
+        plans.append(band(self, *args))
+        return plans[-1]
+
+    monkeypatch.setattr(_HitGram, "_band", recorded)
+    cfg = ExperimentConfig(model="fanbeam", j0=2, j_max=3, zeta=1.0, gamma=0.1)
+    run_certification_report(cfg, str(tmp_path), seed=0)
+    assert plans and all(plan is None for plan in plans)
+    plans.clear()
+    model = build_model("radon", j_max=4)
+    nodes, wts = model.population_nodes(256)
+    _population_pass(model, st.truncation_positions(model.atlas, 3), nodes[:_CHUNK],
+                     wts[:_CHUNK])
+    assert len(plans) == 1 and plans[0] is not None
 
 
 @pytest.mark.parametrize("kind", list(PASS_MODELS) + ["synthetic"])

@@ -5,7 +5,7 @@ import pytest
 
 import sparsetomo as st
 from sparsetomo.experiments import build_model
-from sparsetomo.models import _CHUNK, GeometryError
+from sparsetomo.models import _CHUNK, GeometryError, _HitGram, _nonzero_core, _run_cells
 from sparsetomo.wavelets import GridSpec, dilation
 
 from oracles import (atom_norms, density_integral, radon_image, sampled_normal, support_box,
@@ -43,7 +43,7 @@ def brute_radon_rows(model, positions, theta):
     fine = model.s_step / 2.0
     n1, n2 = model.atlas.n1[positions], model.atlas.n2[positions]
     for scale, orient, sel in model._groups(positions):
-        (grid,), (base,) = model._group_base(scale, orient, [theta], fine)
+        (grid,), ((base,),) = model._scale_base(scale, [orient], [theta], fine)
         shifts = (n1[sel] * c + n2[sel] * s) / dilation(scale)
         P = model.s_grid[None, :] - shifts[:, None]
         out[sel] = np.interp(P, grid, base, left=0.0, right=0.0)
@@ -203,20 +203,95 @@ def _kernel_angles():
 
 
 def test_radon_group_profiles_batch_matches_single():
-    # a many-angle _group_base call pads its rows; each row is the one-angle
-    # call bit for bit, whose grid is the one np.arange fills, and the
-    # padding of the profile reads 0
-    model = build_model("radon", order=1, j_max=3)
-    fine = model.s_step / 2.0
+    # a many-angle _scale_base call over a scale's orientations pads its
+    # rows; each row of each orientation's profile is the one-angle,
+    # one-orientation call's bit for bit, whose grid is the one np.arange
+    # fills, and the padding of the profile reads 0
     angles = _kernel_angles()
-    for scale, orient, _ in model._groups(np.arange(len(model.atlas))):
-        grid, base = model._group_base(scale, orient, angles, fine)
-        for k, th in enumerate(angles):
-            (g,), (b,) = model._group_base(scale, orient, [th], fine)
-            assert g.tobytes() == np.arange(g[0], g[-1] + fine / 2, fine).tobytes()
-            assert grid[k, :len(g)].tobytes() == g.tobytes()
-            assert base[k, :len(b)].tobytes() == b.tobytes()
-            assert not base[k, len(b):].any()
+    for order in (1, 2, 3):
+        model = build_model("radon", order=order, j_max=3)
+        fine = model.s_step / 2.0
+        groups = list(model._groups(np.arange(len(model.atlas))))
+        for scale in sorted({g[0] for g in groups}):
+            orients = [o for j, o, _ in groups if j == scale]
+            grid, bases = model._scale_base(scale, orients, angles, fine)
+            for orient, base in zip(orients, bases):
+                for k, th in enumerate(angles):
+                    (g,), ((b,),) = model._scale_base(scale, [orient], [th], fine)
+                    assert g.tobytes() == np.arange(g[0], g[-1] + fine / 2, fine).tobytes()
+                    assert grid[k, :len(g)].tobytes() == g.tobytes()
+                    assert base[k, :len(b)].tobytes() == b.tobytes()
+                    assert not base[k, len(b):].any()
+
+
+def per_orientation_runs(model, positions, thetas):
+    """Reference oracle: the Radon runs built one (scale, orientation) group
+    at a time, each group on its own profile and its own run geometry, each
+    run cut to its nonzero span, copied from before a scale's groups shared
+    one geometry."""
+    thetas = np.atleast_1d(np.asarray(thetas, float))
+    c, s = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
+    fine = model.s_step / 2.0
+    sg = model.s_grid
+    top, zero = len(sg) - 1, len(sg) // 2
+    n1, n2 = model.atlas.n1[positions], model.atlas.n2[positions]
+    for scale, orient, sel in model._groups(positions):
+        grid, (base,) = model._scale_base(scale, [orient], thetas, fine)
+        nz = base != 0.0
+        live = np.flatnonzero(nz.any(axis=1))
+        nz = nz[live]
+        glo = grid[live, nz.argmax(axis=1) - 1][:, None]
+        ghi = grid[live, nz.shape[1] - nz[:, ::-1].argmax(axis=1)][:, None]
+        shifts = (n1[sel] * c[live] + n2[sel] * s[live]) / dilation(scale)
+        i = np.floor((shifts + glo) / model.s_step).astype(int) + zero
+        j = np.ceil((shifts + ghi) / model.s_step).astype(int) + zero - 1
+        for _ in range(2):
+            i += sg.take(i, mode="clip") - shifts <= glo
+            j += sg.take(j, mode="clip") - shifts < ghi
+        first = np.maximum(i, 0).ravel()
+        cnt = np.maximum(np.minimum(j, top + 1).ravel() - first, 0)
+        pair, col = _run_cells(first, cnt)
+        P = sg[col] - shifts.ravel()[pair]
+        val = np.empty(len(P))
+        ends = np.cumsum(np.append(0, cnt.reshape(len(live), len(sel)).sum(axis=1)))
+        for a, k in enumerate(live):
+            cut = slice(ends[a], ends[a + 1])
+            val[cut] = np.interp(P[cut], grid[k], base[k], left=0.0, right=0.0)
+        angle, atom = np.repeat(live, np.diff(ends)), np.repeat(np.tile(sel, len(live)), cnt)
+        keep = _nonzero_core(pair, cnt, val)
+        if keep is not None:
+            angle, atom, col, val = angle[keep], atom[keep], col[keep], val[keep]
+        yield angle, atom, col, val
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_radon_scale_runs_match_per_orientation_oracle(order):
+    # a scale's orientation groups share one run geometry over the union of
+    # their profiles' nonzero spans: each group's runs, cut to their nonzero
+    # spans, and measure's sums over the uncut shared cells equal the runs
+    # built one group at a time bit for bit, on windows (whose groups share)
+    # and on shuffled positions with repeats (whose groups do not)
+    model = build_model("radon", order=order, j_max=3)
+    n, bd = len(model.atlas), model.block_dim
+    rng = np.random.default_rng(8)
+    base = rng.choice(n, 150, replace=False)
+    cases = [np.arange(n), st.truncation_positions(model.atlas, 2),
+             rng.permutation(np.concatenate([base, base[:40]]))]
+    angles = _kernel_angles()
+    for positions in cases:
+        x = rng.standard_normal(len(positions))
+        for k0 in range(0, len(angles), _CHUNK):
+            ts = angles[k0:k0 + _CHUNK]
+            expect = list(per_orientation_runs(model, positions, ts))
+            got = list(model._runs(positions, ts))
+            assert len(got) == len(expect)
+            for runs, ref in zip(got, expect):
+                for a, b in zip(runs, ref):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            blk = np.zeros(len(ts) * bd)
+            for k, atom, col, val in expect:
+                blk += np.bincount(k * bd + col, weights=val * x[atom], minlength=len(blk))
+            assert model.measure(positions, x, ts).tobytes() == blk.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["radon", "fanbeam", "fourier", "legendre", "synthetic"])
@@ -243,7 +318,7 @@ def test_radon_runs_cut_to_nonzero_span(s_step):
     angles = _kernel_angles()
     system = st.assemble_system(model, positions, angles)
     for c, k0 in enumerate(range(0, system.m, _CHUNK)):
-        cnt = system._len[k0:k0 + _CHUNK].ravel()
+        cnt = system._len[system._order[k0:k0 + _CHUNK]].ravel()
         ends = np.cumsum(cnt)[cnt > 0]
         vals = system._vals[c]
         assert len(vals) == cnt.sum()
@@ -700,21 +775,24 @@ def test_assemble_rejects_repeated_positions(haar_atlas_j2, radon_j2):
 def test_assemble_group_profiles_once_per_sample(haar_atlas_j3, radon_j3, monkeypatch):
     # each (scale, orientation) profile of the window or the out-of-window
     # atoms is computed once per angle: 10 groups on the j_max=3, j0=2 cell.
-    # One call computes a group's profiles at a batch of angles, so the
-    # counter adds the angles of each call.
+    # One call computes a scale's profiles, for all its orientations, at a
+    # batch of angles, so the counter adds angles times orientations; the
+    # window's scales 0-2 and the tail's scale 3 take one call each
     _, x_full, _ = st.make_phantom(haar_atlas_j3, st.PhantomSpec("tail", a=0.5, seed=0), 2)
     window = st.truncation_positions(haar_atlas_j3, 2)
-    profiles = []
-    base = st.RadonModel._group_base
+    profiles, scales = [], []
+    base = st.RadonModel._scale_base
 
-    def counted(self, scale, orientation, theta, fine_step):
-        profiles.append(np.size(theta))
-        return base(self, scale, orientation, theta, fine_step)
+    def counted(self, scale, orientations, theta, fine_step):
+        profiles.append(np.size(theta) * len(orientations))
+        scales.append(scale)
+        return base(self, scale, orientations, theta, fine_step)
 
-    monkeypatch.setattr(st.RadonModel, "_group_base", counted)
+    monkeypatch.setattr(st.RadonModel, "_scale_base", counted)
     m = 5
     st.assemble_system(radon_j3, window, st.draw_samples(radon_j3, m, seed=0), x_full=x_full)
     assert sum(profiles) == 10 * m
+    assert scales == [0, 1, 2, 3]
 
 
 def _dense_data(model, positions, x_full, samples):
@@ -849,6 +927,57 @@ def test_system_gram_matches_dense_products(name):
     Q = sampled_normal(system.model, system.positions, system.samples)
     Q_dense = qA.T @ qA
     assert np.linalg.norm(Q - Q_dense) <= 1e-14 * np.linalg.norm(Q_dense)
+
+
+def test_system_gram_band_products_match_dense_products(monkeypatch):
+    # the solver's Gram visits the samples in angle order: on a j0 = 3
+    # window, 3 chunks of nearby angles stored out of order, every product
+    # follows the runs (a band product), and the Gram and the sampled normal
+    # matrix equal the dense products at the same 1e-14 (q = 1 on Radon)
+    model = build_model("radon", j_max=4)
+    positions = st.truncation_positions(model.atlas, 3)
+    _, x_full, _ = st.make_phantom(model.atlas, st.PhantomSpec("tail", a=0.5, seed=2), 3)
+    rng = np.random.default_rng(5)
+    samples = rng.permutation(np.sort(st.draw_samples(model, 384, seed=3))[:3 * _CHUNK])
+    system = st.assemble_system(model, positions, samples, x_full=x_full, beta=0.05,
+                                noise_seed=4)
+    plans, band = [], _HitGram._band
+
+    def recorded(self, *args):
+        plans.append(band(self, *args))
+        return plans[-1]
+
+    monkeypatch.setattr(_HitGram, "_band", recorded)
+    col = 0.5 + rng.random(len(positions))
+    H, b = system.gram(col, system.y)
+    assert len(plans) == 3 and all(plan is not None for plan in plans)
+    A = system.matrix
+    H_dense = (A.T @ A) * col[:, None] * col[None, :]
+    b_dense = col * (A.T @ system.y)
+    assert np.linalg.norm(H - H_dense) <= 1e-14 * np.linalg.norm(H_dense)
+    assert np.linalg.norm(b - b_dense) <= 1e-14 * np.linalg.norm(b_dense)
+    assert (system.q_weights == 1.0).all()
+    Q = sampled_normal(model, positions, np.sort(samples))
+    assert len(plans) == 6 and all(plan is not None for plan in plans)
+    Q_dense = A.T @ A
+    assert np.linalg.norm(Q - Q_dense) <= 1e-14 * np.linalg.norm(Q_dense)
+    assert (Q == Q.T).all()
+    # a dense product between band products adds its upper triangle only
+    plans.clear()
+
+    def second_dense(self, *args):
+        plans.append(None if len(plans) == 1 else band(self, *args))
+        return plans[-1]
+
+    monkeypatch.setattr(_HitGram, "_band", second_dense)
+    H, b = system.gram(np.ones(len(positions)), system.y)
+    assert [plan is None for plan in plans] == [False, True, False]
+    assert (H == H.T).all()
+    H *= col[:, None]
+    H *= col[None, :]
+    b *= col
+    assert np.linalg.norm(H - H_dense) <= 1e-14 * np.linalg.norm(H_dense)
+    assert np.linalg.norm(b - b_dense) <= 1e-14 * np.linalg.norm(b_dense)
 
 
 @pytest.mark.parametrize("name", list(RUN_CASES))
