@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import _population_pass
+from .models import _compose, _population_pass
 # bound here so that perfbench/tracing.py can time it as certify's Gram layer
 from .models import population_gram_matrix  # noqa: F401
 from .weights import WeightVector
@@ -54,14 +54,85 @@ class GramCertificate:
         return float("inf") if self.sigma_min == 0.0 else 1.0 / self.sigma_min
 
 
-def _normal_spectrum(normal: np.ndarray):
+def _normal_spectrum(normal: np.ndarray, blocks=None):
     """(sigma_min, sigma_max, fbi_flag): eigenvalues in [-1e-10, 0] read as 0
-    (a restricted injectivity failure), below -1e-10 as a quadrature error."""
-    lo, hi = np.linalg.eigvalsh(normal)[[0, -1]]
+    (a restricted injectivity failure), below -1e-10 as a quadrature error.
+    The eigenvalues are _eigvalsh's, by blocks when blocks are given."""
+    lo, hi = _eigvalsh(normal, blocks)[[0, -1]]
     if lo < -1e-10:
         raise NumericalConsistencyError(
             f"population normal matrix has eigenvalue {lo:.3e} < -1e-10")
     return float(np.sqrt(max(lo, 0.0))), float(np.sqrt(max(hi, 0.0))), bool(lo <= 0.0)
+
+
+def _symmetry_blocks(turn, mirror):
+    """The symmetry-adapted blocks of the matrices that commute with the
+    dihedral group of the square, given by its quarter turn P and its
+    reflection D as signed permutations (image, sign) of the n indices
+    (FanBeamModel.symmetry's maps): one (rows, scale, terms, multiplicity)
+    per block, which _eigvalsh reads.
+
+    The group's eight elements P^k and D P^k act on R^n.  A matrix M that
+    commutes with them is block diagonal in a basis adapted to the group's
+    irreducible representations (Fassler and Stiefel, Group Theoretical
+    Methods and Their Applications, 1992): four one-dimensional ones, chi(P)
+    and chi(D) each +-1, and one two-dimensional one, on which P^2 = -1.
+    Each basis vector is Q e_t for an index t and an orthogonal projector
+    Q = (1/k) sum_g a(g) g that commutes with M (a(g) = +-1 on k of the
+    elements, 0 on the others), a signed sum over the orbit of t, so the
+    block's entries are e_t^T M Q e_u over the normalizers ||Q e_t||
+    ||Q e_u||, gathers of M:
+    - a one-dimensional block takes a = chi and one index per orbit (its
+      smallest), those with Q e_t != 0;
+    - the two-dimensional representation's eigenvalues each appear twice in
+      M; its D = +1 half (Q = (1 - P^2)(1 + D) / 4) has each once, and takes
+      the smallest index of each orbit and its image under P.
+    Those vectors span each block's space, and they are orthogonal when the
+    blocks' sizes, the last one counted twice, add up to n (each orbit's
+    span holds the two-dimensional representation at most twice, and a pair
+    that is not orthogonal is one vector too many); otherwise ValueError.
+    Built from the maps in O(n)."""
+    n = len(turn[0])
+    rot = [(np.arange(n), np.ones(n))]
+    for _ in range(3):
+        rot.append(_compose(turn, rot[-1]))
+    group = rot + [_compose(mirror, g) for g in rot]          # P^k, then D P^k
+    smallest = np.flatnonzero(np.min([image for image, _ in group], axis=0) == np.arange(n))
+    powers = np.arange(4)
+    chars = [np.r_[p ** powers, d * p ** powers] for p in (1, -1) for d in (1, -1)]
+    blocks = [_block(group, chi, smallest, 1) for chi in chars]
+    blocks.append(_block(group, np.array([1, 0, -1, 0, 1, 0, -1, 0]),
+                         np.union1d(smallest, turn[0][smallest]), 2))
+    if sum(len(rows) * mult for rows, _, _, mult in blocks) != n:
+        raise ValueError("the maps do not act on the indices as the square's symmetries")
+    return blocks
+
+
+def _block(group, a, index, mult):
+    """One block of _symmetry_blocks: the basis vectors Q e_t, t of index,
+    for Q proportional to sum_g a(g) g, that are not 0; the gathers' column
+    maps and signs (each scaled by 1 / ||Q e_u||), the rows' scales, and
+    the multiplicity of the block's eigenvalues."""
+    q = sum(c * sign[index] * (image[index] == index) for c, (image, sign) in zip(a, group))
+    rows = index[q > 0]
+    scale = 1.0 / np.sqrt(q[q > 0])
+    terms = [(image[rows], c * sign[rows] * scale) for c, (image, sign) in zip(a, group) if c]
+    return rows, scale, terms, mult
+
+
+def _eigvalsh(M, blocks=None) -> np.ndarray:
+    """Every eigenvalue of the symmetric M, ascending: np.linalg.eigvalsh's,
+    or, for an M that commutes with the square's symmetries, each
+    symmetry block's (_symmetry_blocks), as often as the block's
+    multiplicity."""
+    if blocks is None:
+        return np.linalg.eigvalsh(M)
+    values = []
+    for rows, scale, terms, mult in blocks:
+        B = sum(M[np.ix_(rows, cols)] * sign for cols, sign in terms)
+        B *= scale[:, None]
+        values += [np.linalg.eigvalsh(B)] * mult
+    return np.sort(np.concatenate(values))
 
 
 def default_quadrature(model, positions) -> int:
@@ -120,7 +191,14 @@ def compute_gram(model, positions, check_convergence: bool = False) -> GramCerti
     rule, of measurement-space inner products.  Every constant is an extreme
     eigenvalue (eigvalsh, no random probes): sigma_min^2 and sigma_max^2 of
     the normal matrix, and (c_hat, C_hat) of normal / outer(d, d) with
-    d = 2^(-b scale), c_hat clamped at 0 as sigma_min is.
+    d = 2^(-b scale), c_hat clamped at 0 as sigma_min is.  Where the model
+    has the square's symmetry on the window (model.symmetry; the fan
+    beam's), the pass folds the rule by it, so the normal matrix, the
+    doubled Gram and, d being constant on each scale, the ratio commute
+    with the group, and each of the three reads takes the eigenvalues of
+    its symmetry blocks (_symmetry_blocks, built once per call); the normal
+    matrix stays whole, for delta* and b_fit.  Other models take eigvalsh
+    of the whole matrix.
 
     One pass over the n_quad rule (models._population_pass) gives the Gram
     and the norms of its rows at the nodes of the min(n_quad, 64)-node rule
@@ -144,7 +222,10 @@ def compute_gram(model, positions, check_convergence: bool = False) -> GramCerti
     nodes, wts = model.population_nodes(n_quad)
     coh_nodes, _ = model.population_nodes(min(n_quad, 64))
     normal, norms = _population_pass(model, positions, nodes, wts, coh_nodes)
-    sigma_min, sigma_max, fbi_flag = _normal_spectrum(normal)
+    # the pass folds a rule of 8p nodes by the symmetry, when the model has one
+    sym = model.symmetry(positions) if n_quad % 8 == 0 else None
+    blocks = None if sym is None else _symmetry_blocks(*sym)
+    sigma_min, sigma_max, fbi_flag = _normal_spectrum(normal, blocks)
     shift = None
     if check_convergence:
         fine, fine_wts = model.population_nodes(2 * n_quad)
@@ -154,7 +235,7 @@ def compute_gram(model, positions, check_convergence: bool = False) -> GramCerti
             normal2 *= 0.5
         else:
             normal2, _ = _population_pass(model, positions, fine, fine_wts)
-        s2 = float(np.sqrt(max(np.linalg.eigvalsh(normal2).min(), 0.0)))
+        s2 = float(np.sqrt(max(_eigvalsh(normal2, blocks)[0], 0.0)))
         shift = abs(sigma_min - s2) / max(s2, 1e-300)
         if shift > 0.01:
             raise NumericalConsistencyError(
@@ -168,7 +249,7 @@ def compute_gram(model, positions, check_convergence: bool = False) -> GramCerti
     # quasi-diagonalization constants: the best c, C in
     # c sum 2^(-2bj) x_j^2 <= x^T normal x <= C sum 2^(-2bj) x_j^2
     d = 2.0 ** (-b * sc)
-    c_hat, C_hat = np.linalg.eigvalsh(normal / np.outer(d, d))[[0, -1]]
+    c_hat, C_hat = _eigvalsh(normal / np.outer(d, d), blocks)[[0, -1]]
 
     # b_fit: per-atom regression of log2 ||F phi||^2 against the scale
     b_fit = _decay_fit(sc, np.log2(np.maximum(np.diag(normal), 1e-300)), b)

@@ -28,9 +28,9 @@ volume (compactly supported atoms at nearby angles).  The fan-beam rows at
 source angles theta + pi/2 and pi/2 - theta are the rows at theta, signed
 and permuted (FanBeamModel.symmetry, the square's quarter turn and diagonal
 reflection), so its pass over a uniform rule visits one octant and the four
-axis nodes, its pass over the half-step rule one octant, and each takes the
-other octants' products from the first octant's.  The whole dense A is
-built only for short solves and tests.
+axis nodes, its pass over the half-step rule one octant, and each folds its
+products by the square's eight symmetries: the Gram is exactly invariant
+under them.  The whole dense A is built only for short solves and tests.
 """
 
 from __future__ import annotations
@@ -829,10 +829,16 @@ class _HitGram:
         per = len(hit) // self.block_dim
         by_offset = hit.reshape(per, -1).T.ravel()      # the rows, offset by offset
         rank = (np.cumsum(by_offset) - 1).reshape(-1, per).T.ravel()[row]
-        # the rows each atom's runs span there; atoms without a cell go last
+        # the rows each atom's runs span there, from the ends of the stretches
+        # of consecutive cells of one atom whose rank rises (each run lies in
+        # one, so their ends hold its extremes), in any cell order; atoms
+        # without a cell go last
+        head, tail = np.ones(len(row), dtype=bool), np.ones(len(row), dtype=bool)
+        head[1:] = tail[:-1] = (rank[1:] < rank[:-1]) | (atom[1:] != atom[:-1])
+        head, tail = np.flatnonzero(head), np.flatnonzero(tail)
         lo, hi = np.full(n, len(hit)), np.full(n, -1)
-        np.minimum.at(lo, atom, rank)
-        np.maximum.at(hi, atom, rank)
+        np.minimum.at(lo, atom[head], rank[head])
+        np.maximum.at(hi, atom[tail], rank[tail])
         hi += 1
         order = np.argsort(np.where(hi > 0, lo + hi, 2 * len(hit)), kind="stable")
         lo, hi = lo[order], hi[order]
@@ -1062,30 +1068,36 @@ def _population_pass(model, positions, nodes, wts, norm_nodes=()):
     Where the model's rows have the square's symmetry on the window
     (model.symmetry; the fan beam's), the quarter turn P and the diagonal
     reflection D carry the rows at one node to the rows at another by a
-    signed permutation, and two rules of n = 8p nodes visit one octant:
-    - the model's uniform rule visits the sector k = 1 .. p - 1, folded by
-      D (node k to 2p - k), the diagonal node k = p, folded by
-      (1 + P)(1 + P^2) (P takes node k to k + 2p), and the four axis
-      nodes, whose rows are not mapped copies of each other (a ray can run
-      along a cell edge), so its Gram is
-      G_axis + (1 + P)(1 + P^2)(G_diag + (1 + D) G_sector);
+    signed permutation, and two rules of n = 8p nodes visit one octant and
+    fold it by the whole group, (1 + P)(1 + P^2)(1 + D), which sums the
+    eight signed permutations (P takes node k to k + 2p):
+    - the model's uniform rule visits the nodes k = 1 .. p and its four
+      axis nodes.  A sector node k < p has an orbit of 8 nodes and keeps
+      its weight w; the diagonal node p (D takes node k to 2p - k) has an
+      orbit of 4 and takes w / 2; each axis node takes w / 8.  The axis
+      rows are not mapped copies of each other (a ray can run along a cell
+      edge), so the folded Gram is the group average of the rule's own
+      Gram, (1/8) sum_g g G g^T;
     - the half-step rule, the uniform rule shifted by half its step (the
       odd nodes of the 16p-node rule, each at weight 1/(8p)), has no node on
-      an axis or a diagonal: it visits i = 0 .. p - 1 and folds by D (node i
-      to 2p - 1 - i), P^2 and P (node i to i + 2p).
+      an axis or a diagonal: it visits i = 0 .. p - 1 (D takes node i to
+      2p - 1 - i), and its folded Gram is the rule's own.
+    Each fold adds a matrix and its signed permutation, so the Gram is
+    exactly invariant under P and D, as certify's symmetry blocks need.
     Any other rule, or a model without the symmetry, visits every node.
     The rule check comes first, and the symmetry is built only for a rule
-    that folds.  Each part is visited _CHUNK nodes at a time, with run
-    values scaled by sqrt(w * quad_weight), one product per chunk (in any
-    cell order), settled (_HitGram.settle), then folded in place, so no
-    second n x n matrix is held.
+    that folds.  The nodes are visited _CHUNK at a time, with run values
+    scaled by sqrt(w * quad_weight), one product per chunk (in any cell
+    order), settled (_HitGram.settle), then folded in place, so no second
+    n x n matrix is held.
 
     Returns the Gram and a (node, row norms) pair for each visited node of
     norm_nodes, in visit order, the norms read off the node's runs
     (_row_norms).  A norm node the rule does not visit gets no pair.
     """
     positions, nodes, wts = np.asarray(positions, dtype=int), np.asarray(nodes), np.asarray(wts)
-    parts = [(np.arange(len(nodes)), [])]       # (node indices, folds) of each part
+    # the nodes visited, their weights' share of the rule's, and the folds after
+    visit, share, folds = np.arange(len(nodes)), 1.0, []
     p, rem = divmod(len(nodes), 8)
     if p and not rem:
         fine, fine_wts = model.population_nodes(2 * len(nodes))
@@ -1095,26 +1107,33 @@ def _population_pass(model, positions, nodes, wts, norm_nodes=()):
         sym = model.symmetry(positions) if uniform or half_step else None
         if sym is not None:
             turn, mirror = sym
-            half_turn = (turn[0][turn[0]], turn[1] * turn[1][turn[0]])
-            parts = ([(np.arange(1, p), [mirror]), (np.array([p]), [half_turn, turn]),
-                      (np.arange(0, 8 * p, 2 * p), [])] if uniform
-                     else [(np.arange(p), [mirror, half_turn, turn])])
+            folds = [mirror, _compose(turn, turn), turn]
+            if uniform:     # the sector, the diagonal node and the axis nodes
+                visit = np.r_[1:p + 1, 0:8 * p:2 * p]
+                share = np.r_[np.ones(p - 1), 0.5, np.full(4, 0.125)]
+            else:
+                visit = np.arange(p)
+    wts = wts[visit] * share
     n, bd, wanted, norms = len(positions), model.block_dim, set(map(float, norm_nodes)), []
     G, kernel = np.zeros((n, n)), _HitGram(n, bd)
-    for part, folds in parts:
-        for k0 in range(0, len(part), _CHUNK):
-            chunk = part[k0:k0 + _CHUNK]
-            scale = np.sqrt(wts[chunk] * model.quad_weight)
-            k, atom, col, val = map(np.concatenate, zip(*model._runs(positions, nodes[chunk])))
-            kernel.add(G, len(chunk) * bd, k * bd + col, atom, val * scale[k])
-            for i, t in enumerate(nodes[chunk]):
-                if float(t) in wanted:
-                    sel = k == i
-                    norms.append((float(t), model._row_norms(n, atom[sel], col[sel], val[sel])))
-        kernel.settle(G)
-        for image, sign in folds:
-            _fold(G, image, sign)
+    for k0 in range(0, len(visit), _CHUNK):
+        ts = nodes[visit[k0:k0 + _CHUNK]]
+        scale = np.sqrt(wts[k0:k0 + _CHUNK] * model.quad_weight)
+        k, atom, col, val = map(np.concatenate, zip(*model._runs(positions, ts)))
+        kernel.add(G, len(ts) * bd, k * bd + col, atom, val * scale[k])
+        for i, t in enumerate(ts):
+            if float(t) in wanted:
+                sel = k == i
+                norms.append((float(t), model._row_norms(n, atom[sel], col[sel], val[sel])))
+    kernel.settle(G)
+    for image, sign in folds:
+        _fold(G, image, sign)
     return G, norms
+
+
+def _compose(a, b):
+    """The signed permutation a after b, each an (image, sign) pair."""
+    return a[0][b[0]], b[1] * a[1][b[0]]
 
 
 def _fold(G, image, sign):

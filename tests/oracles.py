@@ -3,7 +3,8 @@ of them is on a pipeline's path:
 
 - an image-domain Radon transform, a Lagrangian (penalized-path) solver, the
   fitted tail decay of a coefficient field and the population Gram from
-  dense rows;
+  dense rows, also averaged over the square's symmetries, as dense signed
+  permutation matrices;
 - a grid's extent, an atom's dense image and support box, and a sampling
   density's total mass;
 - exact enumerations: the best weighted-sparse approximation and the
@@ -180,6 +181,31 @@ def dense_population_gram(model, positions, nodes, wts) -> np.ndarray:
         R = model.rows(positions, t)
         G += w * model.quad_weight * (R @ R.T)
     return G
+
+
+def signed_permutation_matrix(image, sign) -> np.ndarray:
+    """The dense matrix S of a signed permutation (image, sign): S e_i =
+    sign_i e_image_i."""
+    S = np.zeros((len(image), len(image)))
+    S[image, np.arange(len(image))] = sign
+    return S
+
+
+def square_group(model, positions) -> list:
+    """The dense matrices of the square's eight symmetries on the window,
+    P^k and D P^k for k = 0..3, from model.symmetry's quarter turn P and
+    diagonal reflection D."""
+    P, D = (signed_permutation_matrix(*g) for g in model.symmetry(positions))
+    rot = [np.linalg.matrix_power(P, k) for k in range(4)]
+    return rot + [D @ R for R in rot]
+
+
+def averaged_population_gram(model, positions, nodes, wts) -> np.ndarray:
+    """The group average (1/8) sum_g S_g G S_g^T of dense_population_gram
+    over the square's symmetries on the window (square_group): the Gram
+    that the fan beam's folded population pass takes for G."""
+    G = dense_population_gram(model, positions, nodes, wts)
+    return sum(S @ G @ S.T for S in square_group(model, positions)) / 8.0
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 import sparsetomo as st
-from sparsetomo.certify import (NumericalConsistencyError, _greedy_support, _normal_spectrum,
-                                _support_delta)
+from sparsetomo.certify import (NumericalConsistencyError, _eigvalsh, _greedy_support,
+                                _normal_spectrum, _support_delta, _symmetry_blocks,
+                                default_quadrature)
 from sparsetomo.experiments import ExperimentConfig, build_model, run_certification_report
 from sparsetomo.models import _CHUNK, _HitGram, _population_pass, population_gram_matrix
 
 import oracles
-from oracles import (SyntheticDiagonalModel, atom_norms, delta_star_bruteforce,
-                     dense_population_gram, rnsp_witness_search, sampled_normal,
-                     truncation_residual)
+from oracles import (SyntheticDiagonalModel, atom_norms, averaged_population_gram,
+                     delta_star_bruteforce, dense_population_gram, rnsp_witness_search,
+                     sampled_normal, truncation_residual)
 
 
 def all_positions(model):
@@ -104,7 +105,9 @@ def test_gram_pass_matches_single_rule_oracles(kind, haar_atlas_j2):
         mean = 0.5 * (cert.normal + half)
         assert np.linalg.norm(mean - normal2) <= 1e-15 * np.linalg.norm(normal2)
         normal2 = mean
-    s2 = float(np.sqrt(max(np.linalg.eigvalsh(normal2).min(), 0.0)))
+    # the fan beam's eigenvalues come from the square's symmetry blocks
+    blocks = _symmetry_blocks(*model.symmetry(w)) if kind == "fanbeam" else None
+    s2 = float(np.sqrt(max(_eigvalsh(normal2, blocks)[0], 0.0)))
     assert cert.sigma_min_shift == abs(cert.sigma_min - s2) / max(s2, 1e-300)
 
     nodes, _ = model.population_nodes(min(n, 64))
@@ -151,13 +154,14 @@ def test_gram_pass_matches_single_rule_oracles(kind, haar_atlas_j2):
 @pytest.mark.parametrize("kind", ["fanbeam", "radon"])
 def test_gram_doubling_products(kind, monkeypatch, radon_j2):
     # the doubling check's half-step rule shares no node with the n rule, and
-    # no rule's products repeat another's: on the certify-fan window the n
-    # rule's sector, diagonal and axis products and one half-step product
-    # (n = 128), on the Radon window 8 + 8 products of 16 nodes (7 and 24 when
-    # the 2n rule took products of its own)
+    # no rule's products repeat another's: on the certify-fan window two
+    # products of the n rule's 20 visited nodes (its sector, diagonal and
+    # axis nodes, n = 128) and one of the half-step rule's 16, on the Radon
+    # window 8 + 8 products of 16 nodes (7 and 24 when the 2n rule took
+    # products of its own)
     if kind == "fanbeam":
         model = build_model("fanbeam", j_max=3)
-        w, expect = np.flatnonzero(model.scales() <= 2), 4
+        w, expect = np.flatnonzero(model.scales() <= 2), 3
     else:
         model, expect = radon_j2, 16
         w = all_positions(model)
@@ -171,6 +175,57 @@ def test_gram_doubling_products(kind, monkeypatch, radon_j2):
     monkeypatch.setattr(_HitGram, "add", counting_add)
     st.compute_gram(model, w, check_convergence=True)
     assert len(counted) == expect
+
+
+@pytest.fixture(scope="module", params=[1, 2, 3])
+def fan_symmetric_grams(request):
+    # the fan-beam j0 window of a j_max = j0 + 1 model, its symmetry maps and
+    # the Grams of its two symmetric rules at default_quadrature's n
+    j0 = request.param
+    model = build_model("fanbeam", j_max=j0 + 1)
+    w = st.truncation_positions(model.atlas, j0)
+    n = default_quadrature(model, w)
+    fine, fine_wts = model.population_nodes(2 * n)
+    G, _ = _population_pass(model, w, *model.population_nodes(n))
+    half, _ = _population_pass(model, w, fine[1::2], 2.0 * fine_wts[1::2])
+    return model, w, model.symmetry(w), G, half
+
+
+def test_fanbeam_symmetric_rule_grams_are_invariant(fan_symmetric_grams):
+    # the uniform rule's Gram and the half-step rule's are each folded by the
+    # whole group, so the quarter turn and the reflection leave them exactly
+    # as they are: (S G S^T)[image_i, image_k] = sign_i sign_k G[i, k]
+    _, _, maps, G, half = fan_symmetric_grams
+    for M in (G, half):
+        for image, sign in maps:
+            moved = np.empty_like(M)
+            moved[np.ix_(image, image)] = M * np.outer(sign, sign)
+            assert np.array_equal(moved, M)
+
+
+def test_fanbeam_block_eigenvalues_match_eigvalsh(fan_symmetric_grams):
+    # every eigenvalue of the three matrices compute_gram reads (the normal
+    # matrix, the doubled Gram and normal / outer(d, d)) from the symmetry
+    # blocks, each two-dimensional block's twice, equals eigvalsh's of the
+    # whole matrix to 1e-14 of the largest
+    model, w, maps, G, half = fan_symmetric_grams
+    blocks = _symmetry_blocks(*maps)
+    assert sum(len(rows) * mult for rows, _, _, mult in blocks) == len(w)
+    assert [mult for *_, mult in blocks] == [1, 1, 1, 1, 2]
+    d = 2.0 ** (-model.smoothing_exponent * model.scales()[w])
+    for M in (G, 0.5 * (G + half), G / np.outer(d, d)):
+        full = np.linalg.eigvalsh(M)
+        assert np.abs(_eigvalsh(M, blocks) - full).max() <= 1e-14 * full[-1]
+
+
+def test_symmetry_blocks_reject_an_action_their_bases_do_not_fit():
+    # the square's group permuting 4 indices with D P fixing index 0 (P the
+    # cycle 0 -> 1 -> 2 -> 3, D swapping 0, 1 and 2, 3): the two-dimensional
+    # representation's half gets two vectors that are not orthogonal where
+    # it has room for one, and the sizes add up to 6, not 4
+    turn, mirror = (np.array([1, 2, 3, 0]), np.ones(4)), (np.array([1, 0, 3, 2]), np.ones(4))
+    with pytest.raises(ValueError, match="square's symmetries"):
+        _symmetry_blocks(turn, mirror)
 
 
 def test_fanbeam_half_step_rule_visits_first_octant(haar_atlas_j2):
@@ -222,12 +277,18 @@ def test_certify_fan_window_takes_no_band_product(tmp_path, monkeypatch):
 @pytest.mark.parametrize("kind", list(PASS_MODELS) + ["synthetic"])
 def test_gram_pass_matches_dense_oracle(kind, haar_atlas_j2, synthetic_model):
     # the hit-row products give the Gram of the dense per-node loop, and the
-    # pass's row norms are the dense rows' norms, up to summation order
+    # pass's row norms are the dense rows' norms, up to summation order; the
+    # fan beam's folded pass gives that Gram's average over the square's
+    # symmetries, whose sigma_min moves far less than the doubling shift
     model = synthetic_model if kind == "synthetic" else PASS_MODELS[kind](haar_atlas_j2)
     w = np.arange(model.dictionary_size())
-    cert = st.compute_gram(model, w)
+    cert = st.compute_gram(model, w, check_convergence=kind == "fanbeam")
     n = cert.n_quad
     expect = dense_population_gram(model, w, *model.population_nodes(n))
+    if kind == "fanbeam":
+        plain, expect = expect, averaged_population_gram(model, w, *model.population_nodes(n))
+        s_plain, s_avg = (np.sqrt(np.linalg.eigvalsh(G)[0]) for G in (plain, expect))
+        assert abs(s_avg - s_plain) / s_plain < cert.sigma_min_shift / 50
     for G in (cert.normal, population_gram_matrix(model, w, n)):
         assert np.linalg.norm(G - expect) <= 1e-14 * np.linalg.norm(expect)
     nodes, _ = model.population_nodes(min(n, 64))

@@ -8,8 +8,8 @@ from sparsetomo.experiments import build_model
 from sparsetomo.models import _CHUNK, GeometryError, _HitGram, _nonzero_core, _run_cells
 from sparsetomo.wavelets import GridSpec, dilation
 
-from oracles import (atom_norms, density_integral, radon_image, sampled_normal, support_box,
-                     uniform_bound_probe)
+from oracles import (atom_norms, density_integral, radon_image, sampled_normal, square_group,
+                     support_box, uniform_bound_probe)
 
 
 def brute_radon_atom(atlas, idx, theta, s_grid, step):
@@ -421,6 +421,26 @@ def test_fanbeam_diagonal_reflection_equivariance(haar_atlas_j3):
     # an open half-plane window, and the Radon model
     assert fan.symmetry(np.flatnonzero(a.n1 >= 0)) is None
     assert st.RadonModel(haar_atlas_j3).symmetry(positions) is None
+
+
+@pytest.mark.parametrize("j0", [0, 1, 2, 3])
+def test_fanbeam_symmetry_maps_are_the_square_group(j0):
+    # on each scale window the turn P and the reflection D are signed
+    # permutations with P^4 = 1, D^2 = 1 and D P D = P^-1, the relations of
+    # the square's dihedral group; the turns P, P^2, P^3 and the reflections
+    # D P, D P^3 fix no atom, so each orbit has 4 or 8 atoms
+    model = build_model("fanbeam", j_max=j0 + 1)
+    w = st.truncation_positions(model.atlas, j0)
+    for image, sign in model.symmetry(w):
+        assert np.array_equal(np.sort(image), np.arange(len(w)))
+        assert np.isin(sign, (-1.0, 1.0)).all()
+    group = square_group(model, w)          # P^k, then D P^k
+    P, D, one = group[1], group[4], np.eye(len(w))
+    assert np.array_equal(np.linalg.matrix_power(P, 4), one)
+    assert np.array_equal(D @ D, one)
+    assert np.array_equal(D @ P @ D, P.T)
+    for k in (1, 2, 3, 5, 7):
+        assert not np.diag(group[k]).any()
 
 
 def test_fanbeam_zero_signal(haar_atlas_j2):
