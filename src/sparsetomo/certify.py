@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import _compose, _population_pass
+from .models import _compose, _fold_plan, _population_pass
 # bound here so that perfbench/tracing.py can time it as certify's Gram layer
 from .models import population_gram_matrix  # noqa: F401
 from .weights import WeightVector
@@ -191,14 +191,14 @@ def compute_gram(model, positions, check_convergence: bool = False) -> GramCerti
     rule, of measurement-space inner products.  Every constant is an extreme
     eigenvalue (eigvalsh, no random probes): sigma_min^2 and sigma_max^2 of
     the normal matrix, and (c_hat, C_hat) of normal / outer(d, d) with
-    d = 2^(-b scale), c_hat clamped at 0 as sigma_min is.  Where the model
-    has the square's symmetry on the window (model.symmetry; the fan
-    beam's), the pass folds the rule by it, so the normal matrix, the
-    doubled Gram and, d being constant on each scale, the ratio commute
-    with the group, and each of the three reads takes the eigenvalues of
-    its symmetry blocks (_symmetry_blocks, built once per call); the normal
-    matrix stays whole, for delta* and b_fit.  Other models take eigvalsh
-    of the whole matrix.
+    d = 2^(-b scale), c_hat clamped at 0 as sigma_min is.  Where the pass
+    folds the rule by the square's symmetry (the maps of
+    models._fold_plan; the fan beam's), the normal matrix, the doubled
+    Gram and, d being constant on each scale, the ratio commute with the
+    group, and each of the three reads takes the eigenvalues of its
+    symmetry blocks (_symmetry_blocks, built once per call from those
+    maps); the normal matrix stays whole, for delta* and b_fit.  Other
+    models take eigvalsh of the whole matrix.
 
     One pass over the n_quad rule (models._population_pass) gives the Gram
     and the norms of its rows at the nodes of the min(n_quad, 64)-node rule
@@ -222,9 +222,8 @@ def compute_gram(model, positions, check_convergence: bool = False) -> GramCerti
     nodes, wts = model.population_nodes(n_quad)
     coh_nodes, _ = model.population_nodes(min(n_quad, 64))
     normal, norms = _population_pass(model, positions, nodes, wts, coh_nodes)
-    # the pass folds a rule of 8p nodes by the symmetry, when the model has one
-    sym = model.symmetry(positions) if n_quad % 8 == 0 else None
-    blocks = None if sym is None else _symmetry_blocks(*sym)
+    maps = _fold_plan(model, positions, nodes, wts)[0]
+    blocks = None if maps is None else _symmetry_blocks(*maps)
     sigma_min, sigma_max, fbi_flag = _normal_spectrum(normal, blocks)
     shift = None
     if check_convergence:
@@ -305,11 +304,6 @@ def _greedy_support(order, wsq, budget: float) -> list:
     return S
 
 
-def _difference_matrix(sampled: np.ndarray, cert: GramCertificate) -> np.ndarray:
-    M = sampled - cert.normal
-    return 0.5 * (M + M.T)
-
-
 def delta_star_montecarlo(sampled: np.ndarray, cert: GramCertificate,
                           omega: WeightVector, lam: float, trials: int,
                           seed: int = 0) -> RipEstimate:
@@ -317,14 +311,16 @@ def delta_star_montecarlo(sampled: np.ndarray, cert: GramCertificate,
     samples at weights 1/(m f_nu), against cert.normal, from random
     admissible supports (random greedy filling until the weighted budget is
     exhausted).  The distinct supports are drawn first, then evaluated in
-    one stack per support size."""
+    one stack per support size.  Every Gram of the pipeline is exactly
+    symmetric (models._gram), so their difference is; _support_delta
+    symmetrizes each support's matrix all the same."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = len(omega)
     if np.shape(sampled) != (n, n) or cert.normal.shape != (n, n):
         raise ValueError(f"{n} weights, sampled {np.shape(sampled)}, normal {cert.normal.shape}")
     wsq = omega.values ** 2
-    M = _difference_matrix(sampled, cert)
+    M = sampled - cert.normal
     rng = np.random.default_rng(seed)
     supports = {}           # each distinct support, in the order first drawn
     for _ in range(trials):

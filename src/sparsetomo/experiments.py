@@ -54,6 +54,9 @@ class ExperimentConfig:
             raise ValueError("beta values must lie in [0, 1)")
         if self.ms is not None and any(m < 1 for m in self.ms):
             raise ValueError("m values must be >= 1")
+        if not (1 <= self.m_min <= self.m_cap):
+            raise ValueError(f"m_min={self.m_min} and m_cap={self.m_cap} must satisfy "
+                             "1 <= m_min <= m_cap")
         if self.j0 < 0:
             raise ValueError("j0 must be >= 0")
         if self.j0 > self.j_max and self.model != "legendre":   # Legendre has no scales

@@ -19,12 +19,14 @@ uncut.
 A system of random samples is assembled a chunk of samples at a time and
 keeps its stacked operator A as those runs, with quadrature weights and
 1/sqrt(m) folded in, so plain Euclidean norms of stacked vectors equal the
-(1/m)-averaged measurement-space norms.  One kernel, _HitGram, multiplies
-the rows a chunk of runs touches for every Gram: the solver's by samples in
+(1/m)-averaged measurement-space norms.  One kernel, _gram, multiplies the
+rows a chunk of runs touches for every Gram: the solver's by samples in
 angle order, the population Gram and the sampled normal matrix by the nodes
 of one rule per pass.  Each product is dense, or a band that follows the
 runs where their geometry shows it takes at most a third of the dense
-volume (compactly supported atoms at nearby angles).  The fan-beam rows at
+volume (compactly supported atoms at nearby angles); each adds every pair
+of atoms to one side of the Gram, which _gram mirrors once at the end, so
+every Gram is exactly symmetric.  The fan-beam rows at
 source angles theta + pi/2 and pi/2 - theta are the rows at theta, signed
 and permuted (FanBeamModel.symmetry, the square's quarter turn and diagonal
 reflection), so its pass over a uniform rule visits one octant and the four
@@ -36,6 +38,7 @@ under them.  The whole dense A is built only for short solves and tests.
 from __future__ import annotations
 
 import itertools
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -725,162 +728,140 @@ def draw_samples(model, m: int, seed: int) -> np.ndarray:
     return model.sample(m, np.random.default_rng(seed))
 
 
-_CHUNK = 16      # parameters per batch of _runs, samples or nodes per _HitGram product
+_CHUNK = 16      # parameters per batch of _runs, samples or nodes per _gram product
 _NORM_ENTRIES = 2 ** 18     # entries per dense block of rows that _row_norms sums
 
 
 _BAND = 64       # atoms per block of a band product
 _BAND_SHARE = 1 / 3  # a band product is taken at most at this share of the dense one's volume
+_MAP_BYTES = 2 ** 22  # a Gram's row block from this size up gets a mapping of its own
 
 
-class _HitGram:
-    """The one Gram kernel over support runs: add(H, n_rows, row, atom, val)
-    adds C^T C to H, C the rows of a chunk of n_rows rows (block_dim rows per
-    parameter) that some cell of its runs touches (the others add nothing),
-    scattered into the head of one reused zero block, grown to the most rows
-    a chunk has touched.  With y, the chunk's data, add also returns C^T y
-    over the same rows.
+def _gram(n, block_dim, chunks):
+    """The one Gram kernel over support runs: (H, b), the sums of C^T C and
+    C^T y over chunks of (n_rows, row, atom, val, y or None), C the rows of
+    a chunk of n_rows rows (block_dim per parameter) that some cell of its
+    runs touches (the others add nothing), scattered into the head of one
+    reused zero block, grown to the most rows a chunk has touched
+    (_zero_block).
 
-    A dense product adds C^T C whole, so H stays symmetric.  A band product
-    puts each pair's entry on one side of H only: the first after a settle
-    clears H's strictly lower triangle (H is symmetric, so its upper one
-    holds it), and dense products then add their upper triangles only.
-    settle(H), once the adds are done, sums the two sides into both.  A run
-    of dense products leaves H as the sum of the C^T C, bit for bit, and
-    settle has nothing to do.
-
-    Each product is one of two.  The dense one is C^T C over the hit rows in
-    row order, k n^2 / 2 multiply-adds for k hit rows and n atoms.  The band
-    one follows the runs: a compactly supported atom's run covers a few
-    offsets, which move little across a chunk of nearby parameters.  It
-    orders the hit rows by offset (then parameter) and the atoms by the
-    midpoint of the rows their runs span in that order, so C is banded; for
-    each block of _BAND consecutive atoms it multiplies their columns, over
-    the rows their runs span only, by the columns from the block's first
-    atom to the last atom whose rows meet those (slices of the one hit
-    block), and adds the pairs, each once, into H through the chunk's atom
-    order.  The band is taken when the run geometry shows its product
-    volume, rows x block atoms x columns summed over the blocks, at most
-    _BAND_SHARE of the dense product's: the volume it skips must pay for
-    its scatter into H and its smaller BLAS calls.  Measured per chunk, it
-    beat the dense product 1.3-2.9x at volume shares 0.09-0.26 (the Radon
-    and fan-beam j0 >= 3 windows) and tied or lost at 0.45-2.0 (every
-    j0 <= 2 window), whose products so stay dense.
+    Every product adds each pair of atoms once, on one side of H, and
+    _settle sums the two sides into both at the end, so H is exactly
+    symmetric.  The dense product, C^T C over the hit rows in row order (k
+    n^2 / 2 multiply-adds for k hit rows), adds its upper triangle; numpy
+    returns it exactly symmetric, so dense products alone give their sum
+    bit for bit.  The band product follows the runs: a compactly supported
+    atom's run covers a few offsets, which move little across a chunk of
+    nearby parameters.  With the hit rows ordered by offset (then
+    parameter) and the atoms by the midpoint of the rows their runs span, C
+    is banded; each block of _BAND consecutive atoms multiplies its
+    columns, over the rows its runs span only, by the columns from its
+    first atom to the last atom whose rows meet those (slices of the one
+    block), and adds the pairs into H through the chunk's atom order.  It
+    is taken when its volume is at most _BAND_SHARE of the dense product's
+    (_band): measured per chunk, it beat the dense product 1.3-2.9x at
+    volume shares 0.09-0.26 (the Radon and fan-beam j0 >= 3 windows) and
+    tied or lost at 0.45-2.0 (every j0 <= 2 window), whose products so stay
+    dense.
     """
-
-    def __init__(self, n: int, block_dim: int):
-        self.block = np.zeros((0, n))
-        self.block_dim = block_dim
-        self.upper = None               # the upper triangle's mask, for a one-sided H
-        self.sided = False              # H holds band products on one side
-
-    def add(self, H, n_rows, row, atom, val, y=None):
-        n = len(H)
+    H, b = np.zeros((n, n)), np.zeros(n)
+    block, upper = np.zeros((0, n)), None
+    for n_rows, row, atom, val, y in chunks:
         hit = np.zeros(n_rows, dtype=bool)
         hit[row] = True
         k = np.count_nonzero(hit)
-        if len(self.block) < k:
-            self.block = None               # freed before its successor is made
-            self.block = np.zeros((k, n))
-        C = self.block[:k]
+        if len(block) < k:
+            block = None                    # freed before its successor is made
+            block = _zero_block(k, n)
+        C = block[:k]
         flat = C.reshape(-1)
-        band = self._band(hit, row, atom, n)
+        band = _band(hit, row, atom, n, block_dim)
         if band is None:
             cell = (np.cumsum(hit) - 1)[row] * n + atom    # in C, whose rows are the hit rows
             flat[cell] = val
-            if not self.sided:
-                H += C.T @ C
-            else:
-                if self.upper is None:
-                    self.upper = np.triu(np.ones((n, n), dtype=bool))
-                np.add(H, C.T @ C, out=H, where=self.upper)
-            Cty = None if y is None else C.T @ y[hit]
+            if upper is None:
+                upper = np.triu(np.ones((n, n), dtype=bool))
+            np.add(H, C.T @ C, out=H, where=upper)
+            if y is not None:
+                b += C.T @ y[hit]
         else:
-            if not self.sided:
-                _clear_lower(H)
-                self.sided = True
-            rows, rank, order, blocks = band
-            place = np.empty(n, dtype=int)
-            place[order] = np.arange(n)
-            cell = rank
+            rows, cell, order, blocks = band
             cell *= n
-            cell += place[atom]
+            cell += np.argsort(order)[atom]             # each atom's place in the order
             flat[cell] = val
-            upper = np.triu(np.ones((_BAND, _BAND)))
+            tri = np.triu(np.ones((_BAND, _BAND)))
             for b0, b1, r0, r1, c1 in blocks:
                 P = C[r0:r1, b0:b1].T @ C[r0:r1, b0:c1]
                 # the block's own pairs once: P's first square adds its
                 # upper triangle, and zeros below it
-                P[:, :b1 - b0] *= upper[:b1 - b0, :b1 - b0]
+                P[:, :b1 - b0] *= tri[:b1 - b0, :b1 - b0]
                 H[order[b0:b1, None], order[b0:c1]] += P
-            Cty = None
             if y is not None:
-                Cty = np.empty(n)
-                Cty[order] = C.T @ y[rows]
+                b[order] += C.T @ y[rows]
         flat[cell] = 0.0
-        return Cty
-
-    def _band(self, hit, row, atom, n):
-        """The band product's plan for a chunk's cells, or None when its
-        volume exceeds _BAND_SHARE of the dense product's: (the hit rows in
-        offset order, each cell's row there, the atom order, and (b0, b1,
-        r0, r1, c1) per block of atoms b0:b1, its rows r0:r1 and its
-        columns b0:c1)."""
-        per = len(hit) // self.block_dim
-        by_offset = hit.reshape(per, -1).T.ravel()      # the rows, offset by offset
-        rank = (np.cumsum(by_offset) - 1).reshape(-1, per).T.ravel()[row]
-        # the rows each atom's runs span there, from the ends of the stretches
-        # of consecutive cells of one atom whose rank rises (each run lies in
-        # one, so their ends hold its extremes), in any cell order; atoms
-        # without a cell go last
-        head, tail = np.ones(len(row), dtype=bool), np.ones(len(row), dtype=bool)
-        head[1:] = tail[:-1] = (rank[1:] < rank[:-1]) | (atom[1:] != atom[:-1])
-        head, tail = np.flatnonzero(head), np.flatnonzero(tail)
-        lo, hi = np.full(n, len(hit)), np.full(n, -1)
-        np.minimum.at(lo, atom[head], rank[head])
-        np.maximum.at(hi, atom[tail], rank[tail])
-        hi += 1
-        order = np.argsort(np.where(hi > 0, lo + hi, 2 * len(hit)), kind="stable")
-        lo, hi = lo[order], hi[order]
-        b0 = np.arange(0, n, _BAND)
-        r0, r1 = np.minimum.reduceat(lo, b0), np.maximum.reduceat(hi, b0)
-        touch = (lo < r1[:, None]) & (hi > r0[:, None])
-        b1 = np.minimum(b0 + _BAND, n)
-        c1 = np.maximum(n - touch[:, ::-1].argmax(axis=1), b1)
-        live = r1 > r0
-        volume = ((r1 - r0) * (b1 - b0) * (c1 - b0))[live].sum()
-        if volume > _BAND_SHARE * np.count_nonzero(hit) * n * n / 2:
-            return None
-        keys = np.flatnonzero(by_offset)
-        blocks = zip(b0[live], b1[live], r0[live], r1[live], c1[live])
-        return (keys % per) * self.block_dim + keys // per, rank, order, blocks
-
-    def settle(self, H):
-        """H[i, j] + H[j, i] into both entries, i != j, in place, a block of
-        rows at a time, after band products: H is then the sum of the
-        products added."""
-        if not self.sided:
-            return
-        n = len(H)
-        for i0 in range(0, n, _BAND):
-            i1 = min(i0 + _BAND, n)
-            s = H[i0:i1, i1:] + H[i1:, i0:i1].T
-            H[i0:i1, i1:] = s
-            H[i1:, i0:i1] = s.T
-            D = H[i0:i1, i0:i1]
-            s = np.triu(D, 1) + np.tril(D, -1).T
-            D[...] = s + s.T + np.diag(np.diag(D))
-        self.sided = False
+        C = flat = row = atom = val = y = cell = band = None  # freed before the next chunk
+    _settle(H)
+    return H, b
 
 
-def _clear_lower(H):
-    """Zeros H's strictly lower triangle in place, a block of rows at a time."""
+def _zero_block(k, n):
+    """A (k, n) zero block.  From _MAP_BYTES up it sits on an anonymous
+    mapping of its own, whose pages go back to the system when it is
+    dropped: from the C heap, the blocks a Gram grows out of stayed
+    resident, and a recon-tail run's peak moved by up to 7 MiB with how
+    later arrays fell into them.  certify-fan's 2-3 MB blocks stay on
+    np.zeros: fresh pages made its report 17% slower."""
+    if 8 * k * n < _MAP_BYTES:
+        return np.zeros((k, n))
+    return np.frombuffer(mmap.mmap(-1, 8 * k * n, access=mmap.ACCESS_COPY)).reshape(k, n)
+
+
+def _band(hit, row, atom, n, block_dim):
+    """The band product's plan for a chunk's cells, or None when its volume
+    exceeds _BAND_SHARE of the dense product's: (the hit rows in offset
+    order, each cell's row there, the atom order, and (b0, b1, r0, r1, c1)
+    per block of atoms b0:b1, its rows r0:r1 and its columns b0:c1)."""
+    per = len(hit) // block_dim
+    by_offset = hit.reshape(per, -1).T.ravel()      # the rows, offset by offset
+    rank = (np.cumsum(by_offset) - 1).reshape(-1, per).T.ravel()[row]
+    # the rows each atom's runs span there, from the ends of the stretches
+    # of consecutive cells of one atom whose rank rises (each run lies in
+    # one, so their ends hold its extremes), in any cell order; atoms
+    # without a cell go last
+    head, tail = np.ones(len(row), dtype=bool), np.ones(len(row), dtype=bool)
+    head[1:] = tail[:-1] = (rank[1:] < rank[:-1]) | (atom[1:] != atom[:-1])
+    head, tail = np.flatnonzero(head), np.flatnonzero(tail)
+    lo, hi = np.full(n, len(hit)), np.full(n, -1)
+    np.minimum.at(lo, atom[head], rank[head])
+    np.maximum.at(hi, atom[tail], rank[tail])
+    hi += 1
+    order = np.argsort(np.where(hi > 0, lo + hi, 2 * len(hit)), kind="stable")
+    lo, hi = lo[order], hi[order]
+    b0 = np.arange(0, n, _BAND)
+    r0, r1 = np.minimum.reduceat(lo, b0), np.maximum.reduceat(hi, b0)
+    touch = (lo < r1[:, None]) & (hi > r0[:, None])
+    b1 = np.minimum(b0 + _BAND, n)
+    c1 = np.maximum(n - touch[:, ::-1].argmax(axis=1), b1)
+    live = r1 > r0
+    volume = ((r1 - r0) * (b1 - b0) * (c1 - b0))[live].sum()
+    if volume > _BAND_SHARE * np.count_nonzero(hit) * n * n / 2:
+        return None
+    keys = np.flatnonzero(by_offset)
+    blocks = zip(b0[live], b1[live], r0[live], r1[live], c1[live])
+    return (keys % per) * block_dim + keys // per, rank, order, blocks
+
+
+def _settle(H):
+    """H[i, j] + H[j, i] into both entries, i != j, in place, a block of rows
+    at a time: a Gram whose products added each pair to one side holds
+    their sum on both."""
     n = len(H)
     for i0 in range(0, n, _BAND):
         i1 = min(i0 + _BAND, n)
-        H[i1:, i0:i1] = 0.0
-        D = H[i0:i1, i0:i1]
-        D[...] = np.triu(D)
+        s = H[i0:i1, i0:] + H[i0:, i0:i1].T
+        np.fill_diagonal(s, np.diag(H)[i0:i1])        # the diagonal, once
+        H[i0:i1, i0:] = s
+        H[i0:, i0:i1] = s.T
 
 
 class SampledSystem:
@@ -893,7 +874,7 @@ class SampledSystem:
     _CHUNK samples the runs' values, sample by sample and atom by atom.  The
     chunks take the samples in angle order (assemble_system's), kept as
     the chunks' sample indices; A's rows stay in sample order.
-    Every reader of A reads the runs: `gram` through _HitGram, `matvec` by
+    Every reader of A reads the runs: `gram` through _gram, `matvec` by
     sums, and `dense_chunks` gives the dense rows of one chunk at a time,
     for `matrix`, the dense (m * block_dim, len(positions)) A that only
     short solves and tests ask for.  A dense `matrix` passed in is held as
@@ -960,17 +941,13 @@ class SampledSystem:
         return A
 
     def gram(self, col: np.ndarray, y: np.ndarray):
-        """(col A^T A col, col A^T y), accumulated by _HitGram one stored
-        chunk at a time, so A is never held dense.  The chunks take the
-        samples in angle order, where an atom's runs sit at nearby offsets:
-        on a window of short runs (j0 >= 3) each product follows the runs
-        (_HitGram's band product); elsewhere it is dense."""
-        n = self.shape[1]
-        H, b = np.zeros((n, n)), np.zeros(n)
-        kernel = _HitGram(n, self.block_dim)
-        for rows, row, atom, val in self._cells():
-            b += kernel.add(H, len(rows), row, atom, val, y[rows])
-        kernel.settle(H)
+        """(col A^T A col, col A^T y), accumulated by _gram one stored chunk
+        at a time, so A is never held dense.  The chunks take the samples in
+        angle order, where an atom's runs sit at nearby offsets: on a window
+        of short runs (j0 >= 3) each product follows the runs (_gram's band
+        product); elsewhere it is dense."""
+        chunks = ((len(rows), row, atom, val, y[rows]) for rows, row, atom, val in self._cells())
+        H, b = _gram(self.shape[1], self.block_dim, chunks)
         H *= col[:, None]
         H *= col[None, :]
         return H, col * b
@@ -1058,19 +1035,18 @@ def assemble_system(model, positions, samples, x_full=None, beta: float = 0.0,
                          tail_residual=tail_res, runs=(start, length, vals, order))
 
 
-def _population_pass(model, positions, nodes, wts, norm_nodes=()):
-    """The Gram matrix of one quadrature rule, and the row norms at each of
-    norm_nodes that the rule visits, from the runs of each node it visits
-    (_CHUNK nodes per _runs call, read once); the Gram is _HitGram products,
-    so it never holds a node's dense rows.  m samples at weights 1/(m f_nu)
-    give the sampled normal matrix (1/m) sum_k f_nu(t_k)^-1 F_tk* F_tk.
+def _fold_plan(model, positions, nodes, wts):
+    """(maps, visit, share) of the population pass of the rule (nodes,
+    wts): the square's symmetry maps (model.symmetry's) that the pass folds
+    its Gram by, or None, the nodes it visits, and their weights' share of
+    the rule's.  The pass and certify's symmetry blocks both read it.
 
-    Where the model's rows have the square's symmetry on the window
-    (model.symmetry; the fan beam's), the quarter turn P and the diagonal
-    reflection D carry the rows at one node to the rows at another by a
-    signed permutation, and two rules of n = 8p nodes visit one octant and
-    fold it by the whole group, (1 + P)(1 + P^2)(1 + D), which sums the
-    eight signed permutations (P takes node k to k + 2p):
+    Where the model's rows have the square's symmetry on the window (the
+    fan beam's), the quarter turn P and the diagonal reflection D carry the
+    rows at one node to the rows at another by a signed permutation, and
+    two rules of n = 8p nodes visit one octant and fold it by the whole
+    group, (1 + P)(1 + P^2)(1 + D), which sums the eight signed permutations
+    (P takes node k to k + 2p):
     - the model's uniform rule visits the nodes k = 1 .. p and its four
       axis nodes.  A sector node k < p has an orbit of 8 nodes and keeps
       its weight w; the diagonal node p (D takes node k to 2p - k) has an
@@ -1082,52 +1058,59 @@ def _population_pass(model, positions, nodes, wts, norm_nodes=()):
       odd nodes of the 16p-node rule, each at weight 1/(8p)), has no node on
       an axis or a diagonal: it visits i = 0 .. p - 1 (D takes node i to
       2p - 1 - i), and its folded Gram is the rule's own.
-    Each fold adds a matrix and its signed permutation, so the Gram is
-    exactly invariant under P and D, as certify's symmetry blocks need.
     Any other rule, or a model without the symmetry, visits every node.
     The rule check comes first, and the symmetry is built only for a rule
-    that folds.  The nodes are visited _CHUNK at a time, with run values
-    scaled by sqrt(w * quad_weight), one product per chunk (in any cell
-    order), settled (_HitGram.settle), then folded in place, so no second
-    n x n matrix is held.
-
-    Returns the Gram and a (node, row norms) pair for each visited node of
-    norm_nodes, in visit order, the norms read off the node's runs
-    (_row_norms).  A norm node the rule does not visit gets no pair.
-    """
-    positions, nodes, wts = np.asarray(positions, dtype=int), np.asarray(nodes), np.asarray(wts)
-    # the nodes visited, their weights' share of the rule's, and the folds after
-    visit, share, folds = np.arange(len(nodes)), 1.0, []
+    that folds."""
     p, rem = divmod(len(nodes), 8)
     if p and not rem:
         fine, fine_wts = model.population_nodes(2 * len(nodes))
         uniform = all(map(np.array_equal, (nodes, wts), model.population_nodes(len(nodes))))
         half_step = (not uniform and np.array_equal(nodes, fine[1::2])
                      and np.array_equal(wts, 2.0 * fine_wts[1::2]))
-        sym = model.symmetry(positions) if uniform or half_step else None
-        if sym is not None:
-            turn, mirror = sym
-            folds = [mirror, _compose(turn, turn), turn]
-            if uniform:     # the sector, the diagonal node and the axis nodes
-                visit = np.r_[1:p + 1, 0:8 * p:2 * p]
-                share = np.r_[np.ones(p - 1), 0.5, np.full(4, 0.125)]
-            else:
-                visit = np.arange(p)
+        maps = model.symmetry(positions) if uniform or half_step else None
+        if maps is not None and half_step:
+            return maps, np.arange(p), 1.0
+        if maps is not None:    # the sector, the diagonal node and the axis nodes
+            share = np.r_[np.ones(p - 1), 0.5, np.full(4, 0.125)]
+            return maps, np.r_[1:p + 1, 0:8 * p:2 * p], share
+    return None, np.arange(len(nodes)), 1.0
+
+
+def _population_pass(model, positions, nodes, wts, norm_nodes=()):
+    """The Gram matrix of one quadrature rule, one _gram call over the runs
+    of the nodes of _fold_plan, _CHUNK nodes per _runs call (read once),
+    with run values scaled by sqrt(w * quad_weight), so it never holds a
+    node's dense rows; then folded in place by the plan's maps, if any (D,
+    P^2, then P), each fold adding a symmetric matrix and its signed
+    permutation, so the Gram stays exactly symmetric and is exactly
+    invariant under P and D.  m samples at weights 1/(m f_nu) give the
+    sampled normal matrix (1/m) sum_k f_nu(t_k)^-1 F_tk* F_tk.
+
+    Returns the Gram and a (node, row norms) pair for each visited node of
+    norm_nodes, in visit order, the norms read off the node's runs
+    (_row_norms).  A norm node the rule does not visit gets no pair.
+    """
+    positions, nodes, wts = np.asarray(positions, dtype=int), np.asarray(nodes), np.asarray(wts)
+    maps, visit, share = _fold_plan(model, positions, nodes, wts)
     wts = wts[visit] * share
     n, bd, wanted, norms = len(positions), model.block_dim, set(map(float, norm_nodes)), []
-    G, kernel = np.zeros((n, n)), _HitGram(n, bd)
-    for k0 in range(0, len(visit), _CHUNK):
-        ts = nodes[visit[k0:k0 + _CHUNK]]
-        scale = np.sqrt(wts[k0:k0 + _CHUNK] * model.quad_weight)
-        k, atom, col, val = map(np.concatenate, zip(*model._runs(positions, ts)))
-        kernel.add(G, len(ts) * bd, k * bd + col, atom, val * scale[k])
-        for i, t in enumerate(ts):
-            if float(t) in wanted:
-                sel = k == i
-                norms.append((float(t), model._row_norms(n, atom[sel], col[sel], val[sel])))
-    kernel.settle(G)
-    for image, sign in folds:
-        _fold(G, image, sign)
+
+    def chunks():
+        for k0 in range(0, len(visit), _CHUNK):
+            ts = nodes[visit[k0:k0 + _CHUNK]]
+            scale = np.sqrt(wts[k0:k0 + _CHUNK] * model.quad_weight)
+            k, atom, col, val = map(np.concatenate, zip(*model._runs(positions, ts)))
+            for i, t in enumerate(ts):
+                if float(t) in wanted:
+                    sel = k == i
+                    norms.append((float(t), model._row_norms(n, atom[sel], col[sel], val[sel])))
+            yield len(ts) * bd, k * bd + col, atom, val * scale[k], None
+
+    G, _ = _gram(n, bd, chunks())
+    if maps is not None:
+        turn, mirror = maps
+        for image, sign in (mirror, _compose(turn, turn), turn):
+            _fold(G, image, sign)
     return G, norms
 
 

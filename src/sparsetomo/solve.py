@@ -16,12 +16,19 @@ gap and feasibility of u certify it.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .models import SampledSystem
 from .weights import WeightVector
+
+try:    # glibc's; elsewhere the heap stays as the C library's allocator leaves it
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
 
 
 @dataclass
@@ -75,8 +82,12 @@ def _compress(A, y: np.ndarray, col: np.ndarray):
         keep = sv > sv[0] * max(m, n) * np.finfo(float).eps
         yt = U[:, keep].T @ y
         return sv[keep], Vt[keep].T, yt, float(np.linalg.norm(y - U[:, keep] @ yt) ** 2)
+    _trim_heap()
     H, b = A.gram(col, y)
+    _trim_heap()
     evals, V = np.linalg.eigh(H)
+    del H
+    _trim_heap()
     evals = np.clip(evals, 0.0, None)
     keep = evals > max(evals[-1], 1e-300) * 1e-15
     root = np.sqrt(evals[keep])
@@ -86,6 +97,17 @@ def _compress(A, y: np.ndarray, col: np.ndarray):
     off = float(max(np.linalg.norm(A.matvec(col * z_ls) - y) ** 2
                     - np.linalg.norm(root * (Vk.T @ z_ls) - yt) ** 2, 0.0))
     return root, Vk, yt, off
+
+
+def _trim_heap():
+    """Hands the C heap's free pages back to the system (glibc's malloc_trim;
+    elsewhere nothing).  Once glibc's mmap threshold has risen past a
+    solve's megabyte arrays, it serves them from its heap, where the freed
+    ones stay resident.  _compress trims around its two peaks, the Gram and
+    eigh, so a run's peak does not hang on how its arrays fell into the
+    heap's holes (it moved by 5-10 MiB from run to run without)."""
+    if _malloc_trim is not None:
+        _malloc_trim(0)
 
 
 def _column_scaling(scales, zeta: float, n: int) -> np.ndarray:

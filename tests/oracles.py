@@ -28,8 +28,8 @@ from itertools import combinations
 
 import numpy as np
 
-from sparsetomo.certify import (GramCertificate, RipEstimate, _difference_matrix,
-                                _greedy_support, _support_delta, default_quadrature)
+from sparsetomo.certify import (GramCertificate, RipEstimate, _greedy_support, _support_delta,
+                                default_quadrature)
 from sparsetomo.models import (_CHUNK, FourierWaveletModel, MeasurementModel, SampledSystem,
                                _population_pass, population_gram_matrix)
 from sparsetomo.solve import SolveResult, _column_scaling
@@ -311,7 +311,8 @@ def delta_star_bruteforce(sampled: np.ndarray, cert: GramCertificate,
     wsq = omega.values ** 2
     if sampled.shape != (n, n):
         raise ValueError("weight length does not match window")
-    M = _difference_matrix(sampled, cert)
+    M = sampled - cert.normal
+    M = 0.5 * (M + M.T)
     best = 0.0
     count = 0
     for mask in range(1, 1 << n):

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 import sparsetomo as st
+from sparsetomo import models
 from sparsetomo.certify import (NumericalConsistencyError, _eigvalsh, _greedy_support,
                                 _normal_spectrum, _support_delta, _symmetry_blocks,
                                 default_quadrature)
 from sparsetomo.experiments import ExperimentConfig, build_model, run_certification_report
-from sparsetomo.models import _CHUNK, _HitGram, _population_pass, population_gram_matrix
+from sparsetomo.models import _CHUNK, _population_pass, population_gram_matrix
 
 import oracles
 from oracles import (SyntheticDiagonalModel, atom_norms, averaged_population_gram,
@@ -166,13 +167,13 @@ def test_gram_doubling_products(kind, monkeypatch, radon_j2):
         model, expect = radon_j2, 16
         w = all_positions(model)
     counted = []
-    add = _HitGram.add
+    band = models._band
 
-    def counting_add(self, *args, **kwargs):
+    def counting_band(*args):
         counted.append(1)
-        return add(self, *args, **kwargs)
+        return band(*args)
 
-    monkeypatch.setattr(_HitGram, "add", counting_add)
+    monkeypatch.setattr(models, "_band", counting_band)
     st.compute_gram(model, w, check_convergence=True)
     assert len(counted) == expect
 
@@ -256,13 +257,13 @@ def test_certify_fan_window_takes_no_band_product(tmp_path, monkeypatch):
     # product's volume exceeds its share of the dense one's in every pass of
     # the certification report, so the certificate keeps the dense products'
     # bits; the Radon j0 = 3 window's uniform rule takes band products
-    plans, band = [], _HitGram._band
+    plans, band = [], models._band
 
-    def recorded(self, *args):
-        plans.append(band(self, *args))
+    def recorded(*args):
+        plans.append(band(*args))
         return plans[-1]
 
-    monkeypatch.setattr(_HitGram, "_band", recorded)
+    monkeypatch.setattr(models, "_band", recorded)
     cfg = ExperimentConfig(model="fanbeam", j0=2, j_max=3, zeta=1.0, gamma=0.1)
     run_certification_report(cfg, str(tmp_path), seed=0)
     assert plans and all(plan is None for plan in plans)
@@ -272,6 +273,21 @@ def test_certify_fan_window_takes_no_band_product(tmp_path, monkeypatch):
     _population_pass(model, st.truncation_positions(model.atlas, 3), nodes[:_CHUNK],
                      wts[:_CHUNK])
     assert len(plans) == 1 and plans[0] is not None
+
+
+@pytest.mark.parametrize("kind", list(PASS_MODELS) + ["synthetic"])
+def test_every_gram_is_exactly_symmetric(kind, haar_atlas_j2, synthetic_model):
+    # each product adds every pair of atoms to one side of the Gram, which
+    # the kernel mirrors once, and the fan beam's folds add symmetric
+    # matrices: the population normal matrix and the sampled normal matrix
+    # equal their transposes bit for bit, so delta*'s difference is
+    # symmetric as it stands
+    model = synthetic_model if kind == "synthetic" else PASS_MODELS[kind](haar_atlas_j2)
+    w = all_positions(model)
+    cert = st.compute_gram(model, w)
+    sampled = sampled_normal(model, w, st.draw_samples(model, 24, seed=0))
+    for G in (cert.normal, sampled):
+        assert np.array_equal(G, G.T)
 
 
 @pytest.mark.parametrize("kind", list(PASS_MODELS) + ["synthetic"])

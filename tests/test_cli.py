@@ -260,6 +260,20 @@ def test_sweep_config_file_keys(tmp_path, runner):
                                                         for r in want]
 
 
+@pytest.mark.parametrize("caps", [{"m_cap": 0}, {"m_min": 64, "m_cap": 8}])
+def test_sweep_config_sample_caps_out_of_range(tmp_path, runner, caps):
+    # the noise-matched rule clips m to [m_min, m_cap]: a cap below 1 would
+    # reach draw_samples, and one below m_min would override it, so both are
+    # usage errors before --out exists
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(caps, m_rule="noise_matched", betas=[0.25])))
+    res = runner.invoke(main, ["sweep", "--config", str(cfg_path), "--j0", "1", "--jmax", "2",
+                               "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert "must satisfy 1 <= m_min <= m_cap" in res.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_exact_recovery_reports_its_count(runner):
     res = runner.invoke(main, ["exact-recovery", "--s", "3", "--j0", "1", "--pilot-j0", "1",
                                "--n-seeds", "2"])

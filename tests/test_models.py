@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import sparsetomo as st
+from sparsetomo import models
 from sparsetomo.experiments import build_model
-from sparsetomo.models import _CHUNK, GeometryError, _HitGram, _nonzero_core, _run_cells
+from sparsetomo.models import _CHUNK, GeometryError, _nonzero_core, _run_cells
 from sparsetomo.wavelets import GridSpec, dilation
 
 from oracles import (atom_norms, density_integral, radon_image, sampled_normal, square_group,
@@ -961,13 +962,13 @@ def test_system_gram_band_products_match_dense_products(monkeypatch):
     samples = rng.permutation(np.sort(st.draw_samples(model, 384, seed=3))[:3 * _CHUNK])
     system = st.assemble_system(model, positions, samples, x_full=x_full, beta=0.05,
                                 noise_seed=4)
-    plans, band = [], _HitGram._band
+    plans, band = [], models._band
 
-    def recorded(self, *args):
-        plans.append(band(self, *args))
+    def recorded(*args):
+        plans.append(band(*args))
         return plans[-1]
 
-    monkeypatch.setattr(_HitGram, "_band", recorded)
+    monkeypatch.setattr(models, "_band", recorded)
     col = 0.5 + rng.random(len(positions))
     H, b = system.gram(col, system.y)
     assert len(plans) == 3 and all(plan is not None for plan in plans)
@@ -985,11 +986,11 @@ def test_system_gram_band_products_match_dense_products(monkeypatch):
     # a dense product between band products adds its upper triangle only
     plans.clear()
 
-    def second_dense(self, *args):
-        plans.append(None if len(plans) == 1 else band(self, *args))
+    def second_dense(*args):
+        plans.append(None if len(plans) == 1 else band(*args))
         return plans[-1]
 
-    monkeypatch.setattr(_HitGram, "_band", second_dense)
+    monkeypatch.setattr(models, "_band", second_dense)
     H, b = system.gram(np.ones(len(positions)), system.y)
     assert [plan is None for plan in plans] == [False, True, False]
     assert (H == H.T).all()
@@ -998,6 +999,27 @@ def test_system_gram_band_products_match_dense_products(monkeypatch):
     b *= col
     assert np.linalg.norm(H - H_dense) <= 1e-14 * np.linalg.norm(H_dense)
     assert np.linalg.norm(b - b_dense) <= 1e-14 * np.linalg.norm(b_dense)
+
+
+@pytest.mark.parametrize("j0", [1, 3])
+def test_system_gram_is_exactly_symmetric(j0, monkeypatch):
+    # the solver's Gram at unit col equals its transpose bit for bit, on a
+    # window whose products are all dense (j0 = 1) and on one whose products
+    # all follow the runs (j0 = 3), 3 chunks of nearby angles each
+    model = build_model("radon", j_max=j0 + 1)
+    positions = st.truncation_positions(model.atlas, j0)
+    samples = np.sort(st.draw_samples(model, 384, seed=3))[:3 * _CHUNK]
+    system = st.assemble_system(model, positions, samples)
+    plans, band = [], models._band
+
+    def recorded(*args):
+        plans.append(band(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(models, "_band", recorded)
+    H, _ = system.gram(np.ones(len(positions)), system.y)
+    assert len(plans) == 3 and all((plan is None) == (j0 == 1) for plan in plans)
+    assert np.array_equal(H, H.T)
 
 
 @pytest.mark.parametrize("name", list(RUN_CASES))
