@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import _compose, _fold_plan, _population_pass
+from .models import _compose, _population_pass
 # bound here so that perfbench/tracing.py can time it as certify's Gram layer
 from .models import population_gram_matrix  # noqa: F401
 from .weights import WeightVector
@@ -192,13 +192,13 @@ def compute_gram(model, positions, check_convergence: bool = False) -> GramCerti
     eigenvalue (eigvalsh, no random probes): sigma_min^2 and sigma_max^2 of
     the normal matrix, and (c_hat, C_hat) of normal / outer(d, d) with
     d = 2^(-b scale), c_hat clamped at 0 as sigma_min is.  Where the pass
-    folds the rule by the square's symmetry (the maps of
-    models._fold_plan; the fan beam's), the normal matrix, the doubled
-    Gram and, d being constant on each scale, the ratio commute with the
-    group, and each of the three reads takes the eigenvalues of its
-    symmetry blocks (_symmetry_blocks, built once per call from those
-    maps); the normal matrix stays whole, for delta* and b_fit.  Other
-    models take eigvalsh of the whole matrix.
+    folds the rule by the square's symmetry (the maps of its
+    models._fold_plan, which the pass returns; the fan beam's), the normal
+    matrix, the doubled Gram and, d being constant on each scale, the ratio
+    commute with the group, and each of the three reads takes the
+    eigenvalues of its symmetry blocks (_symmetry_blocks, built once per
+    call from those maps); the normal matrix stays whole, for delta* and
+    b_fit.  Other models take eigvalsh of the whole matrix.
 
     One pass over the n_quad rule (models._population_pass) gives the Gram
     and the norms of its rows at the nodes of the min(n_quad, 64)-node rule
@@ -221,19 +221,18 @@ def compute_gram(model, positions, check_convergence: bool = False) -> GramCerti
     n_quad = default_quadrature(model, positions)
     nodes, wts = model.population_nodes(n_quad)
     coh_nodes, _ = model.population_nodes(min(n_quad, 64))
-    normal, norms = _population_pass(model, positions, nodes, wts, coh_nodes)
-    maps = _fold_plan(model, positions, nodes, wts)[0]
+    normal, norms, maps = _population_pass(model, positions, nodes, wts, coh_nodes)
     blocks = None if maps is None else _symmetry_blocks(*maps)
     sigma_min, sigma_max, fbi_flag = _normal_spectrum(normal, blocks)
     shift = None
     if check_convergence:
         fine, fine_wts = model.population_nodes(2 * n_quad)
         if np.array_equal(fine[::2], nodes) and np.array_equal(2.0 * fine_wts[::2], wts):
-            normal2, _ = _population_pass(model, positions, fine[1::2], 2.0 * fine_wts[1::2])
+            normal2 = _population_pass(model, positions, fine[1::2], 2.0 * fine_wts[1::2])[0]
             normal2 += normal
             normal2 *= 0.5
         else:
-            normal2, _ = _population_pass(model, positions, fine, fine_wts)
+            normal2 = _population_pass(model, positions, fine, fine_wts)[0]
         s2 = float(np.sqrt(max(_eigvalsh(normal2, blocks)[0], 0.0)))
         shift = abs(sigma_min - s2) / max(s2, 1e-300)
         if shift > 0.01:
@@ -304,35 +303,48 @@ def _greedy_support(order, wsq, budget: float) -> list:
     return S
 
 
-def delta_star_montecarlo(sampled: np.ndarray, cert: GramCertificate,
-                          omega: WeightVector, lam: float, trials: int,
-                          seed: int = 0) -> RipEstimate:
-    """Lower bound on the restricted constant of `sampled`, the Gram of m
-    samples at weights 1/(m f_nu), against cert.normal, from random
-    admissible supports (random greedy filling until the weighted budget is
-    exhausted).  The distinct supports are drawn first, then evaluated in
-    one stack per support size.  Every Gram of the pipeline is exactly
-    symmetric (models._gram), so their difference is; _support_delta
-    symmetrizes each support's matrix all the same."""
+def _draw_supports(omega: WeightVector, lam: float, trials: int, seed: int) -> list:
+    """The distinct random admissible supports of `trials` greedy fillings
+    of the weighted budget lam (_greedy_support over the permutations of
+    default_rng(seed)), each in its fill order, in the order first drawn;
+    an empty fill adds none."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    n = len(omega)
-    if np.shape(sampled) != (n, n) or cert.normal.shape != (n, n):
-        raise ValueError(f"{n} weights, sampled {np.shape(sampled)}, normal {cert.normal.shape}")
     wsq = omega.values ** 2
-    M = sampled - cert.normal
     rng = np.random.default_rng(seed)
-    supports = {}           # each distinct support, in the order first drawn
+    supports = {}
     for _ in range(trials):
-        S = _greedy_support(rng.permutation(n), wsq, lam)
+        S = _greedy_support(rng.permutation(len(wsq)), wsq, lam)
         if S:
             supports.setdefault(frozenset(S), S)
+    return list(supports.values())
+
+
+def delta_star_montecarlo(sampled: np.ndarray, normal: np.ndarray, supports,
+                          trials: int) -> RipEstimate:
+    """Lower bound on the restricted constant of `sampled`, the Gram of m
+    samples at weights 1/(m f_nu), against the population Gram `normal`:
+    the largest constant of the random admissible supports that
+    _draw_supports drew in `trials` fillings, evaluated in one stack per
+    support size.  The two Grams and the supports may be over any index
+    set that holds every support (run_certification_report passes the
+    union of the supports' atoms, the supports relabelled onto it), so the
+    difference is formed there only.  Every Gram of the pipeline is
+    exactly symmetric (models._gram), so their difference is;
+    _support_delta symmetrizes each support's matrix all the same.  No
+    support gives 0."""
+    k = len(normal)
+    if (np.shape(sampled) != (k, k) or np.shape(normal) != (k, k)
+            or any(not 0 <= i < k for S in supports for i in S)):
+        raise ValueError(f"sampled {np.shape(sampled)} and normal {np.shape(normal)} "
+                         f"must be square, of one size, and hold every support")
+    M = sampled - normal
     by_size = {}
-    for S in supports.values():
+    for S in supports:
         by_size.setdefault(len(S), []).append(S)
     best = 0.0
     for group in by_size.values():
-        best = max(best, *_support_delta(M, cert.normal, np.array(group)).tolist())
+        best = max(best, *_support_delta(M, normal, np.array(group)).tolist())
     return RipEstimate(delta_star=best, trials_or_supports=trials)
 
 

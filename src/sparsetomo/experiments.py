@@ -11,7 +11,7 @@ import numpy as np
 
 from . import io as stio
 from .io import SweepRecord
-from .certify import compute_gram, delta_star_montecarlo, sample_complexity
+from .certify import _draw_supports, compute_gram, delta_star_montecarlo, sample_complexity
 from .models import (FanBeamModel, FourierWaveletModel, LegendrePointModel,
                      RadonModel, _population_pass, assemble_system, draw_samples)
 from .phantoms import PhantomSpec, make_phantom
@@ -302,7 +302,14 @@ def run_certification_report(cfg: ExperimentConfig, out_dir: str,
                              mc_trials: int = 64, seed: int = 0):
     """Write the certificate report, the per-scale coherence table, restricted
     constant estimates over a (lambda, m) grid, and the sample-rule table.
-    Each m's sampled matrix is the population pass of its samples."""
+
+    Every lambda's random supports are drawn first (certify._draw_supports,
+    the same mc_trials fillings from the same seed for each m).  delta*
+    reads only their atoms, so each m's sampled matrix is the population
+    pass of its samples over the union U of the supports' atoms alone, and
+    delta_star_montecarlo compares it with cert.normal on U, the supports
+    relabelled onto U.  An empty U (lambda below every squared weight)
+    takes no pass and gives delta* = 0."""
     model = build_model(cfg.model, order=cfg.wavelet_order, j_max=cfg.j_max,
                         s_step=cfg.s_step)
     scales = model.scales()
@@ -310,15 +317,21 @@ def run_certification_report(cfg: ExperimentConfig, out_dir: str,
               else np.flatnonzero(scales <= cfg.j0))
     omega = WeightVector(model.natural_weights()[window])
     cert = compute_gram(model, window, check_convergence=True)
+    supports = {lam: _draw_supports(omega, lam, mc_trials, seed) for lam in lam_grid}
+    union = np.unique(np.array([i for ss in supports.values() for S in ss for i in S], dtype=int))
+    local = {lam: [np.searchsorted(union, S) for S in ss] for lam, ss in supports.items()}
+    normal = cert.normal[np.ix_(union, union)]
     # the samples depend on m only, so one sampled matrix serves every lambda
     delta = {}
     for m in m_grid:
-        samples = draw_samples(model, int(m), seed=seed + 17 * int(m))
-        sampled = _population_pass(model, window, samples,
-                                   1.0 / (m * model.density(samples)))[0]
+        sampled = normal            # 0 x 0 when no support was drawn: no pass
+        if len(union):
+            samples = draw_samples(model, int(m), seed=seed + 17 * int(m))
+            sampled = _population_pass(model, window[union], samples,
+                                       1.0 / (m * model.density(samples)))[0]
         for lam in lam_grid:
-            delta[lam, m] = delta_star_montecarlo(sampled, cert, omega, lam,
-                                                  trials=mc_trials, seed=seed).delta_star
+            delta[lam, m] = delta_star_montecarlo(sampled, normal, local[lam],
+                                                  trials=mc_trials).delta_star
     rows = [(lam, m, delta[lam, m]) for lam in lam_grid for m in m_grid]
     # the rules at the smallest admissible s from min(8, M) up; each reads j0
     # off the certificate's window (0 for a model without scales)

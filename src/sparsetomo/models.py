@@ -196,17 +196,24 @@ def _nonzero_span(owner, val, n):
     return lo, hi + 1 - lo
 
 
-def _nonzero_core(owner, cnt, val):
-    """Mask of the cells of each owner's run from its first to its last
-    nonzero value, or None when every run already starts and ends on one.
-    Run i is the cnt_i consecutive cells of val that owner numbers i."""
-    run = cnt > 0
-    stop = np.cumsum(cnt)[run]
-    if val[stop - cnt[run]].all() and val[stop - 1].all():
+def _nonzero_core(cnt, val):
+    """Mask of the cells of each run from its first to its last nonzero
+    value, or None when every run already starts and ends on one.  Run i is
+    the cnt_i consecutive cells of val after runs 0 .. i - 1.  Only the runs
+    with a zero end are expanded (_run_cells) and scanned (_nonzero_span);
+    every other run keeps all its cells."""
+    stop = np.cumsum(cnt)
+    start = stop - cnt
+    cut = np.flatnonzero(cnt > 0)
+    cut = cut[(val[start[cut]] == 0) | (val[stop[cut] - 1] == 0)]
+    if not len(cut):
         return None
-    first, n = _nonzero_span(owner, val, len(cnt))
-    i = np.arange(len(val)) - first[owner]
-    return (0 <= i) & (i < n[owner])
+    sub, cell = _run_cells(start[cut], cnt[cut])
+    first, n = _nonzero_span(sub, val[cell], len(cut))
+    i = np.arange(len(cell)) - first[sub]
+    keep = np.ones(len(val), dtype=bool)
+    keep[cell] = (0 <= i) & (i < n[sub])
+    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +325,10 @@ class RadonModel(AtlasModel):
         one interp call per angle, on that angle's own profile grid; outside
         its own interval a group's profile reads exact zeros.
 
-        Yields (angle, owner, cnt, col, t, groups) per geometry: each cell's
-        angle, its (angle, translation) run, numbered by owner, whose
-        lengths are cnt, its offset and its translation t, and (sel, val),
-        the group's rows among positions and its value at every cell."""
+        Yields (angle, cnt, col, t, groups) per geometry: each cell's angle,
+        the lengths cnt of the (angle, translation) runs, in cell order,
+        each cell's offset and its translation t, and (sel, val), the
+        group's rows among positions and its value at every cell."""
         thetas = np.atleast_1d(np.asarray(thetas, float))
         c, s = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
         fine = self.s_step / 2.0
@@ -361,7 +368,7 @@ class RadonModel(AtlasModel):
                     cut = slice(ends[a], ends[a + 1])
                     val[cut] = np.interp(P[cut], grid[k], base[k], left=0.0, right=0.0)
                 vals.append(val)
-            yield (np.repeat(live, np.diff(ends)), owner, cnt, col, owner % len(sel),
+            yield (np.repeat(live, np.diff(ends)), cnt, col, owner % len(sel),
                    [(g[2], val) for g, val in zip(groups, vals)])
 
     def _runs(self, positions, thetas):
@@ -372,9 +379,9 @@ class RadonModel(AtlasModel):
         interval can still end a run, and a run outside it holds zeros
         only).  Every run starts and ends on a nonzero value, and drops only
         exact zeros of the row."""
-        for angle, owner, cnt, col, t, groups in self._scale_cells(positions, thetas):
+        for angle, cnt, col, t, groups in self._scale_cells(positions, thetas):
             for sel, val in groups:
-                keep = _nonzero_core(owner, cnt, val)
+                keep = _nonzero_core(cnt, val)
                 if keep is None:
                     yield angle, sel[t], col, val
                 else:
@@ -384,7 +391,7 @@ class RadonModel(AtlasModel):
         """Adds the blocks of x at ts into blk, one bincount per group in
         group order over the uncut cells of _scale_cells: their extra cells
         hold exact zeros, which leave every sum as the runs' own."""
-        for angle, _, _, col, t, groups in self._scale_cells(positions, ts):
+        for angle, _, col, t, groups in self._scale_cells(positions, ts):
             index = angle * self.block_dim + col
             for sel, val in groups:
                 blk += np.bincount(index, weights=val * x[sel][t], minlength=len(blk))
@@ -523,7 +530,7 @@ class FanBeamModel(AtlasModel):
                 # a sum of rows, not a BLAS product: each cell's value rounds
                 # alike whatever its place in the batch
                 val = (value[:, :, None] * chord).sum(axis=(0, 1))[cell]
-                keep = _nonzero_core(owner, cnt[bp], val)    # a zero value may still end a run
+                keep = _nonzero_core(cnt[bp], val)    # a zero value may still end a run
                 if keep is not None:
                     owner, cell, val = owner[keep], cell[keep], val[keep]
                 ga, atom = np.divmod(owner, len(sel))
@@ -1039,7 +1046,8 @@ def _fold_plan(model, positions, nodes, wts):
     """(maps, visit, share) of the population pass of the rule (nodes,
     wts): the square's symmetry maps (model.symmetry's) that the pass folds
     its Gram by, or None, the nodes it visits, and their weights' share of
-    the rule's.  The pass and certify's symmetry blocks both read it.
+    the rule's.  The pass folds by it and returns its maps, from which
+    certify builds its symmetry blocks.
 
     Where the model's rows have the square's symmetry on the window (the
     fan beam's), the quarter turn P and the diagonal reflection D carry the
@@ -1086,9 +1094,10 @@ def _population_pass(model, positions, nodes, wts, norm_nodes=()):
     invariant under P and D.  m samples at weights 1/(m f_nu) give the
     sampled normal matrix (1/m) sum_k f_nu(t_k)^-1 F_tk* F_tk.
 
-    Returns the Gram and a (node, row norms) pair for each visited node of
+    Returns the Gram, a (node, row norms) pair for each visited node of
     norm_nodes, in visit order, the norms read off the node's runs
-    (_row_norms).  A norm node the rule does not visit gets no pair.
+    (_row_norms), and the plan's maps, so that no caller plans the rule
+    again.  A norm node the rule does not visit gets no pair.
     """
     positions, nodes, wts = np.asarray(positions, dtype=int), np.asarray(nodes), np.asarray(wts)
     maps, visit, share = _fold_plan(model, positions, nodes, wts)
@@ -1111,7 +1120,7 @@ def _population_pass(model, positions, nodes, wts, norm_nodes=()):
         turn, mirror = maps
         for image, sign in (mirror, _compose(turn, turn), turn):
             _fold(G, image, sign)
-    return G, norms
+    return G, norms, maps
 
 
 def _compose(a, b):

@@ -10,6 +10,8 @@ of them is on a pipeline's path:
 - exact enumerations: the best weighted-sparse approximation and the
   restricted constant over admissible supports, the references of
   quasi_best_sparse_approx and delta_star_montecarlo;
+- the certification report's delta* rows on the whole window, and the
+  nonzero cut of support runs that scans every run;
 - SyntheticDiagonalModel, a model whose population normal matrix is
   exactly diagonal;
 - the robust null-space witness search, and the truncation residual with
@@ -28,10 +30,12 @@ from itertools import combinations
 
 import numpy as np
 
-from sparsetomo.certify import (GramCertificate, RipEstimate, _greedy_support, _support_delta,
-                                default_quadrature)
+from sparsetomo.certify import (GramCertificate, RipEstimate, _draw_supports, _greedy_support,
+                                _support_delta, compute_gram, default_quadrature)
+from sparsetomo.experiments import build_model
 from sparsetomo.models import (_CHUNK, FourierWaveletModel, MeasurementModel, SampledSystem,
-                               _population_pass, population_gram_matrix)
+                               _nonzero_span, _population_pass, draw_samples,
+                               population_gram_matrix)
 from sparsetomo.solve import SolveResult, _column_scaling
 from sparsetomo.wavelets import DictionaryAtlas, dilation
 from sparsetomo.weights import (DimensionMismatch, SparseApproxResult, WeightVector, _coef,
@@ -296,6 +300,29 @@ def sampled_normal(model, positions, samples) -> np.ndarray:
                             1.0 / (len(samples) * model.density(samples)))[0]
 
 
+def full_window_delta_rows(cfg, lam_grid=(2.0, 4.0), m_grid=(16, 32), mc_trials=64,
+                           seed=0) -> list:
+    """The (lambda, m, delta*) rows of run_certification_report, evaluated on
+    the whole window: each m's sampled_normal over every atom of the window,
+    less cert.normal, at the supports that _draw_supports draws for each
+    lambda, one support at a time."""
+    model = build_model(cfg.model, order=cfg.wavelet_order, j_max=cfg.j_max,
+                        s_step=cfg.s_step)
+    scales = model.scales()
+    window = (np.arange(model.dictionary_size()) if scales is None
+              else np.flatnonzero(scales <= cfg.j0))
+    omega = WeightVector(model.natural_weights()[window])
+    normal = compute_gram(model, window).normal
+    diff = {m: sampled_normal(model, window, draw_samples(model, m, seed=seed + 17 * m)) - normal
+            for m in m_grid}
+    rows = []
+    for lam in lam_grid:
+        supports = _draw_supports(omega, lam, mc_trials, seed)
+        rows += [(lam, m, max([_support_delta(diff[m], normal, S) for S in supports],
+                              default=0.0)) for m in m_grid]
+    return rows
+
+
 def delta_star_bruteforce(sampled: np.ndarray, cert: GramCertificate,
                           omega: WeightVector, lam: float) -> RipEstimate:
     """Exact restricted constant by enumeration of admissible supports.
@@ -326,6 +353,20 @@ def delta_star_bruteforce(sampled: np.ndarray, cert: GramCertificate,
         count += 1
         best = max(best, _support_delta(M, cert.normal, S))
     return RipEstimate(delta_star=best, trials_or_supports=count)
+
+
+def nonzero_core(owner, cnt, val):
+    """Mask of the cells of each owner's run from its first to its last
+    nonzero value, or None when every run already starts and ends on one,
+    from a scan of every run's cells: models._nonzero_core as it was before
+    it scanned only the runs with a zero end."""
+    run = cnt > 0
+    stop = np.cumsum(cnt)[run]
+    if val[stop - cnt[run]].all() and val[stop - 1].all():
+        return None
+    first, n = _nonzero_span(owner, val, len(cnt))
+    i = np.arange(len(val)) - first[owner]
+    return (0 <= i) & (i < n[owner])
 
 
 def rnsp_witness_search(system: SampledSystem, cert: GramCertificate,

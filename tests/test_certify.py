@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 
 import sparsetomo as st
-from sparsetomo import models
-from sparsetomo.certify import (NumericalConsistencyError, _eigvalsh, _greedy_support,
-                                _normal_spectrum, _support_delta, _symmetry_blocks,
-                                default_quadrature)
+from sparsetomo import experiments, models
+from sparsetomo.certify import (NumericalConsistencyError, _draw_supports, _eigvalsh,
+                                _greedy_support, _normal_spectrum, _support_delta,
+                                _symmetry_blocks, default_quadrature)
 from sparsetomo.experiments import ExperimentConfig, build_model, run_certification_report
 from sparsetomo.models import _CHUNK, _population_pass, population_gram_matrix
 
 import oracles
 from oracles import (SyntheticDiagonalModel, atom_norms, averaged_population_gram,
-                     delta_star_bruteforce, dense_population_gram, rnsp_witness_search,
-                     sampled_normal, truncation_residual)
+                     delta_star_bruteforce, dense_population_gram, full_window_delta_rows,
+                     rnsp_witness_search, sampled_normal, truncation_residual)
 
 
 def all_positions(model):
@@ -102,7 +102,7 @@ def test_gram_pass_matches_single_rule_oracles(kind, haar_atlas_j2):
         # the 2n rule's even nodes at twice their weights are the n rule, so
         # its Gram is the mean of the n rule's and the half-step rule's,
         # which is the 2n rule's own up to rounding
-        half, _ = _population_pass(model, w, fine[1::2], 2.0 * fine_wts[1::2])
+        half, _, _ = _population_pass(model, w, fine[1::2], 2.0 * fine_wts[1::2])
         mean = 0.5 * (cert.normal + half)
         assert np.linalg.norm(mean - normal2) <= 1e-15 * np.linalg.norm(normal2)
         normal2 = mean
@@ -187,8 +187,8 @@ def fan_symmetric_grams(request):
     w = st.truncation_positions(model.atlas, j0)
     n = default_quadrature(model, w)
     fine, fine_wts = model.population_nodes(2 * n)
-    G, _ = _population_pass(model, w, *model.population_nodes(n))
-    half, _ = _population_pass(model, w, fine[1::2], 2.0 * fine_wts[1::2])
+    G, _, _ = _population_pass(model, w, *model.population_nodes(n))
+    half, _, _ = _population_pass(model, w, fine[1::2], 2.0 * fine_wts[1::2])
     return model, w, model.symmetry(w), G, half
 
 
@@ -245,7 +245,7 @@ def test_fanbeam_half_step_rule_visits_first_octant(haar_atlas_j2):
         return runs(positions, ts)
 
     model._runs = counting_runs
-    G, _ = _population_pass(model, w, nodes, wts)
+    G, _, _ = _population_pass(model, w, nodes, wts)
     del model._runs
     assert calls == [float(t) for t in nodes[:16]]
     expect = dense_population_gram(model, w, nodes, wts)
@@ -308,7 +308,7 @@ def test_gram_pass_matches_dense_oracle(kind, haar_atlas_j2, synthetic_model):
     for G in (cert.normal, population_gram_matrix(model, w, n)):
         assert np.linalg.norm(G - expect) <= 1e-14 * np.linalg.norm(expect)
     nodes, _ = model.population_nodes(min(n, 64))
-    _, norms = _population_pass(model, w, *model.population_nodes(n), nodes)
+    _, norms, _ = _population_pass(model, w, *model.population_nodes(n), nodes)
     if kind != "fanbeam":   # the fan beam's pass visits one octant and the axes
         assert [t for t, _ in norms] == list(nodes)
 
@@ -345,7 +345,7 @@ def test_fanbeam_pass_without_quarter_turn_visits_every_node(case, haar_atlas_j2
 
     model._runs = counting_runs
     norm_nodes = model.population_nodes(64)[0]
-    G, norms = _population_pass(model, w, *model.population_nodes(n), norm_nodes)
+    G, norms, _ = _population_pass(model, w, *model.population_nodes(n), norm_nodes)
     del model._runs
     assert calls == [float(t) for t in model.population_nodes(n)[0]]
     assert [t for t, _ in norms] == [t for t in calls if t in set(norm_nodes.tolist())]
@@ -437,11 +437,12 @@ def test_delta_star_montecarlo_bounds_bruteforce(synthetic_model, synthetic_cert
     sampled = small_sampled(synthetic_model, 2, seed=3)
     omega = st.WeightVector.ones(6)
     brute = delta_star_bruteforce(sampled, synthetic_cert, omega, 3.0)
-    mc = st.delta_star_montecarlo(sampled, synthetic_cert, omega, 3.0, trials=50, seed=0)
+    mc = st.delta_star_montecarlo(sampled, synthetic_cert.normal,
+                                  _draw_supports(omega, 3.0, 50, 0), trials=50)
     assert mc.delta_star <= brute.delta_star + 1e-10
     # exhaustive trials on a tiny instance reach the brute-force value
-    mc_full = st.delta_star_montecarlo(sampled, synthetic_cert, omega, 3.0,
-                                       trials=4000, seed=1)
+    mc_full = st.delta_star_montecarlo(sampled, synthetic_cert.normal,
+                                       _draw_supports(omega, 3.0, 4000, 1), trials=4000)
     assert mc_full.delta_star == pytest.approx(brute.delta_star, rel=1e-12)
 
 
@@ -459,7 +460,8 @@ def test_delta_star_montecarlo_peak_memory():
     tracemalloc.start()
     try:
         sampled = sampled_normal(model, w, samples)
-        est = st.delta_star_montecarlo(sampled, cert, omega, 4.0, trials=8, seed=0)
+        est = st.delta_star_montecarlo(sampled, cert.normal, _draw_supports(omega, 4.0, 8, 0),
+                                       trials=8)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -467,22 +469,70 @@ def test_delta_star_montecarlo_peak_memory():
     assert peak <= 0.25 * m * model.block_dim * len(w) * 8
 
 
+@pytest.mark.parametrize("kind, order, j0", [
+    ("fanbeam", 1, 1), ("fanbeam", 1, 2), ("radon", 1, 1), ("radon", 1, 2), ("radon", 2, 1),
+    ("radon", 2, 2), ("fourier", 1, 2), ("legendre", 1, 2), ("fanbeam", 1, 3), ("radon", 1, 3)])
+def test_report_delta_rows_match_full_window_oracle(kind, order, j0, tmp_path):
+    # the report's sample passes run over the union of the drawn supports'
+    # atoms only; each delta* row is the full window's, at the same
+    # supports, up to the rounding of a product over fewer atoms (the
+    # sampled matrix's entries on the union move by at most a few ulps)
+    cfg = ExperimentConfig(model=kind, wavelet_order=order, j0=j0, j_max=j0 + 1)
+    for seed in (0, 1):
+        _, rows, _ = run_certification_report(cfg, str(tmp_path / str(seed)), seed=seed)
+        expect = full_window_delta_rows(cfg, seed=seed)
+        assert [r[:2] for r in rows] == [r[:2] for r in expect]
+        for (_, _, got), (_, _, ref) in zip(rows, expect):
+            assert abs(got - ref) <= 1e-14 * ref
+
+
+def test_report_sample_passes_read_the_supports_atoms(tmp_path, monkeypatch):
+    # each m's sample pass receives exactly window[U], U the union of every
+    # lambda's supports, and on the certify-fan window U leaves atoms out
+    seen, run = [], experiments._population_pass
+
+    def recorded(model, positions, *args):
+        seen.append(np.array(positions))
+        return run(model, positions, *args)
+
+    monkeypatch.setattr(experiments, "_population_pass", recorded)
+    cfg = ExperimentConfig(model="fanbeam", j0=2, j_max=3, zeta=1.0, gamma=0.1)
+    cert, _, _ = run_certification_report(cfg, str(tmp_path), seed=0)
+    window = cert.positions
+    omega = st.WeightVector.ones(len(window))
+    union = np.unique([i for lam in (2.0, 4.0) for S in _draw_supports(omega, lam, 64, 0)
+                       for i in S])
+    assert len(seen) == 2 and len(union) < len(window)
+    for positions in seen:
+        assert np.array_equal(positions, window[union])
+
+
+def test_report_lambda_below_every_weight_takes_no_sample_pass(tmp_path, monkeypatch):
+    # no weight fits the budget: no support is drawn, so no sample pass
+    # runs and delta* is 0
+    def refuse(*args):
+        raise AssertionError("a sample pass ran")
+
+    monkeypatch.setattr(experiments, "_population_pass", refuse)
+    cfg = ExperimentConfig(model="fanbeam", j0=1, j_max=2)
+    _, rows, _ = run_certification_report(cfg, str(tmp_path), lam_grid=(0.5,), seed=0)
+    assert rows == [(0.5, 16, 0.0), (0.5, 32, 0.0)]
+
+
 def test_delta_star_montecarlo_rejects_disagreeing_sizes(haar_atlas_j2, radon_j2):
-    # weights, sampled matrix and population matrix must be over one window:
-    # a weight vector longer or shorter than the window is an error, not a
-    # number
+    # the sampled matrix, the population matrix and the supports must be
+    # over one index set: matrices of two sizes, or a support past them, is
+    # an error, not a number
     w = st.truncation_positions(haar_atlas_j2, 1)
     cert = st.compute_gram(radon_j2, w)
     sampled = sampled_normal(radon_j2, w, st.draw_samples(radon_j2, 8, seed=0))
-    for n in (len(w) + 5, len(w) - 1):
+    supports = _draw_supports(st.WeightVector.ones(len(w)), 2.0, 8, 0)
+    top = max(max(S) for S in supports)
+    for args in ((sampled[:-1, :-1], cert.normal), (sampled, cert.normal[:-1, :-1]),
+                 (sampled[:top, :top], cert.normal[:top, :top])):
         with pytest.raises(ValueError):
-            st.delta_star_montecarlo(sampled, cert, st.WeightVector.ones(n), 2.0,
-                                     trials=8, seed=0)
-    with pytest.raises(ValueError):
-        st.delta_star_montecarlo(sampled[:-1, :-1], cert, st.WeightVector.ones(len(w)), 2.0,
-                                 trials=8, seed=0)
-    assert st.delta_star_montecarlo(sampled, cert, st.WeightVector.ones(len(w)), 2.0,
-                                    trials=8, seed=0).delta_star > 0.0
+            st.delta_star_montecarlo(*args, supports, trials=8)
+    assert st.delta_star_montecarlo(sampled, cert.normal, supports, trials=8).delta_star > 0.0
 
 
 def one_support_delta(M, normal, S):
@@ -516,8 +566,10 @@ def test_support_delta_stack_matches_one_support_calls():
 def test_delta_star_montecarlo_deterministic(synthetic_model, synthetic_cert):
     sampled = small_sampled(synthetic_model, 4, seed=2)
     omega = st.WeightVector.ones(6)
-    a = st.delta_star_montecarlo(sampled, synthetic_cert, omega, 2.0, trials=20, seed=9)
-    b = st.delta_star_montecarlo(sampled, synthetic_cert, omega, 2.0, trials=20, seed=9)
+    a = st.delta_star_montecarlo(sampled, synthetic_cert.normal,
+                                 _draw_supports(omega, 2.0, 20, 9), trials=20)
+    b = st.delta_star_montecarlo(sampled, synthetic_cert.normal,
+                                 _draw_supports(omega, 2.0, 20, 9), trials=20)
     assert a.delta_star == b.delta_star
 
 
@@ -772,8 +824,8 @@ def test_delta_star_mc_trend_with_samples(haar_atlas_j2, radon_j2):
         vals = []
         for seed in range(5):
             sampled = sampled_normal(radon_j2, w, st.draw_samples(radon_j2, m, seed=seed))
-            est = st.delta_star_montecarlo(sampled, cert, omega, 4.0,
-                                           trials=48, seed=seed)
+            est = st.delta_star_montecarlo(sampled, cert.normal,
+                                           _draw_supports(omega, 4.0, 48, seed), trials=48)
             vals.append(est.delta_star)
         medians.append(float(np.median(vals)))
     inversions = sum(1 for i in range(len(medians) - 1)

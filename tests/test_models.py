@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import sparsetomo as st
 from sparsetomo import models
@@ -9,8 +11,8 @@ from sparsetomo.experiments import build_model
 from sparsetomo.models import _CHUNK, GeometryError, _nonzero_core, _run_cells
 from sparsetomo.wavelets import GridSpec, dilation
 
-from oracles import (atom_norms, density_integral, radon_image, sampled_normal, square_group,
-                     support_box, uniform_bound_probe)
+from oracles import (atom_norms, density_integral, nonzero_core, radon_image, sampled_normal,
+                     square_group, support_box, uniform_bound_probe)
 
 
 def brute_radon_atom(atlas, idx, theta, s_grid, step):
@@ -259,7 +261,7 @@ def per_orientation_runs(model, positions, thetas):
             cut = slice(ends[a], ends[a + 1])
             val[cut] = np.interp(P[cut], grid[k], base[k], left=0.0, right=0.0)
         angle, atom = np.repeat(live, np.diff(ends)), np.repeat(np.tile(sel, len(live)), cnt)
-        keep = _nonzero_core(pair, cnt, val)
+        keep = nonzero_core(pair, cnt, val)
         if keep is not None:
             angle, atom, col, val = angle[keep], atom[keep], col[keep], val[keep]
         yield angle, atom, col, val
@@ -306,6 +308,21 @@ def test_atom_norms_batch_matches_single(kind, synthetic_model):
     assert batch.shape == (len(ts), len(positions))
     for k, t in enumerate(ts):
         assert batch[k].tobytes() == atom_norms(model, positions, t).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(hs.lists(hs.lists(hs.sampled_from([0.0, 0.0, -0.0, 1.5, -2.0, 5e-324]), max_size=7),
+                max_size=12))
+def test_nonzero_core_matches_full_scan(runs):
+    # cutting only the runs with a zero end gives the mask of the scan of
+    # every run, on empty runs, all-zero runs and runs with interior zeros
+    cnt = np.array([len(r) for r in runs], dtype=int)
+    val = np.array([v for r in runs for v in r], dtype=float)
+    owner = np.repeat(np.arange(len(cnt)), cnt)
+    got, expect = _nonzero_core(cnt, val), nonzero_core(owner, cnt, val)
+    assert (got is None) == (expect is None)
+    if got is not None:
+        assert np.array_equal(got, expect)
 
 
 @pytest.mark.parametrize("s_step", [1.0 / 32, None])
