@@ -42,7 +42,7 @@ class GramCertificate:
     fbi_flag: bool
     scales: np.ndarray | None
     positions: np.ndarray
-    n_quad: int
+    n_quad: int                      # the nodes of the rule that the Gram sums
     sigma_min_shift: float | None = None
 
     @property
@@ -187,11 +187,14 @@ def compute_gram(model, positions, check_convergence: bool = False) -> GramCerti
     """Population normal matrix over a dictionary window, with its
     conditioning, measured coherence and quasi-diagonalization constants.
 
-    The Gram entries are quadratures, over default_quadrature's n_quad-node
-    rule, of measurement-space inner products.  Every constant is an extreme
-    eigenvalue (eigvalsh, no random probes): sigma_min^2 and sigma_max^2 of
-    the normal matrix, and (c_hat, C_hat) of normal / outer(d, d) with
-    d = 2^(-b scale), c_hat clamped at 0 as sigma_min is.  Where the pass
+    The Gram entries are quadratures, over the model's rule for
+    default_quadrature's n_quad (the certificate records the rule's node
+    count), of measurement-space inner products.  Every constant is an
+    extreme eigenvalue (eigvalsh, no random probes): sigma_min^2 and
+    sigma_max^2 of the normal matrix, and (c_hat, C_hat) of normal /
+    outer(d, d) with d = 2^(-b scale), c_hat clamped at 0 as sigma_min is,
+    the quotient formed in the outer product's buffer once the doubled Gram
+    below is freed.  Where the pass
     folds the rule by the square's symmetry (the maps of its
     models._fold_plan, which the pass returns; the fan beam's), the normal
     matrix, the doubled Gram and, d being constant on each scale, the ratio
@@ -234,6 +237,7 @@ def compute_gram(model, positions, check_convergence: bool = False) -> GramCerti
         else:
             normal2 = _population_pass(model, positions, fine, fine_wts)[0]
         s2 = float(np.sqrt(max(_eigvalsh(normal2, blocks)[0], 0.0)))
+        normal2 = None      # freed before the quasi-diagonal read
         shift = abs(sigma_min - s2) / max(s2, 1e-300)
         if shift > 0.01:
             raise NumericalConsistencyError(
@@ -247,7 +251,8 @@ def compute_gram(model, positions, check_convergence: bool = False) -> GramCerti
     # quasi-diagonalization constants: the best c, C in
     # c sum 2^(-2bj) x_j^2 <= x^T normal x <= C sum 2^(-2bj) x_j^2
     d = 2.0 ** (-b * sc)
-    c_hat, C_hat = _eigvalsh(normal / np.outer(d, d), blocks)[[0, -1]]
+    ratio = np.outer(d, d)
+    c_hat, C_hat = _eigvalsh(np.divide(normal, ratio, out=ratio), blocks)[[0, -1]]
 
     # b_fit: per-atom regression of log2 ||F phi||^2 against the scale
     b_fit = _decay_fit(sc, np.log2(np.maximum(np.diag(normal), 1e-300)), b)
@@ -257,7 +262,7 @@ def compute_gram(model, positions, check_convergence: bool = False) -> GramCerti
         quasi_diag=(b, float(max(c_hat, 0.0)), float(C_hat)), b_fit=b_fit,
         coherence_B=B, d_exponents=d_exp, scale_coherence_max=per_scale,
         relative_coherence=rel, fbi_flag=fbi_flag, scales=scales,
-        positions=positions, n_quad=n_quad, sigma_min_shift=shift)
+        positions=positions, n_quad=len(nodes), sigma_min_shift=shift)
 
 
 @dataclass

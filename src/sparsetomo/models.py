@@ -14,8 +14,7 @@ the fan-beam model, which takes Haar atoms only, finds the rays that meet
 each support box and their chords through its cells once per dilation and
 chunk of angles for all the groups on those boxes, then takes each group's
 exact chord-length line integrals from them.  Both cut every run to the
-span where the row is nonzero; the Radon measure sums the shared cells
-uncut.
+span where the row is nonzero; rows leave an atlas model only as these runs.
 A system of random samples is assembled a chunk of samples at a time and
 keeps its stacked operator A as those runs, with quadrature weights and
 1/sqrt(m) folded in, so plain Euclidean norms of stacked vectors equal the
@@ -98,27 +97,6 @@ class MeasurementModel:
         turned rows of the j0 = 2 window are 7-25% off (Frobenius)."""
         return None
 
-    def measure(self, positions, x, t) -> np.ndarray:
-        """The measurement block sum_i x_i rows_i of coefficients x over
-        positions at parameter t, from the rows' cells, _CHUNK parameters at
-        a time (_measure_chunk: one bincount per group of _runs); equals
-        rows(positions, t).T @ x up to summation order.  For a vector t, one
-        block per row."""
-        positions = np.asarray(positions, dtype=int)
-        x = np.asarray(x, float)
-        ts = np.atleast_1d(np.asarray(t, float))
-        out = np.zeros((len(ts), self.block_dim))
-        for k0 in range(0, len(ts), _CHUNK):
-            self._measure_chunk(positions, x, ts[k0:k0 + _CHUNK], out[k0:k0 + _CHUNK].reshape(-1))
-        return out if np.ndim(t) else out[0]
-
-    def _measure_chunk(self, positions, x, ts, blk):
-        """Adds the blocks of x at ts into blk, one bincount per group of
-        _runs."""
-        for k, atom, col, val in self._runs(positions, ts):
-            blk += np.bincount(k * self.block_dim + col, weights=val * x[atom],
-                               minlength=len(blk))
-
     def _runs(self, positions, ts):
         """(parameter, row, column, value) arrays of the rows' runs at each
         parameter of ts, as AtlasModel._runs yields them: here one group per
@@ -149,8 +127,9 @@ class AtlasModel(MeasurementModel):
     orientation) group, the nonzero entries of the group's rows at a batch of
     angles as (angle, row, column, value) arrays in angle order; an atom's
     nonzeros at one angle form one run of the block, in column order.
-    `rows` scatters one angle's runs into a dense block, `measure` sums them
-    _CHUNK angles at a time and `assemble_system` keeps them.
+    `rows` scatters one angle's runs into a dense block; `assemble_system`
+    keeps the window's runs and sums the tail's into the data, and every
+    Gram and the coherence norms read them.
     """
 
     atlas: DictionaryAtlas
@@ -263,12 +242,10 @@ class RadonModel(AtlasModel):
 
     The angle distribution is uniform, the per-angle measurement space is the
     s-offset grid with trapezoid weight s_step.  Rows come one scale at a
-    time (_scale_cells): the scale's orientations share their profile
+    time (_runs): the scale's orientations share their profile
     interpolation (_scale_base) and, where their atoms share translations,
-    one run geometry, and _runs cuts each orientation's values at the shared
-    cells to its runs, bit for bit the runs of one group at a time.  Rows,
-    Grams and the coherence norms read _runs; measure sums each
-    orientation's values over the shared cells uncut.
+    one run geometry, and each orientation's values at the shared cells are
+    cut to its runs, bit for bit the runs of one group at a time.
     """
 
     smoothing_exponent = 0.5
@@ -304,10 +281,10 @@ class RadonModel(AtlasModel):
         grid = start[:, None] + index * ((start + fine_step) - start)[:, None]
         return grid, _convolved_base_rows(factors, pairs, c, s, self.atlas.grid.h, grid)
 
-    def _scale_cells(self, positions, thetas):
-        """The cells of the rows of each scale's orientation groups at a
-        batch of angles, one run geometry for the groups it serves; callers
-        pass at most _CHUNK angles at a time.
+    def _runs(self, positions, thetas):
+        """(angle, atom, offset, value) arrays of each (scale, orientation)
+        group at a batch of angles, in group order; callers pass at most
+        _CHUNK angles at a time.
 
         Consecutive groups of one scale whose atoms sit on the same
         translations, in the same order (a scale's three orientations on a
@@ -323,12 +300,10 @@ class RadonModel(AtlasModel):
         arithmetic puts them, so the exact test is made on the candidates
         next to each end.  Each group's values at the runs' points then take
         one interp call per angle, on that angle's own profile grid; outside
-        its own interval a group's profile reads exact zeros.
-
-        Yields (angle, cnt, col, t, groups) per geometry: each cell's angle,
-        the lengths cnt of the (angle, translation) runs, in cell order,
-        each cell's offset and its translation t, and (sel, val), the
-        group's rows among positions and its value at every cell."""
+        its own interval a group's profile reads exact zeros.  Each run is
+        then cut to the span from its first to its last nonzero value (an
+        exact zero of the profile inside its interval can still end a run,
+        and a run outside it holds zeros only): it drops only exact zeros."""
         thetas = np.atleast_1d(np.asarray(thetas, float))
         c, s = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
         fine = self.s_step / 2.0
@@ -361,40 +336,17 @@ class RadonModel(AtlasModel):
             owner, col = _run_cells(first, cnt)
             P = sg[col] - shifts.ravel()[owner]
             ends = np.cumsum(np.append(0, cnt.reshape(len(live), len(sel)).sum(axis=1)))
-            vals = []
-            for base in bases:
+            angle, t = np.repeat(live, np.diff(ends)), owner % len(sel)
+            for (*_, gsel), base in zip(groups, bases):
                 val = np.empty(len(P))
                 for a, k in enumerate(live):
                     cut = slice(ends[a], ends[a + 1])
                     val[cut] = np.interp(P[cut], grid[k], base[k], left=0.0, right=0.0)
-                vals.append(val)
-            yield (np.repeat(live, np.diff(ends)), cnt, col, owner % len(sel),
-                   [(g[2], val) for g, val in zip(groups, vals)])
-
-    def _runs(self, positions, thetas):
-        """(angle, atom, offset, value) arrays of each (scale, orientation)
-        group at a batch of angles, in group order: the group's values at
-        the cells of _scale_cells, each run cut to the span from its first
-        to its last nonzero value (an exact zero of the profile inside its
-        interval can still end a run, and a run outside it holds zeros
-        only).  Every run starts and ends on a nonzero value, and drops only
-        exact zeros of the row."""
-        for angle, cnt, col, t, groups in self._scale_cells(positions, thetas):
-            for sel, val in groups:
                 keep = _nonzero_core(cnt, val)
                 if keep is None:
-                    yield angle, sel[t], col, val
+                    yield angle, gsel[t], col, val
                 else:
-                    yield angle[keep], sel[t[keep]], col[keep], val[keep]
-
-    def _measure_chunk(self, positions, x, ts, blk):
-        """Adds the blocks of x at ts into blk, one bincount per group in
-        group order over the uncut cells of _scale_cells: their extra cells
-        hold exact zeros, which leave every sum as the runs' own."""
-        for angle, _, col, t, groups in self._scale_cells(positions, ts):
-            index = angle * self.block_dim + col
-            for sel, val in groups:
-                blk += np.bincount(index, weights=val * x[sel][t], minlength=len(blk))
+                    yield angle[keep], gsel[t[keep]], col[keep], val[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -983,9 +935,10 @@ def assemble_system(model, positions, samples, x_full=None, beta: float = 0.0,
     (for the Radon model, each cut to the span where its profile is
     nonzero), which are kept already scaled, sample by sample and atom by
     atom; A is never written dense.  Each sample's rows and data are those
-    of its own parameter, whatever chunk it falls in.  The data is A applied to the in-window
-    coefficients plus one many-angle `model.measure` of the chunk over the
-    out-of-window atoms only; tail_residual is the latter's norm.
+    of its own parameter, whatever chunk it falls in.  The data is A
+    applied to the in-window coefficients plus the tail's: one bincount per
+    group of the chunk's _runs over the signal's out-of-window atoms, summed
+    into a zero block, then scaled; tail_residual is the tail data's norm.
     """
     positions = np.asarray(positions, dtype=int)
     samples = np.asarray(samples, dtype=float)
@@ -1004,6 +957,7 @@ def assemble_system(model, positions, samples, x_full=None, beta: float = 0.0,
     full = np.zeros(0) if x_full is None else np.asarray(x_full, float)
     out = np.setdiff1d(np.flatnonzero(full), positions)
     x_w = full[positions] if x_full is not None else np.zeros(n)
+    x_out = full[out]
     start = np.zeros((m, n), dtype=np.int32)
     length = np.zeros((m, n), dtype=np.int32)
     vals = []
@@ -1027,7 +981,10 @@ def assemble_system(model, positions, samples, x_full=None, beta: float = 0.0,
         length[ks] = cnt.reshape(-1, n)
         y_w[rows] = np.bincount(k * bd + col, weights=val * x_w[atom], minlength=len(ts) * bd)
         if len(out):
-            y[rows] = (model.measure(out, full[out], ts) * scale).ravel()
+            tail = np.zeros(len(ts) * bd)
+            for k, atom, col, val in model._runs(out, ts):
+                tail += np.bincount(k * bd + col, weights=val * x_out[atom], minlength=len(tail))
+            y[rows] = tail * scale
     tail_res = float(np.linalg.norm(y))
     y += y_w
     if beta > 0:

@@ -14,8 +14,8 @@ from .wavelets import DictionaryAtlas, analysis, synthesis, truncation_positions
 class PhantomSpec:
     """What to synthesize: kind in {sparse, cartoon, tail}.
 
-    sparse:  `s` nonzeros at positions drawn uniformly from the scale <= j0
-             window, values of unit magnitude and uniform sign.
+    sparse:  `s` >= 0 nonzeros at positions drawn uniformly from the scale
+             <= j0 window, values of unit magnitude and uniform sign.
     cartoon: two smooth bumps plus an ellipse indicator inside the unit disk.
     tail:    a coefficient at every dictionary index, magnitude
              2^-(a + 1) j at scale j, random signs; the out-of-window energy
@@ -30,6 +30,8 @@ class PhantomSpec:
     def __post_init__(self):
         if self.kind not in ("sparse", "cartoon", "tail"):
             raise ValueError(f"unknown phantom kind {self.kind!r}")
+        if self.s < 0:
+            raise ValueError(f"s must be >= 0, got {self.s}")
 
 
 def sparse_phantom(atlas: DictionaryAtlas, j0: int, s: int, seed: int = 0):

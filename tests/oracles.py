@@ -17,7 +17,9 @@ of them is on a pipeline's path:
 - the robust null-space witness search, and the truncation residual with
   its certificate-side bound and the uniform-bound probe it takes;
 - the per-atom measurement norms at any parameters (atom_norms), which the
-  probe, the coherence law and the norm tests read.
+  probe, the coherence law and the norm tests read, and the measurement
+  blocks of a coefficient vector at any parameters (measure), which the
+  dense assembly and the truncation residual read.
 
 sampled_normal is the one pipeline call among them: the sampled normal
 matrix of a sample rule, as run_certification_report hands it to
@@ -436,8 +438,8 @@ def truncation_residual(system: SampledSystem, model, x_full,
     r = float(np.linalg.norm(x_tail))
     scale = np.sqrt(model.quad_weight / system.m)
     supp = tail[np.flatnonzero(x_tail)]
-    stacked = (system.q_weights * scale)[:, None] * model.measure(supp, x_full[supp],
-                                                                  system.samples)
+    stacked = (system.q_weights * scale)[:, None] * measure(model, supp, x_full[supp],
+                                                            system.samples)
     residual = float(np.linalg.norm(stacked))
     tail_opnorm = bound = float("nan")
     if cert is not None:   # the tail Gram only feeds the bound
@@ -449,6 +451,23 @@ def truncation_residual(system: SampledSystem, model, x_full,
         bound = cF * model.c_nu ** -0.5 * (tail_opnorm * cert.inv_norm + 1.0) * r
     return TruncationReport(residual=residual, bound=bound, tail_norm=r,
                             tail_opnorm=tail_opnorm, tail_truncated=True)
+
+
+def measure(model, positions, x, t) -> np.ndarray:
+    """The measurement block sum_i x_i rows_i of coefficients x over
+    positions at parameter t, one bincount per group of the model's _runs,
+    _CHUNK parameters at a time; for a vector t, one block per row.  The
+    models' measure method as it was before assemble_system summed the
+    tail's runs itself."""
+    positions, x = np.asarray(positions, dtype=int), np.asarray(x, float)
+    ts = np.atleast_1d(np.asarray(t, float))
+    out = np.zeros((len(ts), model.block_dim))
+    for k0 in range(0, len(ts), _CHUNK):
+        blk = out[k0:k0 + _CHUNK].reshape(-1)
+        for k, atom, col, val in model._runs(positions, ts[k0:k0 + _CHUNK]):
+            blk += np.bincount(k * model.block_dim + col, weights=val * x[atom],
+                               minlength=len(blk))
+    return out if np.ndim(t) else out[0]
 
 
 def atom_norms(model, positions, t) -> np.ndarray:

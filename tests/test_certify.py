@@ -152,6 +152,19 @@ def test_gram_pass_matches_single_rule_oracles(kind, haar_atlas_j2):
         assert cert.sigma_min_shift == 0.0
 
 
+@pytest.mark.parametrize("kind", list(PASS_MODELS))
+def test_certificate_n_quad_counts_the_rule_nodes(kind, haar_atlas_j2):
+    # the certificate reports the nodes its Gram sums: Fourier's counting
+    # rule takes the 2N + 1 frequencies of its bandwidth, whatever n_quad
+    model = PASS_MODELS[kind](haar_atlas_j2)
+    w = all_positions(model)
+    cert = st.compute_gram(model, w)
+    nodes, _ = model.population_nodes(default_quadrature(model, w))
+    assert cert.n_quad == len(nodes)
+    if kind == "fourier":
+        assert cert.n_quad == 2 * model.n_freq + 1 != default_quadrature(model, w)
+
+
 @pytest.mark.parametrize("kind", ["fanbeam", "radon"])
 def test_gram_doubling_products(kind, monkeypatch, radon_j2):
     # the doubling check's half-step rule shares no node with the n rule, and

@@ -101,6 +101,8 @@ def test_command_rejects_flags_it_does_not_read(tmp_path, runner, args):
      "zeta must lie in [0, 1]"),
     (["sweep", "--j0", "1", "--jmax", "2", "--ms", "8", "--seeds", ""],
      "not a comma-separated list of ints: ''"),
+    (["reconstruct", "--j0", "1", "--jmax", "2", "--s", "-3"], "s must be >= 0"),
+    (["sweep", "--j0", "1", "--jmax", "2", "--s", "-2", "--ms", "8"], "s must be >= 0"),
 ])
 def test_input_errors_are_usage_errors(tmp_path, runner, args, message):
     # inputs the model or the config rejects end in a usage error, not a traceback
