@@ -183,6 +183,8 @@ def reconstruct(config_path, **flags):
     cfg = _merged(config_path, PHANTOM_KEYS, **flags)
     exp, model = _inputs(cfg, tomographic=True, ms=(64,))
     beta = float(cfg.get("beta", 0.0))
+    if not np.isfinite(beta):
+        raise click.UsageError(f"beta must be finite, not {beta}")
     if beta < 0:
         raise click.UsageError("beta must be >= 0")
     out = cfg.get("out_dir") or "."

@@ -14,7 +14,10 @@ the fan-beam model, which takes Haar atoms only, finds the rays that meet
 each support box and their chords through its cells once per dilation and
 chunk of angles for all the groups on those boxes, then takes each group's
 exact chord-length line integrals from them.  Both cut every run to the
-span where the row is nonzero; rows leave an atlas model only as these runs.
+span where the row is nonzero; rows leave an atlas model only as these runs,
+and sums of rows (_data) as their bincounts, except the Radon model's: its
+rows resample one profile per group at a fixed fraction of a grid step, so
+their sums are lattice deposits correlated with the profiles.
 A system of random samples is assembled a chunk of samples at a time and
 keeps its stacked operator A as those runs, with quadrature weights and
 1/sqrt(m) folded in, so plain Euclidean norms of stacked vectors equal the
@@ -41,6 +44,7 @@ import mmap
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .wavelets import DictionaryAtlas, WaveletFilter, dilation, _cascade
 
@@ -106,6 +110,16 @@ class MeasurementModel:
             atom, col = np.indices(R.shape)
             yield np.full(R.size, k), atom.ravel(), col.ravel(), R.ravel()
 
+    def _data(self, positions, x, ts) -> np.ndarray:
+        """The blocks sum_i x_i rows_i of coefficients x over positions at
+        each parameter of ts, (len(ts), block_dim): one bincount per group of
+        the rows' runs, summed into a zero block."""
+        bd = self.block_dim
+        out = np.zeros(len(ts) * bd)
+        for k, atom, col, val in self._runs(positions, ts):
+            out += np.bincount(k * bd + col, weights=val * x[atom], minlength=len(out))
+        return out.reshape(len(ts), bd)
+
     def _row_norms(self, n, atom, col, val) -> np.ndarray:
         """Norms of n rows from their runs at one parameter, each summed as a
         dense row (numpy's pairwise sum rounds by where the nonzeros sit), in
@@ -128,8 +142,8 @@ class AtlasModel(MeasurementModel):
     angles as (angle, row, column, value) arrays in angle order; an atom's
     nonzeros at one angle form one run of the block, in column order.
     `rows` scatters one angle's runs into a dense block; `assemble_system`
-    keeps the window's runs and sums the tail's into the data, and every
-    Gram and the coherence norms read them.
+    keeps the window's runs and takes the tail's data from `_data`, and
+    every Gram and the coherence norms read the runs.
     """
 
     atlas: DictionaryAtlas
@@ -245,7 +259,10 @@ class RadonModel(AtlasModel):
     time (_runs): the scale's orientations share their profile
     interpolation (_scale_base) and, where their atoms share translations,
     one run geometry, and each orientation's values at the shared cells are
-    cut to its runs, bit for bit the runs of one group at a time.
+    cut to its runs, bit for bit the runs of one group at a time.  Sums of
+    rows (_data, the assembly's tail data) take the same passes but no
+    runs: deposits of the coefficients on the profile grid, correlated
+    with each profile.
     """
 
     smoothing_exponent = 0.5
@@ -281,16 +298,35 @@ class RadonModel(AtlasModel):
         grid = start[:, None] + index * ((start + fine_step) - start)[:, None]
         return grid, _convolved_base_rows(factors, pairs, c, s, self.atlas.grid.h, grid)
 
+    def _passes(self, positions, thetas):
+        """(groups, grid, bases, shifts) of each run of consecutive (scale,
+        orientation) groups of one scale whose atoms sit on the same
+        translations, in the same order (a scale's three orientations on a
+        window): they share their offset grid and profile pass
+        (_scale_base, on the half-step grid) and their atoms' offset shifts
+        at each angle, (len(thetas), atoms).  Groups that do not take one
+        pass each."""
+        c, s = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
+        n1, n2 = self.atlas.n1[positions], self.atlas.n2[positions]
+
+        def geometry(group):
+            scale, _, sel = group
+            return scale, n1[sel].tobytes(), n2[sel].tobytes()
+
+        for (scale, *_), groups in itertools.groupby(self._groups(positions), geometry):
+            groups = list(groups)
+            sel = groups[0][2]
+            grid, bases = self._scale_base(scale, [o for _, o, _ in groups], thetas,
+                                           self.s_step / 2.0)
+            yield groups, grid, bases, (n1[sel] * c + n2[sel] * s) / dilation(scale)
+
     def _runs(self, positions, thetas):
         """(angle, atom, offset, value) arrays of each (scale, orientation)
         group at a batch of angles, in group order; callers pass at most
         _CHUNK angles at a time.
 
-        Consecutive groups of one scale whose atoms sit on the same
-        translations, in the same order (a scale's three orientations on a
-        window), share their offset grid, their shifts and so their run
-        geometry; groups that do not take one geometry each.  Atoms of one
-        group share one base profile per angle; each atom's row is that
+        The groups of one pass (_passes) share one run geometry.  Atoms of
+        one group share one base profile per angle; each atom's row is that
         profile resampled at its own offset shift.  A profile is nonzero
         only on the open interval between the grid nodes glo and ghi around
         its nonzero values; over the union of the groups' intervals, a row
@@ -305,26 +341,15 @@ class RadonModel(AtlasModel):
         exact zero of the profile inside its interval can still end a run,
         and a run outside it holds zeros only): it drops only exact zeros."""
         thetas = np.atleast_1d(np.asarray(thetas, float))
-        c, s = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
-        fine = self.s_step / 2.0
         sg = self.s_grid
         top, zero = len(sg) - 1, len(sg) // 2       # sg = s_step * (index - zero)
-        n1, n2 = self.atlas.n1[positions], self.atlas.n2[positions]
-
-        def geometry(group):
-            scale, _, sel = group
-            return scale, n1[sel].tobytes(), n2[sel].tobytes()
-
-        for (scale, *_), groups in itertools.groupby(self._groups(positions), geometry):
-            groups = list(groups)
-            sel = groups[0][2]
-            grid, bases = self._scale_base(scale, [o for _, o, _ in groups], thetas, fine)
+        for groups, grid, bases, shifts in self._passes(positions, thetas):
+            n = shifts.shape[1]
             nz = np.logical_or.reduce([base != 0.0 for base in bases])
             live = np.flatnonzero(nz.any(axis=1))      # angles where some profile is not all 0
-            nz = nz[live]
+            nz, shifts = nz[live], shifts[live]
             glo = grid[live, nz.argmax(axis=1) - 1][:, None]
             ghi = grid[live, nz.shape[1] - nz[:, ::-1].argmax(axis=1)][:, None]
-            shifts = (n1[sel] * c[live] + n2[sel] * s[live]) / dilation(scale)
             # the first offset with P > glo, and one past the last with P < ghi
             i = np.floor((shifts + glo) / self.s_step).astype(int) + zero
             j = np.ceil((shifts + ghi) / self.s_step).astype(int) + zero - 1
@@ -335,8 +360,8 @@ class RadonModel(AtlasModel):
             cnt = np.maximum(np.minimum(j, top + 1).ravel() - first, 0)
             owner, col = _run_cells(first, cnt)
             P = sg[col] - shifts.ravel()[owner]
-            ends = np.cumsum(np.append(0, cnt.reshape(len(live), len(sel)).sum(axis=1)))
-            angle, t = np.repeat(live, np.diff(ends)), owner % len(sel)
+            ends = np.cumsum(np.append(0, cnt.reshape(len(live), n).sum(axis=1)))
+            angle, t = np.repeat(live, np.diff(ends)), owner % n
             for (*_, gsel), base in zip(groups, bases):
                 val = np.empty(len(P))
                 for a, k in enumerate(live):
@@ -347,6 +372,48 @@ class RadonModel(AtlasModel):
                     yield angle, gsel[t], col, val
                 else:
                     yield angle[keep], gsel[t[keep]], col[keep], val[keep]
+
+    def _data(self, positions, x, thetas):
+        """The blocks sum_i x_i rows_i at a vector of angles, (len(thetas),
+        block_dim), without runs.
+
+        At angle k an atom's row reads its group's profile b, sampled on the
+        grid start + g * step (step = (start + s_step/2) - start, as
+        _scale_base lays it out), at the points P_i = s_step * (i - zero) -
+        shift, one per offset i.  Consecutive offsets lie two grid steps
+        apart, so every P_i sits one fraction f of a step past the node g_i
+        = J + 2 (i - i0), J and f read as interp reads them at the offset i0
+        nearest the shift, and the row is (1 - f) b[g_i] + f b[g_i + 1].  A
+        group's sum at angle k is then its profile correlated at stride 2
+        with two bincount deposits, x (1 - f) at each atom's J and x f at J
+        + 1: one einsum over the deposits' stride-2 windows.  It matches the
+        runs' sum to about 1e-15 of each block's largest entry; the two
+        round in different orders."""
+        thetas = np.atleast_1d(np.asarray(thetas, float))
+        K, bd, zero = len(thetas), self.block_dim, self.block_dim // 2
+        out = np.zeros((K, bd))
+        for groups, grid, bases, shifts in self._passes(positions, thetas):
+            L = grid.shape[1]
+            start = grid[:, :1]
+            step = (start + self.s_step / 2.0) - start
+            near = np.rint(shifts / self.s_step)         # i0 - zero
+            P = self.s_step * near - shifts
+            J = np.floor((P - start) / step)
+            f = (P - (start + J * step)) / step
+            # deposit r meets node 2 i + L - 1 - r at offset i, so J's r is
+            # 2 i0 + L - 1 - J; outside [0, width) it meets no node
+            r = (2.0 * (near + zero) + L - 1 - J).astype(int)
+            width = 2 * bd + L - 2
+            keys = r + width * np.arange(K)[:, None]
+            at_J, at_J1 = (0 <= r) & (r < width), (1 <= r) & (r <= width)
+            for (*_, gsel), base in zip(groups, bases):
+                w = np.broadcast_to(x[gsel], r.shape)
+                D = (np.bincount(keys[at_J], (w * (1.0 - f))[at_J], K * width)
+                     + np.bincount(keys[at_J1] - 1, (w * f)[at_J1], K * width))
+                # offset i's window of D, read backwards, meets nodes 0 .. L - 1
+                windows = sliding_window_view(D.reshape(K, width), L, axis=1)[:, ::2]
+                out += np.einsum("kig,kg->ki", windows, base[:, ::-1])
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -936,9 +1003,11 @@ def assemble_system(model, positions, samples, x_full=None, beta: float = 0.0,
     nonzero), which are kept already scaled, sample by sample and atom by
     atom; A is never written dense.  Each sample's rows and data are those
     of its own parameter, whatever chunk it falls in.  The data is A
-    applied to the in-window coefficients plus the tail's: one bincount per
-    group of the chunk's _runs over the signal's out-of-window atoms, summed
-    into a zero block, then scaled; tail_residual is the tail data's norm.
+    applied to the in-window coefficients plus the tail's, the chunk's
+    `model._data` over the signal's out-of-window atoms (for the Radon
+    model lattice deposits correlated with the profiles, elsewhere one
+    bincount per group of their runs), then scaled; tail_residual is the
+    tail data's norm.  beta must be finite and >= 0.
     """
     positions = np.asarray(positions, dtype=int)
     samples = np.asarray(samples, dtype=float)
@@ -948,8 +1017,8 @@ def assemble_system(model, positions, samples, x_full=None, beta: float = 0.0,
     if x_full is not None and len(x_full) != model.dictionary_size():
         raise ValueError(f"x_full has {len(x_full)} coefficients, the dictionary "
                          f"{model.dictionary_size()}")
-    if beta < 0:
-        raise ValueError("noise bound must be >= 0")
+    if not np.isfinite(beta) or beta < 0:
+        raise ValueError(f"noise bound must be finite and >= 0, not {beta}")
     if n < 1 or len(np.unique(positions)) != n:
         raise ValueError("positions must be nonempty and must not repeat")
     scale = np.sqrt(model.quad_weight / m)
@@ -981,10 +1050,7 @@ def assemble_system(model, positions, samples, x_full=None, beta: float = 0.0,
         length[ks] = cnt.reshape(-1, n)
         y_w[rows] = np.bincount(k * bd + col, weights=val * x_w[atom], minlength=len(ts) * bd)
         if len(out):
-            tail = np.zeros(len(ts) * bd)
-            for k, atom, col, val in model._runs(out, ts):
-                tail += np.bincount(k * bd + col, weights=val * x_out[atom], minlength=len(tail))
-            y[rows] = tail * scale
+            y[rows] = (model._data(out, x_out, ts) * scale).ravel()
     tail_res = float(np.linalg.norm(y))
     y += y_w
     if beta > 0:

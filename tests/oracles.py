@@ -457,8 +457,8 @@ def measure(model, positions, x, t) -> np.ndarray:
     """The measurement block sum_i x_i rows_i of coefficients x over
     positions at parameter t, one bincount per group of the model's _runs,
     _CHUNK parameters at a time; for a vector t, one block per row.  The
-    models' measure method as it was before assemble_system summed the
-    tail's runs itself."""
+    oracle of the models' _data: the default's sum over the runs, which
+    RadonModel._data forms from lattice deposits instead."""
     positions, x = np.asarray(positions, dtype=int), np.asarray(x, float)
     ts = np.atleast_1d(np.asarray(t, float))
     out = np.zeros((len(ts), model.block_dim))

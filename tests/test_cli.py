@@ -103,6 +103,10 @@ def test_command_rejects_flags_it_does_not_read(tmp_path, runner, args):
      "not a comma-separated list of ints: ''"),
     (["reconstruct", "--j0", "1", "--jmax", "2", "--s", "-3"], "s must be >= 0"),
     (["sweep", "--j0", "1", "--jmax", "2", "--s", "-2", "--ms", "8"], "s must be >= 0"),
+    (["reconstruct", "--j0", "1", "--jmax", "2", "--s", "2", "--m", "8", "--beta", "nan"],
+     "beta must be finite"),
+    (["reconstruct", "--j0", "1", "--jmax", "2", "--s", "2", "--m", "8", "--beta", "inf"],
+     "beta must be finite"),
 ])
 def test_input_errors_are_usage_errors(tmp_path, runner, args, message):
     # inputs the model or the config rejects end in a usage error, not a traceback

@@ -370,6 +370,29 @@ def test_measure_matches_rows(kind):
                           np.zeros(model.block_dim))
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_radon_data_matches_runs_oracle(order):
+    # the lattice deposits give the oracle's sum over the runs, block by
+    # block, at angles on the axes and past one chunk, for atoms of every
+    # scale in shuffled order (a pass's groups then hold one atom or a few)
+    model = st.RadonModel(st.build_atlas(st.build_filter(order), 3))
+    n = model.dictionary_size()
+    rng = np.random.default_rng(order)
+    ts = np.r_[0.0, np.pi / 2, np.pi, 3 * np.pi / 2, rng.uniform(0.0, 2 * np.pi, _CHUNK + 3)]
+    scales = model.scales()
+    one_each = [rng.choice(np.flatnonzero(scales == j)) for j in range(4)]
+    cases = [np.arange(n), rng.permutation(n)[:n // 2], rng.permutation(one_each)]
+    for positions in cases:
+        assert np.array_equal(np.unique(scales[positions]), np.arange(4))
+        x = rng.standard_normal(len(positions))
+        got, expect = model._data(positions, x, ts), measure(model, positions, x, ts)
+        assert got.shape == (len(ts), model.block_dim)
+        err = np.abs(got - expect).max(axis=1)
+        assert np.all(err <= 1e-14 * np.abs(expect).max(axis=1))
+        assert not np.any(model._data(positions, np.zeros(len(positions)), ts))
+    assert not np.any(model._data(np.array([], dtype=int), np.zeros(0), ts))
+
+
 # ---------------------------------------------------------------------------
 # fan beam
 
@@ -853,6 +876,60 @@ def test_assemble_data_matches_dense_rows(haar_atlas_j3, radon_j3, kind):
     assert abs(sys.tail_residual - tail_dense) <= 1e-13 * tail_dense
 
 
+def test_assemble_radon_tail_takes_no_runs(haar_atlas_j3, radon_j3, monkeypatch):
+    # the Radon tail's data come from _data's deposits: _runs sees the
+    # window only, once per chunk
+    _, x_full, _ = st.make_phantom(haar_atlas_j3, st.PhantomSpec("tail", a=0.5, seed=1), 2)
+    window = st.truncation_positions(haar_atlas_j3, 2)
+    assert len(np.setdiff1d(np.flatnonzero(x_full), window))
+    calls, runs = [], st.RadonModel._runs
+
+    def recorded(self, positions, thetas):
+        calls.append(np.array(positions))
+        return runs(self, positions, thetas)
+
+    monkeypatch.setattr(st.RadonModel, "_runs", recorded)
+    m = 2 * _CHUNK + 5
+    sys = st.assemble_system(radon_j3, window, st.draw_samples(radon_j3, m, seed=2),
+                             x_full=x_full)
+    assert sys.tail_residual > 0
+    assert len(calls) == -(-m // _CHUNK)
+    assert all(np.array_equal(c, window) for c in calls)
+
+
+def test_assemble_fanbeam_data_sum_the_runs():
+    # the fan beam keeps the runs' tail data: y and tail_residual are the
+    # per-chunk bincount sums over the runs (oracle measure) bit for bit
+    model = build_model("fanbeam", j_max=2)
+    _, x_full, _ = st.make_phantom(model.atlas, st.PhantomSpec("tail", a=0.5, seed=3), 1)
+    window = st.truncation_positions(model.atlas, 1)
+    out = np.setdiff1d(np.flatnonzero(x_full), window)
+    assert len(out)
+    m = 2 * _CHUNK + 5
+    samples = st.draw_samples(model, m, seed=5)
+    sys = st.assemble_system(model, window, samples, x_full=x_full)
+    x_w = np.zeros(len(x_full))
+    x_w[window] = x_full[window]
+    y = np.zeros(m * model.block_dim)
+    order = np.argsort(samples, kind="stable")
+    for k0 in range(0, m, _CHUNK):
+        ks = order[k0:k0 + _CHUNK]
+        rows = (ks[:, None] * model.block_dim + np.arange(model.block_dim)).ravel()
+        tail = measure(model, out, x_full[out], samples[ks]).ravel()
+        y[rows] = tail * np.sqrt(model.quad_weight / m)
+    assert sys.tail_residual == float(np.linalg.norm(y))
+    y += st.assemble_system(model, window, samples, x_full=x_w).y
+    assert sys.y.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
+def test_assemble_rejects_non_finite_beta(haar_atlas_j2, radon_j2, beta):
+    # a NaN noise bound passes a beta < 0 check and poisons y and eta
+    with pytest.raises(ValueError, match="finite"):
+        st.assemble_system(radon_j2, st.truncation_positions(haar_atlas_j2, 1),
+                           st.draw_samples(radon_j2, 3, seed=0), beta=beta)
+
+
 def test_assemble_peak_memory(haar_atlas_j2, radon_j2):
     # the rows are written into one preallocated matrix: no second copy of A
     import tracemalloc
@@ -947,7 +1024,12 @@ def test_system_matrix_matches_dense_assembly(name):
     assert (M.flags.f_contiguous, M.flags.c_contiguous) == (A.flags.f_contiguous,
                                                             A.flags.c_contiguous)
     assert np.linalg.norm(system.y - y) <= 1e-13 * np.linalg.norm(y)
-    assert system.tail_residual == tail_res
+    if RUN_CASES[name][0] == "radon":
+        # the Radon tail data come from lattice deposits, not the runs the
+        # oracle sums: the bound test_assemble_data_matches_dense_rows takes
+        assert abs(system.tail_residual - tail_res) <= 1e-13 * tail_res
+    else:
+        assert system.tail_residual == tail_res
 
 
 @pytest.mark.parametrize("name", list(RUN_CASES))
